@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the distance kernel (default 1)")
+                        help="worker threads for the Hellinger part of the distance kernel; "
+                             "results do not depend on it (default 1)")
     common.add_argument("--quiet", action="store_true", help="log errors only")
     common.add_argument("--json-logs", action="store_true", help="emit log lines as JSON")
 
@@ -382,11 +383,11 @@ def _cmd_represent(args) -> int:
     payload["series"] = [
         {
             "id": rep.ids[i],
-            "ranks": rep.ranks[i].ranks.tolist(),
+            "ranks": rep.ranks[i].tolist(),
             "density": {
                 "origin": origin,
                 "width": width,
-                "masses": rep.densities[i].masses.tolist(),
+                "masses": rep.masses[i].tolist(),
             },
         }
         for i in range(rep.n_series)
@@ -437,7 +438,7 @@ def _cmd_cluster(args) -> int:
     method = _METHOD_BY_FLAG[args.method]
     k, report = _resolve_k(args, inc, params, binning, method)
     dm = distance_matrix(represent(inc, binning), params, threads=args.threads)
-    assignment = cluster(dm, k, method, seed=args.seed)
+    assignment = cluster(dm, k, method)
     summary = cluster_summary(assignment, panel) if args.summary else None
     payload = _args_provenance(
         args,
@@ -500,21 +501,29 @@ def _parse_dists(text: str) -> list[tuple[str, float | None]]:
 
 def _synth_spec_from_args(args) -> SyntheticSpec:
     if args.spec is not None:
-        raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        blocks = tuple(CorrelationBlock(size=b["size"], rho=b["rho"]) for b in raw["blocks"])
-        groups = tuple(
-            DistributionGroup(family=g["family"], scale=g.get("scale", 1.0), df=g.get("df"))
-            for g in raw["groups"]
-        )
-        labels = raw.get("distribution_labels")
-        return SyntheticSpec(
-            n_series=raw["n_series"],
-            m_obs=raw["m_obs"],
-            blocks=blocks,
-            groups=groups,
-            seed=raw.get("seed", args.seed),
-            distribution_labels=tuple(labels) if labels is not None else None,
-        )
+        try:
+            raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as e:
+            raise ParameterError(f"spec {args.spec} is not valid JSON: {e}") from None
+        try:
+            blocks = tuple(CorrelationBlock(size=b["size"], rho=b["rho"]) for b in raw["blocks"])
+            groups = tuple(
+                DistributionGroup(family=g["family"], scale=g.get("scale", 1.0), df=g.get("df"))
+                for g in raw["groups"]
+            )
+            labels = raw.get("distribution_labels")
+            return SyntheticSpec(
+                n_series=raw["n_series"],
+                m_obs=raw["m_obs"],
+                blocks=blocks,
+                groups=groups,
+                seed=raw.get("seed", args.seed),
+                distribution_labels=tuple(labels) if labels is not None else None,
+            )
+        except KeyError as e:
+            raise ParameterError(f"spec {args.spec} is missing the key {e}") from None
+        except (TypeError, AttributeError) as e:  # a list or number where an object belongs
+            raise ParameterError(f"spec {args.spec} is malformed: {e}") from None
     if args.blocks is None:
         raise ParameterError("synth needs --spec or --blocks")
     sizes = _parse_blocks(args.blocks)
@@ -542,7 +551,7 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
         raise ParameterError(str(e)) from None
 
 
-def _panel_csv(panel: SeriesPanel, provenance: dict | None = None) -> str:
+def _panel_csv(panel: SeriesPanel) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", *panel.ids])
@@ -657,7 +666,7 @@ def _run_single_theta(config: RunConfig, theta: float, panel: SeriesPanel,
         raise ParameterError("pipeline needs --k or --k-range")
 
     dm = distance_matrix(represent(inc, binning), params, threads=config.threads)
-    assignment = cluster(dm, k, config.method, seed=config.seed)
+    assignment = cluster(dm, k, config.method)
     summary = cluster_summary(assignment, panel)
 
     (out_dir / f"distance_matrix{suffix}.csv").write_text(

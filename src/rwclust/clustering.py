@@ -116,12 +116,11 @@ def cluster(
     matrix: DistanceMatrix,
     k: int,
     method: str = "average_linkage",
-    seed: int = 0,
 ) -> ClusterAssignment:
     """Partition the panel into k clusters from its distance matrix.
 
-    Every method is deterministic given its inputs; `seed` is accepted for
-    interface stability but the k-medoids build step needs no randomness.
+    Every method is deterministic given its inputs; the k-medoids build step
+    needs no randomness.
     """
     if method not in CLUSTER_METHODS:
         raise ParameterError(f"unknown method {method!r}; expected one of {CLUSTER_METHODS}")

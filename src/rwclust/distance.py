@@ -14,10 +14,24 @@ normalization 3 / (M (M^2-1)) caps d1 at 1 instead. For 0 < theta < 1 the
 blend is a metric on the representation; at the endpoints only the
 separation axiom is lost.
 
-The pairwise matrix kernel is the O(N^2 M) hot spot: it works on stacked
-rank and sqrt-mass matrices, computes the upper triangle row by row, and
-mirrors. Per-entry reductions have a fixed order, so results are
-bit-identical for any worker count.
+The pairwise matrix kernel works on the N x M rank matrix and the N x B
+mass matrix in two parts:
+
+- Ranks, by the Gram identity. Every rank row is a permutation of 1..M, so
+  sum_i (rx[i] - ry[i])^2 = 2 S - 2 rx.ry with S = M (M+1) (2M+1) / 6. The
+  inner products rx.ry come from one float64 matrix product per chunk of
+  columns, with chunks narrow enough (chunk * M^2 < 2^53) that every partial
+  sum BLAS forms is an integer below 2^53, so each is exact whatever the
+  summation order; chunks are accumulated in int64. The rank sums are
+  therefore exact integers, identical for any BLAS thread count, for M up
+  to 3 024 616, past which S leaves int64 and the kernel refuses the
+  panel. Every panel with M up to about 2 * 10^5 is one chunk.
+- Masses, by direct differences. The Hellinger part differences sqrt-mass
+  rows (B, about 100, is much smaller than M) over the upper triangle, row
+  by row, and mirrors; each entry has a fixed reduction order, so results
+  are bit-identical for any `threads` split of those rows. The Gram form
+  1 - sum sqrt(px py) is not used: it loses the exact zero of identical
+  pairs.
 """
 from __future__ import annotations
 
@@ -144,6 +158,20 @@ def _pairwise_sq(a: np.ndarray, threads: int) -> np.ndarray:
     return out + out.T
 
 
+def _rank_sq_sums(ranks: np.ndarray) -> np.ndarray:
+    """Exact sum_i (r_a[i] - r_b[i])^2 for every pair of rows of an N x M permutation matrix."""
+    m = ranks.shape[1]
+    s = m * (m + 1) * (2 * m + 1) // 6  # sum of squares of 1..M, bounds every entry below
+    if s > np.iinfo(np.int64).max:
+        raise ValidationError(f"series of {m} increments are too long for exact int64 rank sums")
+    chunk = max(1, (2**53 - 1) // (m * m))
+    gram = np.zeros((ranks.shape[0],) * 2, dtype=np.int64)
+    for lo in range(0, m, chunk):
+        block = ranks[:, lo : lo + chunk].astype(float)
+        gram += (block @ block.T).astype(np.int64)
+    return 2 * (s - gram)
+
+
 def distance_matrix(
     rep: NonParamRepresentation,
     params: DistanceParams = DistanceParams(),
@@ -151,16 +179,14 @@ def distance_matrix(
 ) -> DistanceMatrix:
     """All-pairs blended distance over a represented panel.
 
-    Only the upper triangle is computed, then mirrored; every entry agrees
-    with a scalar d_theta call on the same pair.
+    Every entry agrees with a scalar d_theta call on the same pair. `threads`
+    splits the Hellinger rows; results do not depend on it.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     t = params.theta
-    ranks = rep.rank_matrix().astype(float)
-    sqrt_masses = np.sqrt(rep.mass_matrix())
-    d1sq = _pairwise_sq(ranks, threads) * _d1_factor(rep.m, params.exact_spearman_norm)
-    d0sq = _pairwise_sq(sqrt_masses, threads) * 0.5
+    d1sq = _rank_sq_sums(rep.ranks) * _d1_factor(rep.m, params.exact_spearman_norm)
+    d0sq = _pairwise_sq(np.sqrt(rep.masses), threads) * 0.5
     values = np.sqrt(t * d1sq + (1.0 - t) * d0sq)
     origin, width, nbins = rep.grid
     meta = {

@@ -113,22 +113,50 @@ class SeriesRepresentation:
 
 @dataclass(frozen=True)
 class NonParamRepresentation:
-    """Rank vectors plus binned densities for a whole panel, on one shared grid."""
+    """Rank and mass matrices for a whole panel, on one shared grid.
+
+    Row i of `ranks` (N x M, a permutation of 1..M) and row i of `masses`
+    (N x B, per-bin probabilities on the grid starting at `origin` with bins
+    of `width`) represent series `ids[i]`.
+    """
 
     ids: tuple[str, ...]
-    ranks: tuple[RankVector, ...]
-    densities: tuple[BinnedDensity, ...]
+    ranks: np.ndarray
+    masses: np.ndarray
+    origin: float
+    width: float
 
     def __post_init__(self):
+        r = np.asarray(self.ranks, dtype=np.int64)
+        p = np.asarray(self.masses, dtype=float)
+        object.__setattr__(self, "ranks", r)
+        object.__setattr__(self, "masses", p)
         n = len(self.ids)
-        if not (len(self.ranks) == len(self.densities) == n) or n == 0:
-            raise ValidationError("ids, ranks, and densities must have equal nonzero length")
-        m = len(self.ranks[0])
-        if any(len(r) != m for r in self.ranks):
-            raise ValidationError("all rank vectors must share one length M")
-        g = self.densities[0].grid()
-        if any(d.grid() != g for d in self.densities):
-            raise ValidationError("all densities must share one (origin, width, bin count) grid")
+        if n == 0 or r.ndim != 2 or p.ndim != 2 or r.shape[0] != n or p.shape[0] != n:
+            raise ValidationError("ids, rank rows, and mass rows must have equal nonzero length")
+        m = r.shape[1]
+        if m < 2:
+            raise ValidationError("rank rows must have at least 2 entries")
+        # with every entry in 1..M, a row is a permutation iff no value repeats;
+        # offsetting each row by i*M counts all rows in one bincount
+        if r.min() < 1 or r.max() > m or (
+            np.bincount((r - 1 + m * np.arange(n)[:, None]).ravel(), minlength=n * m) != 1
+        ).any():
+            raise ValidationError("every rank row must be a permutation of 1..M")
+        if not np.isfinite(self.origin):
+            raise ValidationError("grid origin must be finite")
+        if not self.width > 0:
+            raise ValidationError(f"bin width must be > 0, got {self.width}")
+        if p.shape[1] < 1:
+            raise ValidationError("masses must have at least one bin")
+        if (p < 0).any():
+            raise ValidationError("masses must be nonnegative")
+        sums = p.sum(axis=1)
+        bad = sums[np.abs(sums - 1.0) > MASS_TOL]
+        if bad.size:
+            raise ValidationError(f"masses must sum to 1 within {MASS_TOL}, got {bad[0]!r}")
+        r.setflags(write=False)
+        p.setflags(write=False)
 
     @property
     def n_series(self) -> int:
@@ -136,20 +164,18 @@ class NonParamRepresentation:
 
     @property
     def m(self) -> int:
-        return len(self.ranks[0])
+        return self.ranks.shape[1]
 
     @property
     def grid(self) -> tuple[float, float, int]:
-        return self.densities[0].grid()
+        return (self.origin, self.width, self.masses.shape[1])
 
     def series(self, i: int) -> SeriesRepresentation:
-        return SeriesRepresentation(self.ids[i], self.ranks[i], self.densities[i])
-
-    def rank_matrix(self) -> np.ndarray:
-        return np.stack([r.ranks for r in self.ranks])
-
-    def mass_matrix(self) -> np.ndarray:
-        return np.stack([d.masses for d in self.densities])
+        return SeriesRepresentation(
+            self.ids[i],
+            RankVector(ranks=self.ranks[i]),
+            BinnedDensity(origin=self.origin, width=self.width, masses=self.masses[i]),
+        )
 
 
 def rank_function(observations, tie_order=None) -> RankVector:
@@ -180,6 +206,23 @@ def rank_function(observations, tie_order=None) -> RankVector:
     return RankVector(ranks=ranks)
 
 
+def _bin_index(x: np.ndarray, origin: float, width: float, bin_count: int) -> np.ndarray:
+    """Bin of every value of x (any shape) on the grid; the rule empirical_margin documents."""
+    hi = origin + bin_count * width
+    inside = (x >= origin) & (x < hi)
+    if not inside.all():
+        bad = x[~inside][0]
+        raise BinningRangeError(f"observation {bad!r} outside grid [{origin!r}, {hi!r})")
+    q = (x - origin) / width
+    idx = np.floor(q)
+    snap = (1.0 - (q - idx)) <= EDGE_TOL * np.maximum(np.abs(q), 1.0)
+    idx = idx.astype(np.int64) + snap
+    # the snap (or the division itself) can nudge an in-range value onto the
+    # right edge of the padded grid
+    np.minimum(idx, bin_count - 1, out=idx)
+    return idx
+
+
 def empirical_margin(observations, origin: float, width: float, bin_count: int) -> BinnedDensity:
     """Histogram masses of one series on the half-open grid [origin, origin + bin_count*width).
 
@@ -198,18 +241,7 @@ def empirical_margin(observations, origin: float, width: float, bin_count: int) 
         raise ParameterError(f"bin width must be > 0, got {width}")
     if bin_count < 1:
         raise ParameterError(f"bin count must be >= 1, got {bin_count}")
-    hi = origin + bin_count * width
-    inside = (x >= origin) & (x < hi)
-    if not inside.all():
-        bad = x[~inside][0]
-        raise BinningRangeError(f"observation {bad!r} outside grid [{origin!r}, {hi!r})")
-    q = (x - origin) / width
-    idx = np.floor(q)
-    snap = (1.0 - (q - idx)) <= EDGE_TOL * np.maximum(np.abs(q), 1.0)
-    idx = idx.astype(np.int64) + snap
-    # the snap (or the division itself) can nudge an in-range value onto the
-    # right edge of the padded grid
-    np.minimum(idx, bin_count - 1, out=idx)
+    idx = _bin_index(x, origin, width, bin_count)
     counts = np.bincount(idx, minlength=bin_count)
     return BinnedDensity(origin=origin, width=width, masses=counts / x.shape[0])
 
@@ -259,10 +291,19 @@ def shared_grid(values, config: BinningConfig) -> tuple[float, float, int]:
 
 
 def represent(panel: IncrementPanel, binning: BinningConfig = BinningConfig()) -> NonParamRepresentation:
-    """Project every series of a panel onto (ranks, shared-grid density)."""
-    origin, width, nbins = shared_grid(panel.values, binning)
-    ranks = tuple(rank_function(row) for row in panel.values)
-    densities = tuple(
-        empirical_margin(row, origin, width, nbins) for row in panel.values
+    """Project every series of a panel onto (ranks, shared-grid density).
+
+    Row for row, the result equals rank_function and empirical_margin on the
+    shared grid: a stable sort keeps the arrival-order tie rule, and one
+    offset bincount histograms all rows.
+    """
+    x = panel.values
+    n, m = x.shape
+    origin, width, nbins = shared_grid(x, binning)
+    ranks = np.empty((n, m), dtype=np.int64)
+    np.put_along_axis(ranks, np.argsort(x, axis=1, kind="stable"), np.arange(1, m + 1), axis=1)
+    idx = _bin_index(x, origin, width, nbins) + nbins * np.arange(n)[:, None]
+    counts = np.bincount(idx.ravel(), minlength=n * nbins).reshape(n, nbins)
+    return NonParamRepresentation(
+        ids=panel.ids, ranks=ranks, masses=counts / m, origin=origin, width=width
     )
-    return NonParamRepresentation(ids=panel.ids, ranks=ranks, densities=densities)

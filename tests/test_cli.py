@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rwclust
 from rwclust import GroundTruth, ClusterAssignment, score_recovery
 from rwclust.cli import main
 
@@ -276,6 +279,21 @@ def test_synth_without_spec_or_blocks_exits_3(capsys):
     assert "blocks" in err
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('{"n_series": 4}', "missing the key 'blocks'"),
+    ("[1, 2]", "malformed"),
+    ('{"n_series": 4,', "not valid JSON"),
+], ids=["missing-key", "not-an-object", "bad-json"])
+def test_synth_bad_spec_exits_3(tmp_path, capsys, text, reason):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    code, _, err = run(["synth", "--spec", str(spec_path), "--quiet"], capsys)
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("rwclust: error:") and err.count("\n") == 1
+    assert reason in err
+
+
 def test_json_logs_error_shape(tmp_path, capsys):
     path = write_csv(tmp_path / "bad.csv", "t,A\nt1,1\nt2,zap\nt3,3\n")
     code, _, err = run(["distances", "--input", path, "--json-logs", "--quiet"], capsys)
@@ -291,9 +309,12 @@ def test_help_exits_0(capsys):
 
 
 def test_console_script_installed():
+    # the child imports rwclust from where this process found it, installed or not
+    src = str(Path(rwclust.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "rwclust.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "rwclust" in proc.stdout

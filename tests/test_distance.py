@@ -13,6 +13,7 @@ from rwclust import (
     DistanceMatrix,
     DistanceParams,
     GridCompatibilityError,
+    NonParamRepresentation,
     ParameterError,
     RankVector,
     SeriesRepresentation,
@@ -24,6 +25,7 @@ from rwclust import (
     rank_function,
     represent,
 )
+from rwclust.distance import _d1_factor, _rank_sq_sums
 
 from conftest import make_increment_panel
 
@@ -244,6 +246,30 @@ def test_matrix_thread_count_does_not_change_bits(rng):
     single = distance_matrix(rep, params, threads=1)
     multi = distance_matrix(rep, params, threads=4)
     assert np.array_equal(single.values, multi.values)
+
+
+def test_matrix_rank_part_is_exact_beyond_one_chunk():
+    # M = 400000: the Gram kernel needs several column chunks, and S exceeds
+    # 2^53, so one unchunked float64 product would round
+    m = 400_000
+    rng = np.random.default_rng(7)
+    ranks = np.stack([rng.permutation(m) + 1 for _ in range(3)])
+    assert m * (m + 1) * (2 * m + 1) // 6 > 2**53
+    rep = NonParamRepresentation(ids=("a", "b", "c"), ranks=ranks, masses=np.ones((3, 1)),
+                                 origin=0.0, width=1.0)
+    sums = _rank_sq_sums(rep.ranks)
+    dm = distance_matrix(rep, DistanceParams(theta=1.0))
+    for i in range(3):
+        for j in range(3):
+            exact = sum(((ranks[i] - ranks[j]) ** 2).tolist())  # Python ints
+            assert int(sums[i, j]) == exact
+            assert dm.values[i, j] == math.sqrt(_d1_factor(m, False) * float(exact))
+
+
+def test_rank_sums_refuse_m_beyond_int64():
+    # np.empty leaves the 32 MB unwritten; only the shape is read
+    with pytest.raises(ValidationError):
+        _rank_sq_sums(np.empty((1, 4_000_000), dtype=np.int64))
 
 
 def test_matrix_entry_bound(rng):

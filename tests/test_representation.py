@@ -10,6 +10,7 @@ from rwclust import (
     BinnedDensity,
     BinningConfig,
     BinningRangeError,
+    NonParamRepresentation,
     ParameterError,
     RankVector,
     ValidationError,
@@ -269,31 +270,65 @@ def test_represent_single_series():
     rep = represent(make_increment_panel([[0.3, -0.2, 0.8, 0.1]]))
     assert rep.n_series == 1
     assert rep.m == 4
-    assert rep.ranks[0].ranks.tolist() == [3, 1, 4, 2]
-    assert abs(rep.densities[0].masses.sum() - 1.0) <= 1e-12
+    assert rep.ranks[0].tolist() == [3, 1, 4, 2]
+    assert abs(rep.masses[0].sum() - 1.0) <= 1e-12
 
 
 def test_represent_identical_series_agree(rng):
     row = rng.standard_normal(30)
     rep = represent(make_increment_panel([row, row.copy()]))
-    assert np.array_equal(rep.ranks[0].ranks, rep.ranks[1].ranks)
-    assert np.array_equal(rep.densities[0].masses, rep.densities[1].masses)
+    assert np.array_equal(rep.ranks[0], rep.ranks[1])
+    assert np.array_equal(rep.masses[0], rep.masses[1])
 
 
 def test_represent_shares_one_grid(rng):
     rep = represent(make_increment_panel(rng.standard_normal((5, 40))), BinningConfig(bins=12))
     origin, width, count = rep.grid
     assert count >= 12
-    assert all(d.grid() == (origin, width, count) for d in rep.densities)
-    assert rep.rank_matrix().shape == (5, 40)
-    assert rep.mass_matrix().shape == (5, count)
+    assert all(rep.series(i).density.grid() == (origin, width, count) for i in range(5))
+    assert rep.ranks.shape == (5, 40)
+    assert rep.masses.shape == (5, count)
 
 
-def test_representation_rejects_mixed_grids():
-    from rwclust import NonParamRepresentation
+@given(
+    st.integers(1, 5),
+    st.integers(2, 20),
+    st.data(),
+    st.sampled_from([1.0, 0.1, 0.3, 1e-3, 7.0]),
+    st.sampled_from([BinningConfig(bins=b) for b in (1, 3, 4, 10)]
+                    + [BinningConfig(rule="width", width=w) for w in (0.1, 0.5, 1.0)]
+                    + [BinningConfig(rule="fd")]),
+)
+@settings(max_examples=200, deadline=None)
+def test_represent_rows_match_per_series_oracles(n, m, data, scale, binning):
+    # small integers give ties, and scaled integers sit on (or a rounding
+    # error away from) the edges of grids whose width divides the span
+    ints = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    x = np.asarray(ints, dtype=float) * scale
+    rep = represent(make_increment_panel(x), binning)
+    for i in range(n):
+        assert np.array_equal(rep.ranks[i], rank_function(x[i]).ranks)
+        margin = empirical_margin(x[i], *rep.grid)
+        assert margin.masses.tobytes() == rep.masses[i].tobytes()
 
-    r = rank_function([1.0, 2.0])
-    a = BinnedDensity(origin=0.0, width=1.0, masses=np.array([1.0]))
-    b = BinnedDensity(origin=5.0, width=1.0, masses=np.array([1.0]))
-    with pytest.raises(ValidationError):
-        NonParamRepresentation(ids=("x", "y"), ranks=(r, r), densities=(a, b))
+
+def test_representation_validates_matrices():
+    ok = dict(ids=("x", "y"), ranks=[[1, 2, 3], [3, 1, 2]], masses=[[0.5, 0.5], [1.0, 0.0]],
+              origin=0.0, width=1.0)
+    rep = NonParamRepresentation(**ok)
+    assert (rep.n_series, rep.m, rep.grid) == (2, 3, (0.0, 1.0, 2))
+    assert rep.series(1).ranks.ranks.tolist() == [3, 1, 2]
+    bad = [
+        dict(ids=("x",)),  # ids and rows disagree
+        dict(ranks=[[1, 2, 2], [3, 1, 2]]),  # repeated rank
+        dict(ranks=[[0, 1, 2], [3, 1, 2]]),  # rank out of 1..M
+        dict(ranks=[[1], [1]]),  # M < 2
+        dict(masses=[[1.5, -0.5], [1.0, 0.0]]),  # negative mass
+        dict(masses=[[0.5, 0.4], [1.0, 0.0]]),  # row does not sum to 1
+        dict(width=0.0),
+        dict(origin=float("nan")),
+    ]
+    for change in bad:
+        with pytest.raises(ValidationError):
+            NonParamRepresentation(**{**ok, **change})

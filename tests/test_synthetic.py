@@ -150,7 +150,7 @@ def test_independent_series_rank_distance_near_half():
     rep = represent(to_increments(panel), BinningConfig(bins=100))
     for i in range(4):
         for j in range(i + 1, 4):
-            d1sq = d1_empirical(rep.ranks[i], rep.ranks[j]) ** 2
+            d1sq = d1_empirical(rep.series(i).ranks, rep.series(j).ranks) ** 2
             assert abs(d1sq - 0.5) < 0.05
 
 
@@ -158,7 +158,7 @@ def test_tight_block_rank_distance_near_zero():
     spec = spec_one_block(2, 5000, 0.99, (DistributionGroup("gaussian"),), seed=3)
     panel, _ = generate_panel(spec)
     rep = represent(to_increments(panel))
-    assert d1_empirical(rep.ranks[0], rep.ranks[1]) ** 2 < 0.05
+    assert d1_empirical(rep.series(0).ranks, rep.series(1).ranks) ** 2 < 0.05
 
 
 def test_same_family_histograms_close():
@@ -167,7 +167,7 @@ def test_same_family_histograms_close():
     rep = represent(to_increments(panel), BinningConfig(bins=100))
     for i in range(4):
         for j in range(i + 1, 4):
-            assert d0_empirical(rep.densities[i], rep.densities[j]) < 0.1
+            assert d0_empirical(rep.series(i).density, rep.series(j).density) < 0.1
 
 
 def test_product_labels_refine_both():
