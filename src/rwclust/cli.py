@@ -275,23 +275,17 @@ def _setup_logging(args) -> None:
     root.setLevel(logging.ERROR if getattr(args, "quiet", False) else logging.INFO)
 
 
-def _ingestion_options(args) -> IngestionOptions:
-    return IngestionOptions(
-        missing=args.missing.replace("-", "_"),
-        already_increments=args.already_increments,
-        date_format=args.date_format,
-    )
-
-
 def _binning_config(args) -> BinningConfig:
     rule = args.bin_rule or ("width" if args.bin_width is not None else "count")
     return BinningConfig(rule=rule, bins=args.bins, width=args.bin_width)
 
 
-def _load(args) -> tuple[SeriesPanel, IncrementPanel]:
-    options = _ingestion_options(args)
-    panel = load_panel(args.input, options)
-    inc = as_increments(panel) if options.already_increments else to_increments(panel)
+def _load(src) -> tuple[SeriesPanel, IncrementPanel]:
+    """Read the panel named by `src` (parsed args or a RunConfig; both carry the
+    ingestion fields) and turn its rows into the increments that get clustered."""
+    options = IngestionOptions(missing=src.missing.replace("-", "_"), date_format=src.date_format)
+    panel = load_panel(src.input, options)
+    inc = as_increments(panel) if src.already_increments else to_increments(panel)
     return panel, inc
 
 
@@ -310,13 +304,31 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _csv_field(text: str) -> str:
+    """`text` quoted as csv.writer quotes a field of a multi-field row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _write_float_rows(buf: io.StringIO, labels, matrix: np.ndarray) -> None:
+    """Write one CSV row per matrix row: its label, then each value as repr(float).
+
+    Bytes equal csv.writer's with _fmt per cell. A row is formatted only after
+    the previous one is written, so one row's strings exist at a time.
+    """
+    for label, row in zip(labels, matrix):
+        buf.write(_csv_field(label))
+        buf.write(",")
+        buf.write(",".join(map(repr, row.tolist())))
+        buf.write("\n")
+
+
 def _matrix_csv(dm: DistanceMatrix, provenance: dict) -> str:
     buf = io.StringIO()
     buf.write(f"# {json.dumps(provenance, sort_keys=True)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", *dm.ids])
-    for sid, row in zip(dm.ids, dm.values):
-        writer.writerow([sid, *(_fmt(x) for x in row)])
+    csv.writer(buf, lineterminator="\n").writerow(["id", *dm.ids])
+    _write_float_rows(buf, dm.ids, dm.values)
     return buf.getvalue()
 
 
@@ -324,7 +336,7 @@ def _matrix_payload(dm: DistanceMatrix) -> dict:
     return {
         "theta": dm.theta,
         "ids": list(dm.ids),
-        "values": [[float(x) for x in row] for row in dm.values],
+        "values": dm.values.tolist(),
         "meta": dm.meta,
     }
 
@@ -553,10 +565,8 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
 
 def _panel_csv(panel: SeriesPanel) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", *panel.ids])
-    for j, label in enumerate(panel.index):
-        writer.writerow([label, *(_fmt(v) for v in panel.values[:, j])])
+    csv.writer(buf, lineterminator="\n").writerow(["t", *panel.ids])
+    _write_float_rows(buf, panel.index, panel.values.T)
     return buf.getvalue()
 
 
@@ -614,16 +624,14 @@ def _run_config(args) -> RunConfig:
 
 
 def _observations_csv(assignment: ClusterAssignment, panel: SeriesPanel) -> str:
-    """Long-format pooled observations: one row per (cluster, series, time)."""
+    """One row per series, in panel order: its id, its cluster label, and its
+    number of values in the input file (levels, or increments under
+    --already-increments)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["cluster", "series_id", "time", "value"])
-    pos = {sid: i for i, sid in enumerate(panel.ids)}
-    for label in range(assignment.k):
-        for sid in assignment.members(label):
-            row = panel.values[pos[sid]]
-            for t, lab in enumerate(panel.index):
-                writer.writerow([label, sid, lab, _fmt(row[t])])
+    writer.writerow(["series_id", "cluster", "n_obs"])
+    label_of = dict(zip(assignment.ids, assignment.labels.tolist()))
+    writer.writerows([sid, label_of[sid], panel.n_obs] for sid in panel.ids)
     return buf.getvalue()
 
 
@@ -689,13 +697,7 @@ def _run_single_theta(config: RunConfig, theta: float, panel: SeriesPanel,
 
 def run_pipeline(config: RunConfig) -> int:
     """Execute the full pipeline per config and write every artifact."""
-    options = IngestionOptions(
-        missing=config.missing.replace("-", "_"),
-        already_increments=config.already_increments,
-        date_format=config.date_format,
-    )
-    panel = load_panel(config.input, options)
-    inc = as_increments(panel) if config.already_increments else to_increments(panel)
+    panel, inc = _load(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -31,13 +31,11 @@ class IngestionOptions:
 
     missing: "reject" fails on any gap, "drop_series" removes gappy series
     (never silently filled: imputation would corrupt the rank statistics).
-    already_increments: the file rows are increments, skip differencing.
     date_format: optional strptime format for time labels; default is plain
     lexicographic ordering of the labels.
     """
 
     missing: str = "reject"
-    already_increments: bool = False
     date_format: str | None = None
 
     def __post_init__(self):
@@ -124,17 +122,15 @@ def _check_ids(ids) -> None:
         raise ValidationError(f"duplicate series ids: {', '.join(sorted(map(str, dups)))}")
 
 
-def _parse_cell(cell: str, line: int, column: int) -> float | None:
-    """Return the cell value, None for a gap, or raise on garbage."""
+def _parse_cell(cell: str, line: int, column: int) -> float:
+    """Return the cell value (nan for an empty cell), or raise on garbage."""
     s = cell.strip()
     if not s:
-        return None
+        return np.nan
     try:
-        v = float(s)
+        return float(s)
     except ValueError:
         raise PanelFormatError(f"cannot parse {s!r} as a number", line=line, column=column) from None
-    # a parseable nan/inf is still a gap, not a value
-    return v if np.isfinite(v) else None
 
 
 def _check_time_order(labels: list[str], lines: list[int], date_format: str | None) -> None:
@@ -160,6 +156,12 @@ def _check_time_order(labels: list[str], lines: list[int], date_format: str | No
 def load_panel(path: str | Path, options: IngestionOptions = IngestionOptions()) -> SeriesPanel:
     """Load and validate a CSV level panel.
 
+    Each data row is parsed whole, by one float() call per cell over the row.
+    Only a row where that raises, or a short row, goes through the per-cell
+    parser, which reads an empty cell as a gap and reports the line and column
+    of the first unparseable one. Gaps (empty, nan and inf cells) are the
+    non-finite entries of the assembled array.
+
     Row order of the returned panel matches the file's column order. Raises
     PanelFormatError for unparseable content (with line/column), ValidationError
     for structural problems (duplicate ids, gaps under policy=reject, unordered
@@ -180,8 +182,7 @@ def load_panel(path: str | Path, options: IngestionOptions = IngestionOptions())
 
         labels: list[str] = []
         lines: list[int] = []
-        rows: list[list[float | None]] = []
-        missing: dict[str, list[int]] = {}
+        rows: list[list[float]] = []
         for row in reader:
             line = reader.line_num
             if not row:
@@ -192,35 +193,35 @@ def load_panel(path: str | Path, options: IngestionOptions = IngestionOptions())
                 )
             labels.append(row[0].strip())
             lines.append(line)
-            vals: list[float | None] = []
-            for j in range(n):
-                cell = row[j + 1] if j + 1 < len(row) else ""
-                v = _parse_cell(cell, line, column=j + 2)
-                if v is None:
-                    missing.setdefault(ids[j], []).append(line)
-                vals.append(v)
+            try:
+                vals = list(map(float, row[1:])) if len(row) == n + 1 else None
+            except ValueError:
+                vals = None
+            if vals is None:  # a short row or a cell float() rejects
+                vals = [
+                    _parse_cell(row[j + 1] if j + 1 < len(row) else "", line, column=j + 2)
+                    for j in range(n)
+                ]
             rows.append(vals)
 
     _check_time_order(labels, lines, options.date_format)
 
-    keep = list(range(n))
-    if missing:
+    by_time = np.array(rows, dtype=float).reshape(len(rows), n)
+    gappy = (~np.isfinite(by_time)).any(axis=0)
+    keep = np.arange(n)
+    if gappy.any():
+        missing = sorted(ids[j] for j in np.flatnonzero(gappy))
         if options.missing == "reject":
-            names = ", ".join(sorted(missing))
-            raise ValidationError(f"missing values in series: {names}")
-        dropped = sorted(missing)
-        keep = [j for j in range(n) if ids[j] not in missing]
-        if not keep:
+            raise ValidationError(f"missing values in series: {', '.join(missing)}")
+        keep = np.flatnonzero(~gappy)
+        if keep.size == 0:
             raise ValidationError("all series dropped: every series has missing values")
-        log.warning("dropped %d series with missing values: %s", len(dropped), ", ".join(dropped))
+        log.warning("dropped %d series with missing values: %s", len(missing), ", ".join(missing))
 
-    values = np.array(
-        [[rows[t][j] for t in range(len(rows))] for j in keep], dtype=float
-    )
     return SeriesPanel(
         ids=tuple(ids[j] for j in keep),
         index=tuple(labels),
-        values=values,
+        values=np.ascontiguousarray(by_time.T[keep]),
     )
 
 

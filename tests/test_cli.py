@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: subcommands, exit codes, artifacts."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,8 +13,21 @@ import numpy as np
 import pytest
 
 import rwclust
-from rwclust import GroundTruth, ClusterAssignment, score_recovery
-from rwclust.cli import main
+from rwclust import (
+    ClusterAssignment,
+    CorrelationBlock,
+    DistanceParams,
+    DistributionGroup,
+    GroundTruth,
+    SyntheticSpec,
+    distance_matrix,
+    generate_panel,
+    load_panel,
+    represent,
+    score_recovery,
+    to_increments,
+)
+from rwclust.cli import _panel_csv, main
 
 from conftest import write_csv
 
@@ -140,6 +155,100 @@ def test_pipeline_byte_idempotent_across_threads(synth_panel, tmp_path, capsys):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def _check_observations(path, assignment_path, n_obs):
+    rows = list(csv.reader(path.read_text().splitlines()))
+    labels = json.loads(assignment_path.read_text())["labels"]
+    assert rows[0] == ["series_id", "cluster", "n_obs"]
+    body = rows[1:]
+    assert [r[0] for r in body] == list(labels)  # every id once, in panel order
+    assert all(int(r[1]) == labels[r[0]] for r in body)
+    assert all(int(r[2]) == n_obs for r in body)
+
+
+def test_observations_one_row_per_series(synth_panel, tmp_path, capsys):
+    csv_path, _ = synth_panel
+    n_obs = len(csv_path.read_text().splitlines()) - 1  # levels per series
+    single, sweep = tmp_path / "single", tmp_path / "sweep"
+    code, _, _ = run([
+        "pipeline", "--input", str(csv_path), "--theta", "0.5", "--k", "3",
+        "--output-dir", str(single), "--quiet",
+    ], capsys)
+    assert code == 0
+    _check_observations(single / "observations.csv", single / "assignment.json", n_obs)
+    code, _, _ = run([
+        "pipeline", "--input", str(csv_path), "--theta-sweep", "--k", "3",
+        "--output-dir", str(sweep), "--quiet",
+    ], capsys)
+    assert code == 0
+    written = sorted(sweep.glob("observations_theta*.csv"))
+    assert len(written) == 3
+    for path in written:
+        suffix = path.stem[len("observations"):]
+        _check_observations(path, sweep / f"assignment{suffix}.json", n_obs)
+
+
+# ids that csv.writer has to quote, plus one with a space it leaves alone
+ODD_IDS = ("a,b", 'say "hi"', "two words", "plain")
+
+
+def _reference_csv(header, labels, matrix) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for label, row in zip(labels, matrix):
+        writer.writerow([label, *(repr(float(v)) for v in row)])
+    return buf.getvalue()
+
+
+def _read_back(text: str):
+    rows = list(csv.reader(io.StringIO(text)))
+    return rows[0], [r[0] for r in rows[1:]], np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+
+
+def test_distance_csv_matches_csv_writer_reference(tmp_path, capsys):
+    spec = SyntheticSpec(
+        n_series=4, m_obs=60, blocks=(CorrelationBlock(size=4, rho=0.5),),
+        groups=(DistributionGroup(family="gaussian"),), seed=2,
+    )
+    panel, _ = generate_panel(spec)
+    text = _reference_csv(["t", *ODD_IDS], panel.index, panel.values.T)
+    source = write_csv(tmp_path / "odd.csv", text)
+    out_file = tmp_path / "dm.csv"
+    code, _, _ = run(["distances", "--input", source, "--output", str(out_file), "--quiet"], capsys)
+    assert code == 0
+
+    dm = distance_matrix(represent(to_increments(load_panel(source))), DistanceParams(theta=0.5))
+    comment, body = out_file.read_text().split("\n", 1)
+    assert comment.startswith("# {")
+    assert body == _reference_csv(["id", *ODD_IDS], ODD_IDS, dm.values)
+    header, ids, values = _read_back(body)
+    assert header == ["id", *ODD_IDS] and ids == list(ODD_IDS)
+    assert np.array_equal(values, dm.values)
+
+
+def test_synth_csv_matches_csv_writer_reference(tmp_path, capsys):
+    spec = SyntheticSpec(
+        n_series=4, m_obs=40, blocks=(CorrelationBlock(size=2, rho=0.3),) * 2,
+        groups=(DistributionGroup(family="student_t", df=3.0),), seed=8,
+    )
+    panel, _ = generate_panel(spec)
+    odd = type(panel)(ids=ODD_IDS, index=panel.index, values=panel.values)
+    text = _panel_csv(odd)
+    assert text == _reference_csv(["t", *ODD_IDS], panel.index, panel.values.T)
+    header, labels, values = _read_back(text)
+    assert header == ["t", *ODD_IDS] and labels == list(panel.index)
+    assert np.array_equal(values, panel.values.T)
+
+    prefix = tmp_path / "synth"
+    code, _, _ = run([
+        "synth", "--blocks", "2x2", "--rho", "0.3", "--dists", "student_t:3",
+        "--m", "40", "--seed", "8", "--output-prefix", str(prefix), "--quiet",
+    ], capsys)
+    assert code == 0
+    assert prefix.with_suffix(".csv").read_text() == _reference_csv(
+        ["t", *panel.ids], panel.index, panel.values.T)
+
+
 # ---------------------------------------------------------------------------
 # single-step subcommands
 # ---------------------------------------------------------------------------
@@ -237,6 +346,16 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     code, _, err = run(["distances", "--input", path, "--quiet"], capsys)
     assert code == 2
     assert "zap" in err
+
+
+def test_header_only_csv_exits_2(tmp_path, capsys):
+    path = write_csv(tmp_path / "empty.csv", "t,A,B\n")
+    code, _, err = run(["pipeline", "--input", path, "--k", "2",
+                        "--output-dir", str(tmp_path / "out"), "--quiet"], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("rwclust: error:") and err.count("\n") == 1
+    assert "at least 3 observations" in err
 
 
 def test_missing_file_exits_2(capsys):

@@ -1,10 +1,15 @@
 """CSV panel loading, validation, and differencing."""
 from __future__ import annotations
 
+import csv
+import io
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwclust import (
     IngestionOptions,
@@ -190,3 +195,80 @@ def test_non_finite_panel_rejected():
 def test_bad_missing_policy():
     with pytest.raises(Exception):
         IngestionOptions(missing="ignore")
+
+
+# ---------------------------------------------------------------------------
+# load_panel against a per-cell reference
+# ---------------------------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_PADDED = st.tuples(
+    st.sampled_from(["", " ", "\t", " \t"]), _NUMBERS, st.sampled_from(["", " ", "\t"])
+).map("".join)
+_ODD_CELLS = st.sampled_from(
+    ["", " ", "\t ", "nan", "NaN", "inf", "-inf", "1e400", "1_0", "zap", "1.2.3", "0x10"]
+)
+
+
+@st.composite
+def _panel_texts(draw):
+    """CSV text with 1-3 series; 'odd' columns may hold gaps and garbage,
+    and a row may be short or one cell too long."""
+    n = draw(st.integers(1, 3))
+    odd = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lines = ["t," + ",".join("ABC"[:n])]
+    for t in range(draw(st.integers(0, 6))):
+        width = draw(st.sampled_from([n, n, n, n, n - 1, 0, n + 1]))
+        cells = [
+            draw(st.one_of(_NUMBERS, _PADDED, _ODD_CELLS) if j < n and odd[j]
+                 else st.one_of(_NUMBERS, _PADDED))
+            for j in range(width)
+        ]
+        lines.append(",".join([f"t{t}", *cells]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_load(text: str, missing: str):
+    """Per cell: strip, then float(); an empty or non-finite cell is a gap."""
+    rows = list(csv.reader(io.StringIO(text)))
+    ids = [c.strip() for c in rows[0][1:]]
+    n = len(ids)
+    columns: list[list[float]] = [[] for _ in ids]
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) > n + 1:
+            raise PanelFormatError("row too long", line=line, column=n + 2)
+        for j in range(n):
+            cell = row[j + 1].strip() if j + 1 < len(row) else ""
+            try:
+                columns[j].append(float(cell) if cell else math.nan)
+            except ValueError:
+                raise PanelFormatError("garbage", line=line, column=j + 2) from None
+    kept = [j for j in range(n) if all(map(math.isfinite, columns[j]))]
+    if not kept or (len(kept) < n and missing == "reject"):
+        raise ValidationError("gaps")
+    if len(rows) - 1 < 3:
+        raise ValidationError("too few observations")
+    return tuple(ids[j] for j in kept), [[v.hex() for v in columns[j]] for j in kept]
+
+
+def _outcome(load):
+    try:
+        return load()
+    except (PanelFormatError, ValidationError) as e:
+        return type(e).__name__, getattr(e, "line", None), getattr(e, "column", None)
+
+
+@pytest.mark.parametrize("missing", ["reject", "drop_series"])
+@settings(max_examples=400, deadline=None)
+@given(text=_panel_texts())
+def test_load_panel_matches_per_cell_reference(tmp_path_factory, missing, text):
+    path = write_csv(tmp_path_factory.getbasetemp() / f"fuzz_{missing}.csv", text)
+
+    def load():
+        panel = load_panel(path, IngestionOptions(missing=missing))
+        return panel.ids, [[v.hex() for v in row] for row in panel.values.tolist()]
+
+    assert _outcome(load) == _outcome(lambda: _reference_load(text, missing))
