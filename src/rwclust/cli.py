@@ -16,7 +16,7 @@ import json
 import logging
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,36 +77,60 @@ SWEEP_THETAS = (0.0, 0.5, 1.0)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved pipeline configuration; the semantic part is embedded in artifacts."""
+    """Resolved configuration of any subcommand but synth; a setting the
+    subcommand has no flag for is None. The semantic part is embedded in
+    artifacts."""
 
     input: str
     already_increments: bool
     missing: str
     date_format: str | None
-    theta: float | None  # None means sweep over SWEEP_THETAS
+    theta: float | None  # also None for the pipeline's sweep over SWEEP_THETAS
     bin_rule: str
     bins: int
     bin_width: float | None
-    exact_spearman_norm: bool
-    method: str
+    exact_spearman_norm: bool | None
+    method: str | None
     k: int | None
     k_range: tuple[int, int] | None
-    stability_runs: int
-    subsample: float
+    stability_runs: int | None
+    subsample: float | None
     seed: int
-    output_dir: str
-    # execution-only knobs, excluded from provenance
-    threads: int = 1
-    quiet: bool = False
-    json_logs: bool = False
+    threads: int  # execution only, never in provenance
 
-    def provenance(self, theta: float | str | None = None) -> dict:
-        cfg = asdict(self)
-        for key in ("threads", "quiet", "json_logs", "output_dir"):
-            cfg.pop(key)
+    @property
+    def binning(self) -> BinningConfig:
+        return BinningConfig(rule=self.bin_rule, bins=self.bins, width=self.bin_width)
+
+    def distance_params(self, theta: float) -> DistanceParams:
+        return DistanceParams(theta=theta, exact_spearman_norm=self.exact_spearman_norm)
+
+    def provenance(self, keys: tuple[str, ...], theta: float | str | None = None) -> dict:
+        """The version and the config restricted to `keys`; `theta` overrides its value."""
+        cfg = {key: getattr(self, key) for key in keys}
         if theta is not None:
             cfg["theta"] = theta
         return {"version": __version__, "config": cfg}
+
+
+# the config keys each subcommand's artifacts record; pipeline records cluster's
+_REPRESENT_FIELDS = ("input", "already_increments", "missing", "date_format",
+                     "bin_rule", "bins", "bin_width")
+_DISTANCES_FIELDS = _REPRESENT_FIELDS + ("theta", "exact_spearman_norm")
+_STABILITY_FIELDS = _DISTANCES_FIELDS + ("method", "k_range", "stability_runs", "subsample",
+                                         "seed")
+_CLUSTER_FIELDS = _STABILITY_FIELDS + ("k",)
+
+
+def _config(args) -> RunConfig:
+    """Resolve the parsed flags of any subcommand but synth into one RunConfig."""
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    flags["bin_rule"] = args.bin_rule or ("width" if args.bin_width is not None else "count")
+    if flags["method"] is not None:
+        flags["method"] = _METHOD_BY_FLAG[flags["method"]]
+    if getattr(args, "theta_sweep", False):
+        flags["theta"] = None
+    return RunConfig(**flags)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ingestion_flags(p)
     _add_binning_flags(p)
     theta_group = p.add_mutually_exclusive_group()
-    theta_group.add_argument("--theta", type=float, default=None,
+    theta_group.add_argument("--theta", type=float, default=0.5,
                              help="blend weight in [0,1] (default 0.5)")
     theta_group.add_argument("--theta-sweep", action="store_true",
                              help="run theta in {0, 0.5, 1} and cross-tabulate the partitions")
@@ -275,29 +299,26 @@ def _setup_logging(args) -> None:
     root.setLevel(logging.ERROR if getattr(args, "quiet", False) else logging.INFO)
 
 
-def _binning_config(args) -> BinningConfig:
-    rule = args.bin_rule or ("width" if args.bin_width is not None else "count")
-    return BinningConfig(rule=rule, bins=args.bins, width=args.bin_width)
-
-
-def _load(src) -> tuple[SeriesPanel, IncrementPanel]:
-    """Read the panel named by `src` (parsed args or a RunConfig; both carry the
-    ingestion fields) and turn its rows into the increments that get clustered."""
-    options = IngestionOptions(missing=src.missing.replace("-", "_"), date_format=src.date_format)
-    panel = load_panel(src.input, options)
-    inc = as_increments(panel) if src.already_increments else to_increments(panel)
+def _load(cfg: RunConfig) -> tuple[SeriesPanel, IncrementPanel]:
+    """Read the panel named by `cfg` and turn its rows into the increments that get clustered."""
+    options = IngestionOptions(missing=cfg.missing.replace("-", "_"), date_format=cfg.date_format)
+    panel = load_panel(cfg.input, options)
+    inc = as_increments(panel) if cfg.already_increments else to_increments(panel)
     return panel, inc
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
+def _write(path: str | Path | None, write, *args) -> None:
+    """Stream one artifact through `write(f, *args)` into the file `path`, or
+    to stdout when `path` is None."""
+    if path is None:
+        write(sys.stdout, *args)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            write(f, *args)
+
+
+def _json(f, payload: dict) -> None:
+    f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _fmt(v: float) -> str:
@@ -311,25 +332,23 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _write_float_rows(buf: io.StringIO, labels, matrix: np.ndarray) -> None:
+def _write_float_rows(f, labels, matrix: np.ndarray) -> None:
     """Write one CSV row per matrix row: its label, then each value as repr(float).
 
     Bytes equal csv.writer's with _fmt per cell. A row is formatted only after
     the previous one is written, so one row's strings exist at a time.
     """
     for label, row in zip(labels, matrix):
-        buf.write(_csv_field(label))
-        buf.write(",")
-        buf.write(",".join(map(repr, row.tolist())))
-        buf.write("\n")
+        f.write(_csv_field(label))
+        f.write(",")
+        f.write(",".join(map(repr, row.tolist())))
+        f.write("\n")
 
 
-def _matrix_csv(dm: DistanceMatrix, provenance: dict) -> str:
-    buf = io.StringIO()
-    buf.write(f"# {json.dumps(provenance, sort_keys=True)}\n")
-    csv.writer(buf, lineterminator="\n").writerow(["id", *dm.ids])
-    _write_float_rows(buf, dm.ids, dm.values)
-    return buf.getvalue()
+def _matrix_csv(f, dm: DistanceMatrix, provenance: dict) -> None:
+    f.write(f"# {json.dumps(provenance, sort_keys=True)}\n")
+    csv.writer(f, lineterminator="\n").writerow(["id", *dm.ids])
+    _write_float_rows(f, dm.ids, dm.values)
 
 
 def _matrix_payload(dm: DistanceMatrix) -> dict:
@@ -374,24 +393,48 @@ def _assignment_payload(assignment: ClusterAssignment,
     }
 
 
+def _select_k(cfg: RunConfig, inc: IncrementPanel,
+              theta: float) -> tuple[int, StabilityReport | None]:
+    """The fixed K, or the K that stability selection picks and its report."""
+    if cfg.k is not None:
+        return cfg.k, None
+    if cfg.k_range is None:
+        raise ParameterError("either --k or --k-range is required")
+    lo, hi = cfg.k_range
+    report = stability_select_k(
+        inc, cfg.distance_params(theta), cfg.binning,
+        k_range=range(lo, hi + 1),
+        runs=cfg.stability_runs,
+        subsample_fraction=cfg.subsample,
+        seed=cfg.seed,
+        method=cfg.method,
+        threads=cfg.threads,
+    )
+    return report.selected_k, report
+
+
+def _fit(cfg: RunConfig, inc: IncrementPanel, theta: float):
+    """Select K, then cluster the full panel's distance matrix at that K.
+
+    Returns (distance matrix, assignment, stability report or None).
+    """
+    # built first, so a bad theta or grid is reported before a missing K
+    params, binning = cfg.distance_params(theta), cfg.binning
+    k, report = _select_k(cfg, inc, theta)
+    dm = distance_matrix(represent(inc, binning), params, threads=cfg.threads)
+    return dm, cluster(dm, k, cfg.method), report
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _args_provenance(args, fields: tuple[str, ...]) -> dict:
-    cfg = {f: getattr(args, f) for f in fields}
-    return {"version": __version__, "config": cfg}
-
-
-_INGEST_FIELDS = ("input", "already_increments", "missing", "date_format")
-_BIN_FIELDS = ("bins", "bin_width", "bin_rule")
-
-
 def _cmd_represent(args) -> int:
-    _, inc = _load(args)
-    rep = represent(inc, _binning_config(args))
+    cfg = _config(args)
+    _, inc = _load(cfg)
+    rep = represent(inc, cfg.binning)
     origin, width, _ = rep.grid
-    payload = _args_provenance(args, _INGEST_FIELDS + _BIN_FIELDS)
+    payload = cfg.provenance(_REPRESENT_FIELDS)
     payload["series"] = [
         {
             "id": rep.ids[i],
@@ -404,86 +447,41 @@ def _cmd_represent(args) -> int:
         }
         for i in range(rep.n_series)
     ]
-    _emit(_json_text(payload), args.output)
+    _write(args.output, _json, payload)
     return EXIT_OK
 
 
 def _cmd_distances(args) -> int:
-    _, inc = _load(args)
-    params = DistanceParams(theta=args.theta, exact_spearman_norm=args.exact_spearman_norm)
-    dm = distance_matrix(represent(inc, _binning_config(args)), params, threads=args.threads)
-    provenance = _args_provenance(
-        args, _INGEST_FIELDS + _BIN_FIELDS + ("theta", "exact_spearman_norm")
-    )
+    cfg = _config(args)
+    _, inc = _load(cfg)
+    params = cfg.distance_params(cfg.theta)
+    dm = distance_matrix(represent(inc, cfg.binning), params, threads=cfg.threads)
+    provenance = cfg.provenance(_DISTANCES_FIELDS)
     if args.format == "csv":
-        _emit(_matrix_csv(dm, provenance), args.output)
+        _write(args.output, _matrix_csv, dm, provenance)
     else:
-        payload = dict(provenance)
-        payload["matrix"] = _matrix_payload(dm)
-        _emit(_json_text(payload), args.output)
+        _write(args.output, _json, {**provenance, "matrix": _matrix_payload(dm)})
     return EXIT_OK
 
 
-def _resolve_k(args, inc: IncrementPanel, params: DistanceParams,
-               binning: BinningConfig, method: str) -> tuple[int, StabilityReport | None]:
-    if args.k is not None:
-        return args.k, None
-    if args.k_range is None:
-        raise ParameterError("either --k or --k-range is required")
-    lo, hi = args.k_range
-    report = stability_select_k(
-        inc, params, binning,
-        k_range=range(lo, hi + 1),
-        runs=args.stability_runs,
-        subsample_fraction=args.subsample,
-        seed=args.seed,
-        method=method,
-        threads=args.threads,
-    )
-    return report.selected_k, report
-
-
 def _cmd_cluster(args) -> int:
-    panel, inc = _load(args)
-    params = DistanceParams(theta=args.theta, exact_spearman_norm=args.exact_spearman_norm)
-    binning = _binning_config(args)
-    method = _METHOD_BY_FLAG[args.method]
-    k, report = _resolve_k(args, inc, params, binning, method)
-    dm = distance_matrix(represent(inc, binning), params, threads=args.threads)
-    assignment = cluster(dm, k, method)
+    cfg = _config(args)
+    panel, inc = _load(cfg)
+    _, assignment, report = _fit(cfg, inc, cfg.theta)
     summary = cluster_summary(assignment, panel) if args.summary else None
-    payload = _args_provenance(
-        args,
-        _INGEST_FIELDS + _BIN_FIELDS
-        + ("theta", "exact_spearman_norm", "method", "k", "k_range",
-           "stability_runs", "subsample", "seed"),
-    )
+    payload = cfg.provenance(_CLUSTER_FIELDS)
     payload.update(_assignment_payload(assignment, summary, report))
-    _emit(_json_text(payload), args.output)
+    _write(args.output, _json, payload)
     return EXIT_OK
 
 
 def _cmd_stability(args) -> int:
-    _, inc = _load(args)
-    params = DistanceParams(theta=args.theta, exact_spearman_norm=args.exact_spearman_norm)
-    lo, hi = args.k_range
-    report = stability_select_k(
-        inc, params, _binning_config(args),
-        k_range=range(lo, hi + 1),
-        runs=args.stability_runs,
-        subsample_fraction=args.subsample,
-        seed=args.seed,
-        method=_METHOD_BY_FLAG[args.method],
-        threads=args.threads,
-    )
-    payload = _args_provenance(
-        args,
-        _INGEST_FIELDS + _BIN_FIELDS
-        + ("theta", "exact_spearman_norm", "method", "k_range",
-           "stability_runs", "subsample", "seed"),
-    )
+    cfg = _config(args)
+    _, inc = _load(cfg)
+    _, report = _select_k(cfg, inc, cfg.theta)
+    payload = cfg.provenance(_STABILITY_FIELDS)
     payload["stability"] = _stability_payload(report)
-    _emit(_json_text(payload), args.output)
+    _write(args.output, _json, payload)
     return EXIT_OK
 
 
@@ -495,6 +493,15 @@ def _parse_blocks(text: str) -> list[int]:
         return [int(s) for s in text.split(",")]
     except ValueError:
         raise ParameterError(f"cannot parse blocks {text!r}; expected NxS or S1,S2,...") from None
+
+
+def _parse_floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"cannot parse {flag} {text!r}; expected a number or a comma-separated list"
+        ) from None
 
 
 def _parse_dists(text: str) -> list[tuple[str, float | None]]:
@@ -539,7 +546,7 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
     if args.blocks is None:
         raise ParameterError("synth needs --spec or --blocks")
     sizes = _parse_blocks(args.blocks)
-    rhos = [float(s) for s in str(args.rho).split(",")]
+    rhos = _parse_floats(args.rho, "--rho")
     if len(rhos) == 1:
         rhos = rhos * len(sizes)
     if len(rhos) != len(sizes):
@@ -547,7 +554,7 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
     dists = _parse_dists(args.dists)
     scales = [1.0] * len(dists)
     if args.scales is not None:
-        scales = [float(s) for s in args.scales.split(",")]
+        scales = _parse_floats(args.scales, "--scales")
         if len(scales) != len(dists):
             raise ParameterError(f"{len(scales)} scales for {len(dists)} distribution groups")
     try:
@@ -563,11 +570,9 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
         raise ParameterError(str(e)) from None
 
 
-def _panel_csv(panel: SeriesPanel) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["t", *panel.ids])
-    _write_float_rows(buf, panel.index, panel.values.T)
-    return buf.getvalue()
+def _panel_csv(f, panel: SeriesPanel) -> None:
+    csv.writer(f, lineterminator="\n").writerow(["t", *panel.ids])
+    _write_float_rows(f, panel.index, panel.values.T)
 
 
 def _cmd_synth(args) -> int:
@@ -577,7 +582,7 @@ def _cmd_synth(args) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = prefix.with_name(prefix.name + ".csv")
     truth_path = prefix.with_name(prefix.name + "_truth.json")
-    csv_path.write_text(_panel_csv(panel), encoding="utf-8")
+    _write(csv_path, _panel_csv, panel)
     payload = {
         "version": __version__,
         "config": {
@@ -594,55 +599,27 @@ def _cmd_synth(args) -> int:
         "distribution_labels": truth.distribution_labels.tolist(),
         "product_labels": truth.product_labels.tolist(),
     }
-    truth_path.write_text(_json_text(payload), encoding="utf-8")
+    _write(truth_path, _json, payload)
     log.info("wrote %s and %s", csv_path, truth_path)
     return EXIT_OK
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        input=args.input,
-        already_increments=args.already_increments,
-        missing=args.missing,
-        date_format=args.date_format,
-        theta=None if args.theta_sweep else (0.5 if args.theta is None else args.theta),
-        bin_rule=args.bin_rule or ("width" if args.bin_width is not None else "count"),
-        bins=args.bins,
-        bin_width=args.bin_width,
-        exact_spearman_norm=args.exact_spearman_norm,
-        method=_METHOD_BY_FLAG[args.method],
-        k=args.k,
-        k_range=args.k_range,
-        stability_runs=args.stability_runs,
-        subsample=args.subsample,
-        seed=args.seed,
-        output_dir=args.output_dir,
-        threads=args.threads,
-        quiet=args.quiet,
-        json_logs=args.json_logs,
-    )
-
-
-def _observations_csv(assignment: ClusterAssignment, panel: SeriesPanel) -> str:
+def _observations_csv(f, assignment: ClusterAssignment, panel: SeriesPanel) -> None:
     """One row per series, in panel order: its id, its cluster label, and its
     number of values in the input file (levels, or increments under
     --already-increments)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(f, lineterminator="\n")
     writer.writerow(["series_id", "cluster", "n_obs"])
     label_of = dict(zip(assignment.ids, assignment.labels.tolist()))
     writer.writerows([sid, label_of[sid], panel.n_obs] for sid in panel.ids)
-    return buf.getvalue()
 
 
-def _summary_csv(summary: ClusterSummary, provenance: dict) -> str:
-    buf = io.StringIO()
-    buf.write(f"# {json.dumps(provenance, sort_keys=True)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+def _summary_csv(f, summary: ClusterSummary, provenance: dict) -> None:
+    f.write(f"# {json.dumps(provenance, sort_keys=True)}\n")
+    writer = csv.writer(f, lineterminator="\n")
     writer.writerow(["cluster", "mean", "quantile_10", "quantile_90", "size"])
     for r in summary.rows:
         writer.writerow([r.cluster, _fmt(r.mean), _fmt(r.quantile_10), _fmt(r.quantile_90), r.size])
-    return buf.getvalue()
 
 
 def _crosstab(a: ClusterAssignment, b: ClusterAssignment) -> list[list[int]]:
@@ -653,73 +630,49 @@ def _crosstab(a: ClusterAssignment, b: ClusterAssignment) -> list[list[int]]:
     return table.tolist()
 
 
-def _run_single_theta(config: RunConfig, theta: float, panel: SeriesPanel,
+def _run_single_theta(cfg: RunConfig, theta: float, panel: SeriesPanel,
                       inc: IncrementPanel, out_dir: Path, suffix: str) -> ClusterAssignment:
-    params = DistanceParams(theta=theta, exact_spearman_norm=config.exact_spearman_norm)
-    binning = BinningConfig(rule=config.bin_rule, bins=config.bins, width=config.bin_width)
-    provenance = config.provenance(theta=theta)
-
-    report = None
-    if config.k is not None:
-        k = config.k
-    elif config.k_range is not None:
-        lo, hi = config.k_range
-        report = stability_select_k(
-            inc, params, binning, k_range=range(lo, hi + 1),
-            runs=config.stability_runs, subsample_fraction=config.subsample,
-            seed=config.seed, method=config.method, threads=config.threads,
-        )
-        k = report.selected_k
-    else:
-        raise ParameterError("pipeline needs --k or --k-range")
-
-    dm = distance_matrix(represent(inc, binning), params, threads=config.threads)
-    assignment = cluster(dm, k, config.method)
+    provenance = cfg.provenance(_CLUSTER_FIELDS, theta=theta)
+    dm, assignment, report = _fit(cfg, inc, theta)
     summary = cluster_summary(assignment, panel)
 
-    (out_dir / f"distance_matrix{suffix}.csv").write_text(
-        _matrix_csv(dm, provenance), encoding="utf-8")
-    payload = dict(provenance)
-    payload.update(_assignment_payload(assignment, summary, report))
-    (out_dir / f"assignment{suffix}.json").write_text(_json_text(payload), encoding="utf-8")
-    (out_dir / f"summary{suffix}.csv").write_text(
-        _summary_csv(summary, provenance), encoding="utf-8")
-    (out_dir / f"observations{suffix}.csv").write_text(
-        _observations_csv(assignment, panel), encoding="utf-8")
+    _write(out_dir / f"distance_matrix{suffix}.csv", _matrix_csv, dm, provenance)
+    _write(out_dir / f"assignment{suffix}.json", _json,
+           {**provenance, **_assignment_payload(assignment, summary, report)})
+    _write(out_dir / f"summary{suffix}.csv", _summary_csv, summary, provenance)
+    _write(out_dir / f"observations{suffix}.csv", _observations_csv, assignment, panel)
     if report is not None:
-        stab_payload = dict(provenance)
-        stab_payload["stability"] = _stability_payload(report)
-        (out_dir / f"stability{suffix}.json").write_text(
-            _json_text(stab_payload), encoding="utf-8")
-    log.info("theta=%g: k=%d, artifacts in %s", theta, k, out_dir)
+        _write(out_dir / f"stability{suffix}.json", _json,
+               {**provenance, "stability": _stability_payload(report)})
+    log.info("theta=%g: k=%d, artifacts in %s", theta, assignment.k, out_dir)
     return assignment
 
 
-def run_pipeline(config: RunConfig) -> int:
-    """Execute the full pipeline per config and write every artifact."""
-    panel, inc = _load(config)
-    out_dir = Path(config.output_dir)
+def run_pipeline(cfg: RunConfig, output_dir: str | Path) -> int:
+    """Execute the full pipeline per config and write every artifact into output_dir."""
+    panel, inc = _load(cfg)
+    out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if config.theta is not None:
-        _run_single_theta(config, config.theta, panel, inc, out_dir, suffix="")
+    if cfg.theta is not None:
+        _run_single_theta(cfg, cfg.theta, panel, inc, out_dir, suffix="")
         return EXIT_OK
 
     assignments = {}
     for theta in SWEEP_THETAS:
         suffix = f"_theta{theta:g}"
-        assignments[theta] = _run_single_theta(config, theta, panel, inc, out_dir, suffix)
-    payload = config.provenance(theta="sweep")
+        assignments[theta] = _run_single_theta(cfg, theta, panel, inc, out_dir, suffix)
+    payload = cfg.provenance(_CLUSTER_FIELDS, theta="sweep")
     payload["tables"] = {
         "theta0.5_vs_theta0": _crosstab(assignments[0.5], assignments[0.0]),
         "theta0.5_vs_theta1": _crosstab(assignments[0.5], assignments[1.0]),
     }
-    (out_dir / "crosstab.json").write_text(_json_text(payload), encoding="utf-8")
+    _write(out_dir / "crosstab.json", _json, payload)
     return EXIT_OK
 
 
 def _cmd_pipeline(args) -> int:
-    return run_pipeline(_run_config(args))
+    return run_pipeline(_config(args), args.output_dir)
 
 
 # ---------------------------------------------------------------------------

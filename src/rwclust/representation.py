@@ -27,6 +27,10 @@ EDGE_TOL = 16 * np.finfo(float).eps
 
 BIN_RULES = ("count", "width", "fd")
 
+# most bins a shared grid may hold inside the pooled range; a finer grid would
+# need n_series * bins masses, so it is refused before anything is allocated
+MAX_BINS = 1_000_000
+
 
 @dataclass(frozen=True)
 class BinningConfig:
@@ -252,9 +256,12 @@ def shared_grid(values, config: BinningConfig) -> tuple[float, float, int]:
     The grid starts at the pooled minimum and gains one extra bin past the
     pooled maximum so every observation lies inside the half-open range.
     Widths too small to advance the origin in floating point are widened to
-    the smallest workable value; an fd width that would explode the bin count
-    falls back to the count rule.
+    the smallest workable value; an fd width that would give more than
+    MAX_BINS bins falls back to the count rule, and a count or width that
+    would is a ParameterError.
     """
+    if config.rule == "count" and config.bins > MAX_BINS:
+        raise ParameterError(f"bin count {config.bins} exceeds the maximum of {MAX_BINS}")
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise ValidationError("cannot build a grid from no values")
@@ -267,10 +274,14 @@ def shared_grid(values, config: BinningConfig) -> tuple[float, float, int]:
     elif config.rule == "fd":
         q75, q25 = np.quantile(v, [0.75, 0.25])
         width = 2.0 * float(q75 - q25) / v.size ** (1.0 / 3.0)
-        if width <= 0.0 or (span > 0.0 and span / width > 1e6):
+        if width <= 0.0 or (span > 0.0 and span / width > MAX_BINS):
             return shared_grid(v, BinningConfig(rule="count", bins=config.bins))
     else:
         width = float(config.width)
+        if span / width > MAX_BINS:
+            raise ParameterError(
+                f"bin width {width!r} gives more than {MAX_BINS} bins over the range {span!r}"
+            )
 
     # float guard: the width must actually move the origin
     if width <= 0.0:

@@ -155,6 +155,47 @@ def test_pipeline_byte_idempotent_across_threads(synth_panel, tmp_path, capsys):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("k_flags", [("--k", "3"), ("--k-range", "2..4", "--stability-runs", "3")],
+                         ids=["k", "k-range"])
+def test_sweep_artifacts_match_single_theta_runs(synth_panel, tmp_path, capsys, k_flags):
+    csv_path, _ = synth_panel
+    base = ["pipeline", "--input", str(csv_path), *k_flags, "--quiet"]
+    sweep = tmp_path / "sweep"
+    code, _, _ = run([*base, "--theta-sweep", "--output-dir", str(sweep)], capsys)
+    assert code == 0
+    for theta in ("0", "0.5", "1"):
+        single = tmp_path / theta
+        code, _, _ = run([*base, "--theta", theta, "--output-dir", str(single)], capsys)
+        assert code == 0
+        names = sorted(p.name for p in single.iterdir())
+        assert ("stability.json" in names) == (k_flags[0] == "--k-range")
+        for name in names:
+            stem, ext = name.split(".")
+            swept = sweep / f"{stem}_theta{theta}.{ext}"
+            assert swept.read_bytes() == (single / name).read_bytes(), swept.name
+
+
+def test_subcommand_config_matches_pipeline(synth_panel, tmp_path, capsys):
+    csv_path, _ = synth_panel
+    ingest = ["--input", str(csv_path), "--bin-width", "0.5", "--quiet"]
+    theta = ["--theta", "1", "--exact-spearman-norm"]
+    select = ["--k-range", "2..4", "--method", "complete", "--stability-runs", "3",
+              "--subsample", "0.6", "--seed", "4"]
+    out_dir = tmp_path / "pipe"
+    code, _, _ = run(["pipeline", *ingest, *theta, *select, "--output-dir", str(out_dir)], capsys)
+    assert code == 0
+    pipeline = json.loads((out_dir / "assignment.json").read_text())["config"]
+    assert (pipeline["bin_rule"], pipeline["method"]) == ("width", "complete_linkage")
+    for argv in (["represent", *ingest],
+                 ["distances", *ingest, *theta, "--format", "json"],
+                 ["cluster", *ingest, *theta, *select],
+                 ["stability", *ingest, *theta, *select]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config == {key: pipeline[key] for key in config}, argv[0]
+
+
 def _check_observations(path, assignment_path, n_obs):
     rows = list(csv.reader(path.read_text().splitlines()))
     labels = json.loads(assignment_path.read_text())["labels"]
@@ -233,7 +274,9 @@ def test_synth_csv_matches_csv_writer_reference(tmp_path, capsys):
     )
     panel, _ = generate_panel(spec)
     odd = type(panel)(ids=ODD_IDS, index=panel.index, values=panel.values)
-    text = _panel_csv(odd)
+    buf = io.StringIO()
+    _panel_csv(buf, odd)
+    text = buf.getvalue()
     assert text == _reference_csv(["t", *ODD_IDS], panel.index, panel.values.T)
     header, labels, values = _read_back(text)
     assert header == ["t", *ODD_IDS] and labels == list(panel.index)
@@ -411,6 +454,25 @@ def test_synth_bad_spec_exits_3(tmp_path, capsys, text, reason):
     assert "Traceback" not in err
     assert err.startswith("rwclust: error:") and err.count("\n") == 1
     assert reason in err
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--scales"], ids=["rho", "scales"])
+def test_synth_unparsable_number_list_exits_3(capsys, flag):
+    code, _, err = run(["synth", "--blocks", "2x4", flag, "abc", "--quiet"], capsys)
+    assert code == 3
+    assert err.startswith("rwclust: error:") and err.count("\n") == 1
+    assert flag in err
+
+
+def test_absurd_bin_width_exits_3(synth_panel, capsys):
+    csv_path, _ = synth_panel
+    code, out, err = run([
+        "represent", "--input", str(csv_path), "--bin-width", "1e-300", "--quiet",
+    ], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("rwclust: error:") and err.count("\n") == 1
+    assert "bin width" in err
 
 
 def test_json_logs_error_shape(tmp_path, capsys):

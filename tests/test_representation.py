@@ -20,6 +20,8 @@ from rwclust import (
     shared_grid,
 )
 
+from rwclust.representation import MAX_BINS
+
 from conftest import make_increment_panel
 
 
@@ -235,6 +237,18 @@ def test_grid_always_covers_sample(xs, bins):
     assert (x < origin + count * width).all()
     # coverage means every series can be binned without a range error
     empirical_margin(xs, origin, width, count)
+
+
+def test_grid_refuses_more_than_max_bins():
+    v = [-3.0, 0.0, 3.0]
+    assert shared_grid(v, BinningConfig(rule="count", bins=MAX_BINS))[2] == MAX_BINS + 1
+    with pytest.raises(ParameterError, match="bin count"):
+        shared_grid(v, BinningConfig(rule="count", bins=100 * MAX_BINS))
+    # widths below the float resolution of the origin, and ones that merely
+    # give too many bins, are refused before a count is formed
+    for width in (1e-300, 6.0 / (2 * MAX_BINS)):
+        with pytest.raises(ParameterError, match="bin width"):
+            shared_grid(v, BinningConfig(rule="width", width=width))
 
 
 def test_binning_config_validation():
