@@ -16,7 +16,7 @@ import json
 import logging
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .clustering import (
     ClusterAssignment,
     ClusterSummary,
     StabilityReport,
+    _contingency,
     cluster,
     cluster_summary,
     stability_select_k,
@@ -153,6 +154,12 @@ def _k_range_arg(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _positive_int(text: str) -> int:
+    if not re.fullmatch(r"\d+", text) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_ingestion_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="CSV panel: time column + one column per series")
     p.add_argument("--already-increments", action="store_true",
@@ -196,7 +203,7 @@ def _add_cluster_flags(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for the Hellinger part of the distance kernel; "
                              "results do not depend on it (default 1)")
     common.add_argument("--quiet", action="store_true", help="log errors only")
@@ -318,7 +325,8 @@ def _write(path: str | Path | None, write, *args) -> None:
 
 
 def _json(f, payload: dict) -> None:
-    f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    json.dump(payload, f, sort_keys=True, indent=2)
+    f.write("\n")
 
 
 def _fmt(v: float) -> str:
@@ -360,26 +368,6 @@ def _matrix_payload(dm: DistanceMatrix) -> dict:
     }
 
 
-def _summary_payload(summary: ClusterSummary) -> list[dict]:
-    return [
-        {"cluster": r.cluster, "mean": r.mean, "quantile_10": r.quantile_10,
-         "quantile_90": r.quantile_90, "size": r.size}
-        for r in summary.rows
-    ]
-
-
-def _stability_payload(report: StabilityReport) -> dict:
-    return {
-        "k_range": list(report.k_range),
-        "scores": list(report.scores),
-        "dispersion": list(report.dispersion),
-        "selected_k": report.selected_k,
-        "runs": report.runs,
-        "seed": report.seed,
-        "subsample_fraction": report.subsample_fraction,
-    }
-
-
 def _assignment_payload(assignment: ClusterAssignment,
                         summary: ClusterSummary | None,
                         report: StabilityReport | None) -> dict:
@@ -388,8 +376,8 @@ def _assignment_payload(assignment: ClusterAssignment,
         "k": assignment.k,
         "method": assignment.method,
         "labels": {sid: int(lab) for sid, lab in zip(assignment.ids, assignment.labels)},
-        "summary": _summary_payload(summary) if summary is not None else None,
-        "stability": _stability_payload(report) if report is not None else None,
+        "summary": asdict(summary)["rows"] if summary is not None else None,
+        "stability": asdict(report) if report is not None else None,
     }
 
 
@@ -480,7 +468,7 @@ def _cmd_stability(args) -> int:
     _, inc = _load(cfg)
     _, report = _select_k(cfg, inc, cfg.theta)
     payload = cfg.provenance(_STABILITY_FIELDS)
-    payload["stability"] = _stability_payload(report)
+    payload["stability"] = asdict(report)
     _write(args.output, _json, payload)
     return EXIT_OK
 
@@ -519,54 +507,55 @@ def _parse_dists(text: str) -> list[tuple[str, float | None]]:
 
 
 def _synth_spec_from_args(args) -> SyntheticSpec:
+    """The spec of a --spec file, or the same mapping built from the inline
+    flags; a bad key or value in either is a config error."""
     if args.spec is not None:
         try:
             raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ParameterError(f"spec {args.spec} is not valid JSON: {e}") from None
-        try:
-            blocks = tuple(CorrelationBlock(size=b["size"], rho=b["rho"]) for b in raw["blocks"])
-            groups = tuple(
-                DistributionGroup(family=g["family"], scale=g.get("scale", 1.0), df=g.get("df"))
-                for g in raw["groups"]
-            )
-            labels = raw.get("distribution_labels")
-            return SyntheticSpec(
-                n_series=raw["n_series"],
-                m_obs=raw["m_obs"],
-                blocks=blocks,
-                groups=groups,
-                seed=raw.get("seed", args.seed),
-                distribution_labels=tuple(labels) if labels is not None else None,
-            )
-        except KeyError as e:
-            raise ParameterError(f"spec {args.spec} is missing the key {e}") from None
-        except (TypeError, AttributeError) as e:  # a list or number where an object belongs
-            raise ParameterError(f"spec {args.spec} is malformed: {e}") from None
-    if args.blocks is None:
+    elif args.blocks is None:
         raise ParameterError("synth needs --spec or --blocks")
-    sizes = _parse_blocks(args.blocks)
-    rhos = _parse_floats(args.rho, "--rho")
-    if len(rhos) == 1:
-        rhos = rhos * len(sizes)
-    if len(rhos) != len(sizes):
-        raise ParameterError(f"{len(rhos)} rho values for {len(sizes)} blocks")
-    dists = _parse_dists(args.dists)
-    scales = [1.0] * len(dists)
-    if args.scales is not None:
-        scales = _parse_floats(args.scales, "--scales")
-        if len(scales) != len(dists):
-            raise ParameterError(f"{len(scales)} scales for {len(dists)} distribution groups")
+    else:
+        sizes = _parse_blocks(args.blocks)
+        rhos = _parse_floats(args.rho, "--rho")
+        if len(rhos) == 1:
+            rhos = rhos * len(sizes)
+        if len(rhos) != len(sizes):
+            raise ParameterError(f"{len(rhos)} rho values for {len(sizes)} blocks")
+        dists = _parse_dists(args.dists)
+        scales = [1.0] * len(dists)
+        if args.scales is not None:
+            scales = _parse_floats(args.scales, "--scales")
+            if len(scales) != len(dists):
+                raise ParameterError(f"{len(scales)} scales for {len(dists)} distribution groups")
+        raw = {
+            "n_series": sum(sizes),
+            "m_obs": args.m,
+            "blocks": [{"size": s, "rho": r} for s, r in zip(sizes, rhos)],
+            "groups": [{"family": fam, "scale": sc, "df": df}
+                       for (fam, df), sc in zip(dists, scales)],
+        }
     try:
-        blocks = tuple(CorrelationBlock(size=s, rho=r) for s, r in zip(sizes, rhos))
+        blocks = tuple(CorrelationBlock(size=b["size"], rho=b["rho"]) for b in raw["blocks"])
         groups = tuple(
-            DistributionGroup(family=fam, scale=sc, df=df)
-            for (fam, df), sc in zip(dists, scales)
+            DistributionGroup(family=g["family"], scale=g.get("scale", 1.0), df=g.get("df"))
+            for g in raw["groups"]
         )
+        labels = raw.get("distribution_labels")
         return SyntheticSpec(
-            n_series=sum(sizes), m_obs=args.m, blocks=blocks, groups=groups, seed=args.seed
+            n_series=raw["n_series"],
+            m_obs=raw["m_obs"],
+            blocks=blocks,
+            groups=groups,
+            seed=raw.get("seed", args.seed),
+            distribution_labels=tuple(labels) if labels is not None else None,
         )
-    except ValidationError as e:  # bad inline flag values are config errors
+    except KeyError as e:
+        raise ParameterError(f"spec {args.spec} is missing the key {e}") from None
+    except (TypeError, AttributeError) as e:  # a list or number where an object belongs
+        raise ParameterError(f"spec {args.spec} is malformed: {e}") from None
+    except ValidationError as e:
         raise ParameterError(str(e)) from None
 
 
@@ -622,14 +611,6 @@ def _summary_csv(f, summary: ClusterSummary, provenance: dict) -> None:
         writer.writerow([r.cluster, _fmt(r.mean), _fmt(r.quantile_10), _fmt(r.quantile_90), r.size])
 
 
-def _crosstab(a: ClusterAssignment, b: ClusterAssignment) -> list[list[int]]:
-    table = np.zeros((a.k, b.k), dtype=np.int64)
-    pos_b = {sid: lab for sid, lab in zip(b.ids, b.labels)}
-    for sid, lab in zip(a.ids, a.labels):
-        table[lab, pos_b[sid]] += 1
-    return table.tolist()
-
-
 def _run_single_theta(cfg: RunConfig, theta: float, panel: SeriesPanel,
                       inc: IncrementPanel, out_dir: Path, suffix: str) -> ClusterAssignment:
     provenance = cfg.provenance(_CLUSTER_FIELDS, theta=theta)
@@ -643,7 +624,7 @@ def _run_single_theta(cfg: RunConfig, theta: float, panel: SeriesPanel,
     _write(out_dir / f"observations{suffix}.csv", _observations_csv, assignment, panel)
     if report is not None:
         _write(out_dir / f"stability{suffix}.json", _json,
-               {**provenance, "stability": _stability_payload(report)})
+               {**provenance, "stability": asdict(report)})
     log.info("theta=%g: k=%d, artifacts in %s", theta, assignment.k, out_dir)
     return assignment
 
@@ -658,14 +639,14 @@ def run_pipeline(cfg: RunConfig, output_dir: str | Path) -> int:
         _run_single_theta(cfg, cfg.theta, panel, inc, out_dir, suffix="")
         return EXIT_OK
 
-    assignments = {}
+    labels = {}  # every assignment lists inc.ids in one order, so labels pair up by position
     for theta in SWEEP_THETAS:
         suffix = f"_theta{theta:g}"
-        assignments[theta] = _run_single_theta(cfg, theta, panel, inc, out_dir, suffix)
+        labels[theta] = _run_single_theta(cfg, theta, panel, inc, out_dir, suffix).labels
     payload = cfg.provenance(_CLUSTER_FIELDS, theta="sweep")
     payload["tables"] = {
-        "theta0.5_vs_theta0": _crosstab(assignments[0.5], assignments[0.0]),
-        "theta0.5_vs_theta1": _crosstab(assignments[0.5], assignments[1.0]),
+        "theta0.5_vs_theta0": _contingency(labels[0.5], labels[0.0]).tolist(),
+        "theta0.5_vs_theta1": _contingency(labels[0.5], labels[1.0]).tolist(),
     }
     _write(out_dir / "crosstab.json", _json, payload)
     return EXIT_OK

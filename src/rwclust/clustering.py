@@ -24,8 +24,6 @@ from .representation import BinningConfig, represent
 
 CLUSTER_METHODS = ("average_linkage", "complete_linkage", "k_medoids")
 
-AGREEMENT_METRICS = ("ari", "minimal_matching")
-
 _LINKAGE_NAME = {"average_linkage": "average", "complete_linkage": "complete"}
 
 
@@ -77,11 +75,6 @@ def _canonical_labels(ids, raw_labels) -> np.ndarray:
     return labels
 
 
-def _hierarchical_tree(matrix_values: np.ndarray, method: str) -> np.ndarray:
-    condensed = squareform(matrix_values, checks=False)
-    return linkage(condensed, method=_LINKAGE_NAME[method])
-
-
 def _kmedoids_labels(d: np.ndarray, k: int, max_iter: int = 200) -> np.ndarray:
     """Alternating k-medoids on a distance matrix, fully deterministic.
 
@@ -112,6 +105,15 @@ def _kmedoids_labels(d: np.ndarray, k: int, max_iter: int = 200) -> np.ndarray:
     return labels
 
 
+def _partitions(values: np.ndarray, method: str, ks) -> np.ndarray:
+    """Raw labels of the distance matrix `values` cut into k clusters for
+    each k of `ks`, one column per k (one linkage tree serves every k)."""
+    if method == "k_medoids":
+        return np.column_stack([_kmedoids_labels(values, k) for k in ks])
+    tree = linkage(squareform(values, checks=False), method=_LINKAGE_NAME[method])
+    return cut_tree(tree, n_clusters=ks)
+
+
 def cluster(
     matrix: DistanceMatrix,
     k: int,
@@ -127,13 +129,9 @@ def cluster(
     n = matrix.n_series
     if not 2 <= k <= n:
         raise ParameterError(f"k must lie in [2, {n}], got {k}")
-    if method == "k_medoids":
-        raw = _kmedoids_labels(matrix.values, k)
-    else:
-        raw = cut_tree(_hierarchical_tree(matrix.values, method), n_clusters=k).ravel()
     return ClusterAssignment(
         ids=matrix.ids,
-        labels=_canonical_labels(matrix.ids, raw),
+        labels=_canonical_labels(matrix.ids, _partitions(matrix.values, method, [k])[:, 0]),
         k=k,
         method=method,
         theta=matrix.theta,
@@ -149,9 +147,8 @@ def _contingency(labels_a, labels_b) -> np.ndarray:
         raise DimensionError("cannot compare empty partitions")
     _, ia = np.unique(a, return_inverse=True)
     _, ib = np.unique(b, return_inverse=True)
-    table = np.zeros((ia.max() + 1, ib.max() + 1), dtype=np.int64)
-    np.add.at(table, (ia, ib), 1)
-    return table
+    cols = ib.max() + 1
+    return np.bincount(ia * cols + ib, minlength=(ia.max() + 1) * cols).reshape(-1, cols)
 
 
 def adjusted_rand(labels_a, labels_b) -> float:
@@ -186,6 +183,13 @@ def minimal_matching(labels_a, labels_b) -> float:
     matched = int(table[rows, cols].sum())
     n = int(table.sum())
     return float((n - matched) / n)
+
+
+# agreement between two partitions: 1 iff they match up to relabeling
+_AGREEMENT = {
+    "ari": adjusted_rand,
+    "minimal_matching": lambda a, b: 1.0 - minimal_matching(a, b),
+}
 
 
 @dataclass(frozen=True)
@@ -242,41 +246,29 @@ def stability_select_k(
         raise ParameterError(f"k_range must be a nonempty subset of [2, {n - 1}], got {ks}")
     if method not in CLUSTER_METHODS:
         raise ParameterError(f"unknown method {method!r}; expected one of {CLUSTER_METHODS}")
-    if agreement not in AGREEMENT_METRICS:
+    if agreement not in _AGREEMENT:
         raise ParameterError(
-            f"unknown agreement {agreement!r}; expected one of {AGREEMENT_METRICS}"
+            f"unknown agreement {agreement!r}; expected one of {tuple(_AGREEMENT)}"
         )
-    if agreement == "ari":
-        score_pair = adjusted_rand
-    else:
-        def score_pair(pa, pb):
-            return 1.0 - minimal_matching(pa, pb)
     m_sub = int(np.floor(subsample_fraction * m))
     if m_sub < 2:
         raise DegenerateSampleError(
             f"subsample of {m_sub} observations is too small to represent"
         )
 
-    partitions: dict[int, list[np.ndarray]] = {k: [] for k in ks}
+    partitions = []  # one n x len(ks) label array per run
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, run]))
         idx = np.sort(rng.choice(m, size=m_sub, replace=False))
         sub = IncrementPanel(ids=panel.ids, values=panel.values[:, idx])
         dm = distance_matrix(represent(sub, binning), params, threads=threads)
-        if method == "k_medoids":
-            for k in ks:
-                partitions[k].append(_kmedoids_labels(dm.values, k))
-        else:
-            tree = _hierarchical_tree(dm.values, method)
-            cuts = cut_tree(tree, n_clusters=ks)
-            for col, k in enumerate(ks):
-                partitions[k].append(cuts[:, col])
+        partitions.append(_partitions(dm.values, method, ks))
 
     scores, spreads = [], []
-    for k in ks:
+    for col in range(len(ks)):
         agreements = [
-            score_pair(pa, pb)
-            for pa, pb in itertools.combinations(partitions[k], 2)
+            _AGREEMENT[agreement](pa[:, col], pb[:, col])
+            for pa, pb in itertools.combinations(partitions, 2)
         ]
         scores.append(float(np.mean(agreements)))
         spreads.append(float(np.std(agreements)))

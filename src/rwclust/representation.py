@@ -50,9 +50,10 @@ class BinningConfig:
             raise ParameterError(f"unknown bin rule {self.rule!r}; expected one of {BIN_RULES}")
         if self.rule == "count" and self.bins < 1:
             raise ParameterError(f"bin count must be >= 1, got {self.bins}")
-        if self.rule == "width":
-            if self.width is None or not self.width > 0:
-                raise ParameterError(f"bin width must be > 0, got {self.width}")
+        if self.rule == "width" and (self.width is None or not self.width > 0):
+            raise ParameterError(f"bin width must be > 0, got {self.width}")
+        if self.width is not None and not np.isfinite(self.width):
+            raise ParameterError(f"bin width must be finite, got {self.width}")
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,23 @@ def test_theta_sweep_writes_crosstab(synth_panel, tmp_path, capsys):
     assert table.shape == (3, 3)
 
 
+def test_sweep_crosstab_counts_series_by_label_pair(synth_panel, tmp_path, capsys):
+    csv_path, _ = synth_panel
+    code, _, _ = run([
+        "pipeline", "--input", str(csv_path), "--theta-sweep", "--k", "3", "--method", "medoids",
+        "--output-dir", str(tmp_path), "--quiet",
+    ], capsys)
+    assert code == 0
+    labels = {t: json.loads((tmp_path / f"assignment_theta{t}.json").read_text())["labels"]
+              for t in ("0", "0.5", "1")}
+    tables = json.loads((tmp_path / "crosstab.json").read_text())["tables"]
+    for other in ("0", "1"):
+        expected = np.zeros((3, 3), dtype=int)
+        for sid, lab in labels["0.5"].items():
+            expected[lab, labels[other][sid]] += 1
+        assert tables[f"theta0.5_vs_theta{other}"] == expected.tolist()
+
+
 def test_pipeline_byte_idempotent_across_threads(synth_panel, tmp_path, capsys):
     csv_path, _ = synth_panel
     outs = []
@@ -445,7 +462,9 @@ def test_synth_without_spec_or_blocks_exits_3(capsys):
     ('{"n_series": 4}', "missing the key 'blocks'"),
     ("[1, 2]", "malformed"),
     ('{"n_series": 4,', "not valid JSON"),
-], ids=["missing-key", "not-an-object", "bad-json"])
+    ('{"n_series": 4, "m_obs": 50, "blocks": [{"size": 4, "rho": 1.5}],'
+     ' "groups": [{"family": "gaussian"}]}', "intra-block correlation"),
+], ids=["missing-key", "not-an-object", "bad-json", "bad-value"])
 def test_synth_bad_spec_exits_3(tmp_path, capsys, text, reason):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(text)
@@ -466,13 +485,31 @@ def test_synth_unparsable_number_list_exits_3(capsys, flag):
 
 def test_absurd_bin_width_exits_3(synth_panel, capsys):
     csv_path, _ = synth_panel
-    code, out, err = run([
-        "represent", "--input", str(csv_path), "--bin-width", "1e-300", "--quiet",
-    ], capsys)
+    for width in ("1e-300", "inf"):  # too many bins; one bin and a non-JSON Infinity
+        code, out, err = run([
+            "represent", "--input", str(csv_path), "--bin-width", width, "--quiet",
+        ], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("rwclust: error:") and err.count("\n") == 1
+        assert "bin width" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+@pytest.mark.parametrize("argv", [
+    ["represent"], ["distances"], ["cluster", "--k", "2"], ["stability", "--k-range", "2..3"],
+    ["pipeline", "--k", "2"], ["synth", "--blocks", "2x4"],
+], ids=lambda argv: argv[0])
+def test_threads_below_1_exits_3_before_io(tmp_path, capsys, argv, threads):
+    # the input does not exist and synth would write into tmp_path, so any
+    # I/O before the check shows as exit 2 or as a written file
+    where = ["--output-prefix", str(tmp_path / "p")] if argv[0] == "synth" else [
+        "--input", str(tmp_path / "absent.csv")]
+    code, out, err = run([*argv, *where, "--threads", threads, "--quiet"], capsys)
     assert code == 3
-    assert out == ""
+    assert out == "" and list(tmp_path.iterdir()) == []
     assert err.startswith("rwclust: error:") and err.count("\n") == 1
-    assert "bin width" in err
+    assert "--threads" in err
 
 
 def test_json_logs_error_shape(tmp_path, capsys):

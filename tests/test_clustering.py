@@ -243,6 +243,20 @@ def test_ari_matches_pair_count_oracle(rng):
         )
 
 
+def test_contingency_matches_counting_loop(rng):
+    from rwclust.clustering import _contingency
+
+    for _ in range(30):
+        n = int(rng.integers(1, 15))
+        a = rng.choice([-3, 0, 2, 7], size=n)
+        b = rng.choice(["p", "q", "r"], size=n)
+        rows, cols = sorted(set(a.tolist())), sorted(set(b.tolist()))
+        expected = [[0] * len(cols) for _ in rows]
+        for x, y in zip(a.tolist(), b.tolist()):
+            expected[rows.index(x)][cols.index(y)] += 1
+        assert _contingency(a, b).tolist() == expected
+
+
 def test_ari_degenerate_partitions():
     assert adjusted_rand([0, 0, 0], [5, 5, 5]) == 1.0  # one big cluster each
     assert adjusted_rand([0, 1, 2], [2, 0, 1]) == 1.0  # all singletons each
