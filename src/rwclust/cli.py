@@ -26,6 +26,7 @@ from .clustering import (
     ClusterAssignment,
     ClusterSummary,
     StabilityReport,
+    _check_resampling,
     _contingency,
     cluster,
     cluster_summary,
@@ -35,7 +36,6 @@ from .distance import DistanceMatrix, DistanceParams, distance_matrix
 from .errors import (
     BinningRangeError,
     DegenerateSampleError,
-    InsufficientDataError,
     PanelFormatError,
     ParameterError,
     RwclustError,
@@ -62,7 +62,6 @@ EXIT_CONFIG = 3
 _INPUT_ERRORS = (
     PanelFormatError,
     ValidationError,
-    InsufficientDataError,
     BinningRangeError,
     DegenerateSampleError,
 )
@@ -98,6 +97,16 @@ class RunConfig:
     subsample: float | None
     seed: int
     threads: int  # execution only, never in provenance
+
+    def __post_init__(self):
+        """Run every check that needs no data, so that a bad setting fails before any input is read."""
+        if self.theta is not None:  # the sweep's thetas are valid constants
+            self.distance_params(self.theta)
+        self.binning  # building it checks the grid settings
+        if self.method is not None and self.k is None:  # a run that clusters selects its K
+            if self.k_range is None:
+                raise ParameterError("either --k or --k-range is required")
+            _check_resampling(self.stability_runs, self.subsample, self.seed)
 
     @property
     def binning(self) -> BinningConfig:
@@ -177,8 +186,12 @@ def _add_binning_flags(p: argparse.ArgumentParser) -> None:
                    help="histogram rule (default: count, or width when --bin-width is given)")
 
 
-def _add_theta_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, default=0.5, help="blend weight in [0,1] (default 0.5)")
+def _add_theta_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--theta", type=float, default=0.5, help="blend weight in [0,1] (default 0.5)")
+    if sweep:
+        group.add_argument("--theta-sweep", action="store_true",
+                           help="run theta in {0, 0.5, 1} and cross-tabulate the partitions")
     p.add_argument("--exact-spearman-norm", action="store_true",
                    help="normalize the dependence part so it is capped at 1")
 
@@ -269,13 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run ingestion through clustering and write all artifacts")
     _add_ingestion_flags(p)
     _add_binning_flags(p)
-    theta_group = p.add_mutually_exclusive_group()
-    theta_group.add_argument("--theta", type=float, default=0.5,
-                             help="blend weight in [0,1] (default 0.5)")
-    theta_group.add_argument("--theta-sweep", action="store_true",
-                             help="run theta in {0, 0.5, 1} and cross-tabulate the partitions")
-    p.add_argument("--exact-spearman-norm", action="store_true",
-                   help="normalize the dependence part so it is capped at 1")
+    _add_theta_flags(p, sweep=True)
     _add_cluster_flags(p)
     p.add_argument("--output-dir", default=".", help="artifact directory (default: .)")
     p.set_defaults(func=_cmd_pipeline)
@@ -386,8 +393,6 @@ def _select_k(cfg: RunConfig, inc: IncrementPanel,
     """The fixed K, or the K that stability selection picks and its report."""
     if cfg.k is not None:
         return cfg.k, None
-    if cfg.k_range is None:
-        raise ParameterError("either --k or --k-range is required")
     lo, hi = cfg.k_range
     report = stability_select_k(
         inc, cfg.distance_params(theta), cfg.binning,
@@ -406,10 +411,8 @@ def _fit(cfg: RunConfig, inc: IncrementPanel, theta: float):
 
     Returns (distance matrix, assignment, stability report or None).
     """
-    # built first, so a bad theta or grid is reported before a missing K
-    params, binning = cfg.distance_params(theta), cfg.binning
     k, report = _select_k(cfg, inc, theta)
-    dm = distance_matrix(represent(inc, binning), params, threads=cfg.threads)
+    dm = distance_matrix(represent(inc, cfg.binning), cfg.distance_params(theta), threads=cfg.threads)
     return dm, cluster(dm, k, cfg.method), report
 
 
@@ -442,8 +445,7 @@ def _cmd_represent(args) -> int:
 def _cmd_distances(args) -> int:
     cfg = _config(args)
     _, inc = _load(cfg)
-    params = cfg.distance_params(cfg.theta)
-    dm = distance_matrix(represent(inc, cfg.binning), params, threads=cfg.threads)
+    dm = distance_matrix(represent(inc, cfg.binning), cfg.distance_params(cfg.theta), threads=cfg.threads)
     provenance = cfg.provenance(_DISTANCES_FIELDS)
     if args.format == "csv":
         _write(args.output, _matrix_csv, dm, provenance)
@@ -512,7 +514,7 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
     if args.spec is not None:
         try:
             raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ParameterError(f"spec {args.spec} is not valid JSON: {e}") from None
     elif args.blocks is None:
         raise ParameterError("synth needs --spec or --blocks")
@@ -574,15 +576,7 @@ def _cmd_synth(args) -> int:
     _write(csv_path, _panel_csv, panel)
     payload = {
         "version": __version__,
-        "config": {
-            "n_series": spec.n_series,
-            "m_obs": spec.m_obs,
-            "blocks": [{"size": b.size, "rho": b.rho} for b in spec.blocks],
-            "groups": [
-                {"family": g.family, "scale": g.scale, "df": g.df} for g in spec.groups
-            ],
-            "seed": spec.seed,
-        },
+        "config": {k: v for k, v in asdict(spec).items() if k != "distribution_labels"},
         "ids": list(truth.ids),
         "dependence_labels": truth.dependence_labels.tolist(),
         "distribution_labels": truth.distribution_labels.tolist(),
@@ -660,8 +654,15 @@ def _cmd_pipeline(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _report_error(args, exc: Exception) -> None:
-    if getattr(args, "json_logs", False):
+def _asks_json_logs(argv) -> bool:
+    """Whether argv has --json-logs, read on its own so that a failed parse still knows."""
+    probe = _Parser(add_help=False)
+    probe.add_argument("--json-logs", nargs="?", const=True, default=False)
+    return bool(probe.parse_known_args(argv)[0].json_logs)
+
+
+def _report_error(json_logs: bool, exc: Exception) -> None:
+    if json_logs:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n")
     else:
@@ -670,7 +671,7 @@ def _report_error(args, exc: Exception) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = None
+    json_logs = _asks_json_logs(argv)
     try:
         args = parser.parse_args(argv)
         _setup_logging(args)
@@ -678,16 +679,16 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse --help/--version
         return int(e.code or 0)
     except ParameterError as e:
-        _report_error(args, e)
+        _report_error(json_logs, e)
         return EXIT_CONFIG
     except _INPUT_ERRORS as e:
-        _report_error(args, e)
+        _report_error(json_logs, e)
         return EXIT_INPUT
     except OSError as e:
-        _report_error(args, e)
+        _report_error(json_logs, e)
         return EXIT_INPUT
     except RwclustError as e:
-        _report_error(args, e)
+        _report_error(json_logs, e)
         return EXIT_INTERNAL
 
 

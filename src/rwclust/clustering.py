@@ -105,6 +105,11 @@ def _kmedoids_labels(d: np.ndarray, k: int, max_iter: int = 200) -> np.ndarray:
     return labels
 
 
+def _check_method(method: str) -> None:
+    if method not in CLUSTER_METHODS:
+        raise ParameterError(f"unknown method {method!r}; expected one of {CLUSTER_METHODS}")
+
+
 def _partitions(values: np.ndarray, method: str, ks) -> np.ndarray:
     """Raw labels of the distance matrix `values` cut into k clusters for
     each k of `ks`, one column per k (one linkage tree serves every k)."""
@@ -124,8 +129,7 @@ def cluster(
     Every method is deterministic given its inputs; the k-medoids build step
     needs no randomness.
     """
-    if method not in CLUSTER_METHODS:
-        raise ParameterError(f"unknown method {method!r}; expected one of {CLUSTER_METHODS}")
+    _check_method(method)
     n = matrix.n_series
     if not 2 <= k <= n:
         raise ParameterError(f"k must lie in [2, {n}], got {k}")
@@ -185,6 +189,22 @@ def minimal_matching(labels_a, labels_b) -> float:
     return float((n - matched) / n)
 
 
+def _smallest_maximizer(ks, scores) -> int:
+    """The smallest K among those whose score is the highest."""
+    best = max(scores)
+    return min(k for k, s in zip(ks, scores) if s == best)
+
+
+def _check_resampling(runs: int, subsample_fraction: float, seed: int) -> None:
+    """Raise unless stability_select_k's resampling settings are in range."""
+    if runs < 2:
+        raise ParameterError(f"runs must be >= 2, got {runs}")
+    if not 0.5 <= subsample_fraction < 1.0:
+        raise ParameterError(f"subsample fraction must lie in [0.5, 1), got {subsample_fraction}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+
+
 # agreement between two partitions: 1 iff they match up to relabeling
 _AGREEMENT = {
     "ari": adjusted_rand,
@@ -207,9 +227,7 @@ class StabilityReport:
     def __post_init__(self):
         if not (len(self.k_range) == len(self.scores) == len(self.dispersion)):
             raise ValidationError("k_range, scores, and dispersion must align")
-        best = max(self.scores)
-        winners = [k for k, s in zip(self.k_range, self.scores) if s == best]
-        if self.selected_k != min(winners):
+        if self.selected_k != _smallest_maximizer(self.k_range, self.scores):
             raise ValidationError("selected_k must be the smallest maximizer of the scores")
 
 
@@ -236,20 +254,12 @@ def stability_select_k(
     """
     ks = sorted(int(k) for k in k_range)
     n, m = panel.n_series, panel.n_obs
-    if runs < 2:
-        raise ParameterError(f"runs must be >= 2, got {runs}")
-    if not 0.5 <= subsample_fraction < 1.0:
-        raise ParameterError(f"subsample fraction must lie in [0.5, 1), got {subsample_fraction}")
-    if seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    _check_resampling(runs, subsample_fraction, seed)
     if not ks or ks[0] < 2 or ks[-1] > n - 1:
         raise ParameterError(f"k_range must be a nonempty subset of [2, {n - 1}], got {ks}")
-    if method not in CLUSTER_METHODS:
-        raise ParameterError(f"unknown method {method!r}; expected one of {CLUSTER_METHODS}")
+    _check_method(method)
     if agreement not in _AGREEMENT:
-        raise ParameterError(
-            f"unknown agreement {agreement!r}; expected one of {tuple(_AGREEMENT)}"
-        )
+        raise ParameterError(f"unknown agreement {agreement!r}; expected one of {tuple(_AGREEMENT)}")
     m_sub = int(np.floor(subsample_fraction * m))
     if m_sub < 2:
         raise DegenerateSampleError(
@@ -272,13 +282,11 @@ def stability_select_k(
         ]
         scores.append(float(np.mean(agreements)))
         spreads.append(float(np.std(agreements)))
-    best = max(scores)
-    selected = min(k for k, s in zip(ks, scores) if s == best)
     return StabilityReport(
         k_range=tuple(ks),
         scores=tuple(scores),
         dispersion=tuple(spreads),
-        selected_k=selected,
+        selected_k=_smallest_maximizer(ks, scores),
         runs=runs,
         seed=seed,
         subsample_fraction=subsample_fraction,

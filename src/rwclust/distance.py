@@ -149,6 +149,7 @@ def _pairwise_sq_rows(a: np.ndarray, out: np.ndarray, rows: range) -> None:
 def _pairwise_sq(a: np.ndarray, threads: int) -> np.ndarray:
     n = a.shape[0]
     out = np.zeros((n, n))
+    threads = min(threads, n)  # more workers than rows would only get empty chunks
     if threads <= 1 or n < 4:
         _pairwise_sq_rows(a, out, range(n))
     else:

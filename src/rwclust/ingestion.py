@@ -14,11 +14,7 @@ from pathlib import Path
 import csv
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    PanelFormatError,
-    ValidationError,
-)
+from .errors import PanelFormatError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -54,21 +50,9 @@ class SeriesPanel:
     values: np.ndarray  # N x (M+1)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 2:
-            raise ValidationError("panel values must be a 2-d array")
-        n, m1 = vals.shape
-        if len(self.ids) != n:
-            raise ValidationError(f"{len(self.ids)} ids for {n} value rows")
-        if len(self.index) != m1:
-            raise ValidationError(f"{len(self.index)} time labels for {m1} columns")
-        if m1 < 3:
-            raise ValidationError(f"panel needs at least 3 observations per series, got {m1}")
-        _check_ids(self.ids)
-        if not np.isfinite(vals).all():
-            raise ValidationError("panel contains non-finite values")
-        vals.setflags(write=False)
+        object.__setattr__(self, "values", _frozen_values(self.ids, self.values, 3, "panel"))
+        if len(self.index) != self.values.shape[1]:
+            raise ValidationError(f"{len(self.index)} time labels for {self.values.shape[1]} columns")
 
     @property
     def n_series(self) -> int:
@@ -87,18 +71,7 @@ class IncrementPanel:
     values: np.ndarray  # N x M
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 2:
-            raise ValidationError("increment values must be a 2-d array")
-        if len(self.ids) != vals.shape[0]:
-            raise ValidationError(f"{len(self.ids)} ids for {vals.shape[0]} value rows")
-        if vals.shape[1] < 2:
-            raise ValidationError(f"increment panel needs at least 2 observations, got {vals.shape[1]}")
-        _check_ids(self.ids)
-        if not np.isfinite(vals).all():
-            raise ValidationError("increment panel contains non-finite values")
-        vals.setflags(write=False)
+        object.__setattr__(self, "values", _frozen_values(self.ids, self.values, 2, "increment panel"))
 
     @property
     def n_series(self) -> int:
@@ -107,6 +80,23 @@ class IncrementPanel:
     @property
     def n_obs(self) -> int:
         return self.values.shape[1]
+
+
+def _frozen_values(ids, values, min_obs: int, what: str) -> np.ndarray:
+    """`values` as a read-only float array of one row of >= `min_obs` finite values per valid id."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2:
+        raise ValidationError(f"{what} values must be a 2-d array")
+    n, m = vals.shape
+    if len(ids) != n:
+        raise ValidationError(f"{len(ids)} ids for {n} value rows")
+    if m < min_obs:
+        raise ValidationError(f"{what} needs at least {min_obs} observations per series, got {m}")
+    _check_ids(ids)
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"{what} contains non-finite values")
+    vals.setflags(write=False)
+    return vals
 
 
 def _check_ids(ids) -> None:
@@ -168,41 +158,44 @@ def load_panel(path: str | Path, options: IngestionOptions = IngestionOptions())
     time labels).
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError("empty file", line=1) from None
-        if len(header) < 2:
-            raise PanelFormatError("header must name a time column and at least one series", line=1)
-        ids = [c.strip() for c in header[1:]]
-        _check_ids(ids)
-        n = len(ids)
-
-        labels: list[str] = []
-        lines: list[int] = []
-        rows: list[list[float]] = []
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                raise PanelFormatError("blank line inside data", line=line)
-            if len(row) > n + 1:
-                raise PanelFormatError(
-                    f"row has {len(row)} cells, expected {n + 1}", line=line, column=n + 2
-                )
-            labels.append(row[0].strip())
-            lines.append(line)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                vals = list(map(float, row[1:])) if len(row) == n + 1 else None
-            except ValueError:
-                vals = None
-            if vals is None:  # a short row or a cell float() rejects
-                vals = [
-                    _parse_cell(row[j + 1] if j + 1 < len(row) else "", line, column=j + 2)
-                    for j in range(n)
-                ]
-            rows.append(vals)
+                header = next(reader)
+            except StopIteration:
+                raise PanelFormatError("empty file", line=1) from None
+            if len(header) < 2:
+                raise PanelFormatError("header must name a time column and at least one series", line=1)
+            ids = [c.strip() for c in header[1:]]
+            _check_ids(ids)
+            n = len(ids)
+
+            labels: list[str] = []
+            lines: list[int] = []
+            rows: list[list[float]] = []
+            for row in reader:
+                line = reader.line_num
+                if not row:
+                    raise PanelFormatError("blank line inside data", line=line)
+                if len(row) > n + 1:
+                    raise PanelFormatError(
+                        f"row has {len(row)} cells, expected {n + 1}", line=line, column=n + 2
+                    )
+                labels.append(row[0].strip())
+                lines.append(line)
+                try:
+                    vals = list(map(float, row[1:])) if len(row) == n + 1 else None
+                except ValueError:
+                    vals = None
+                if vals is None:  # a short row or a cell float() rejects
+                    vals = [
+                        _parse_cell(row[j + 1] if j + 1 < len(row) else "", line, column=j + 2)
+                        for j in range(n)
+                    ]
+                rows.append(vals)
+    except (UnicodeDecodeError, csv.Error) as e:  # bytes that are not UTF-8, an oversized field
+        raise PanelFormatError(f"cannot read {path} as UTF-8 CSV: {e}") from None
 
     _check_time_order(labels, lines, options.date_format)
 
@@ -227,10 +220,6 @@ def load_panel(path: str | Path, options: IngestionOptions = IngestionOptions())
 
 def to_increments(panel: SeriesPanel) -> IncrementPanel:
     """First-difference each level series: M+1 levels become M increments."""
-    if panel.values.shape[1] < 3:
-        raise InsufficientDataError(
-            f"need at least 3 levels to form 2 increments, got {panel.values.shape[1]}"
-        )
     return IncrementPanel(ids=panel.ids, values=np.diff(panel.values, axis=1))
 
 

@@ -37,7 +37,7 @@ class BinningConfig:
     """Histogram smoothing rule for the shared grid.
 
     rule "count": bins of width span/bins over the pooled range (default).
-    rule "width": fixed bin width.
+    rule "width": fixed bin width, the only rule that takes one.
     rule "fd": Freedman-Diaconis width from the pooled sample.
     """
 
@@ -48,12 +48,41 @@ class BinningConfig:
     def __post_init__(self):
         if self.rule not in BIN_RULES:
             raise ParameterError(f"unknown bin rule {self.rule!r}; expected one of {BIN_RULES}")
-        if self.rule == "count" and self.bins < 1:
-            raise ParameterError(f"bin count must be >= 1, got {self.bins}")
-        if self.rule == "width" and (self.width is None or not self.width > 0):
-            raise ParameterError(f"bin width must be > 0, got {self.width}")
-        if self.width is not None and not np.isfinite(self.width):
-            raise ParameterError(f"bin width must be finite, got {self.width}")
+        if self.rule == "count" and not 1 <= self.bins <= MAX_BINS:
+            raise ParameterError(f"bin count must lie in [1, {MAX_BINS}], got {self.bins}")
+        if self.width is not None and self.rule != "width":
+            raise ParameterError(f"a bin width is used by the width rule only, not by {self.rule!r}")
+        if self.rule == "width" and not (self.width is not None and 0 < self.width < np.inf):
+            raise ParameterError(f"bin width must be finite and > 0, got {self.width}")
+
+
+def _check_permutations(rows: np.ndarray, name: str) -> None:
+    """Raise unless every row of the N x M int array `rows`, called `name`, permutes 1..M, M >= 2."""
+    n, m = rows.shape
+    if m < 2:
+        raise ValidationError(f"{name} must have at least 2 entries")
+    # with every entry in 1..M, a row is a permutation iff no value repeats;
+    # offsetting each row by i*M counts all rows in one bincount
+    if rows.min() < 1 or rows.max() > m or (
+        np.bincount((rows - 1 + m * np.arange(n)[:, None]).ravel(), minlength=n * m) != 1
+    ).any():
+        raise ValidationError(f"{name} must be a permutation of 1..M")
+
+
+def _check_grid_masses(origin: float, width: float, masses: np.ndarray) -> None:
+    """Raise unless the grid is valid and every row of the N x B array `masses` is a distribution."""
+    if not np.isfinite(origin):
+        raise ValidationError("grid origin must be finite")
+    if not width > 0:
+        raise ValidationError(f"bin width must be > 0, got {width}")
+    if masses.shape[1] < 1:
+        raise ValidationError("masses must have at least one bin")
+    if (masses < 0).any():
+        raise ValidationError("masses must be nonnegative")
+    sums = masses.sum(axis=1)
+    bad = sums[np.abs(sums - 1.0) > MASS_TOL]
+    if bad.size:
+        raise ValidationError(f"masses must sum to 1 within {MASS_TOL}, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -65,11 +94,9 @@ class RankVector:
     def __post_init__(self):
         r = np.asarray(self.ranks, dtype=np.int64)
         object.__setattr__(self, "ranks", r)
-        m = r.shape[0]
-        if r.ndim != 1 or m < 2:
-            raise ValidationError("rank vector must be 1-d with at least 2 entries")
-        if not np.array_equal(np.sort(r), np.arange(1, m + 1)):
-            raise ValidationError("ranks must be a permutation of 1..M")
+        if r.ndim != 1:
+            raise ValidationError("rank vector must be 1-d")
+        _check_permutations(r[None, :], "ranks")
         r.setflags(write=False)
 
     def __len__(self) -> int:
@@ -87,16 +114,9 @@ class BinnedDensity:
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=float)
         object.__setattr__(self, "masses", m)
-        if not np.isfinite(self.origin):
-            raise ValidationError("grid origin must be finite")
-        if not self.width > 0:
-            raise ValidationError(f"bin width must be > 0, got {self.width}")
-        if m.ndim != 1 or m.shape[0] < 1:
-            raise ValidationError("masses must be a nonempty 1-d array")
-        if (m < 0).any():
-            raise ValidationError("masses must be nonnegative")
-        if abs(m.sum() - 1.0) > MASS_TOL:
-            raise ValidationError(f"masses must sum to 1 within {MASS_TOL}, got {m.sum()!r}")
+        if m.ndim != 1:
+            raise ValidationError("masses must be a 1-d array")
+        _check_grid_masses(self.origin, self.width, m[None, :])
         m.setflags(write=False)
 
     @property
@@ -139,27 +159,8 @@ class NonParamRepresentation:
         n = len(self.ids)
         if n == 0 or r.ndim != 2 or p.ndim != 2 or r.shape[0] != n or p.shape[0] != n:
             raise ValidationError("ids, rank rows, and mass rows must have equal nonzero length")
-        m = r.shape[1]
-        if m < 2:
-            raise ValidationError("rank rows must have at least 2 entries")
-        # with every entry in 1..M, a row is a permutation iff no value repeats;
-        # offsetting each row by i*M counts all rows in one bincount
-        if r.min() < 1 or r.max() > m or (
-            np.bincount((r - 1 + m * np.arange(n)[:, None]).ravel(), minlength=n * m) != 1
-        ).any():
-            raise ValidationError("every rank row must be a permutation of 1..M")
-        if not np.isfinite(self.origin):
-            raise ValidationError("grid origin must be finite")
-        if not self.width > 0:
-            raise ValidationError(f"bin width must be > 0, got {self.width}")
-        if p.shape[1] < 1:
-            raise ValidationError("masses must have at least one bin")
-        if (p < 0).any():
-            raise ValidationError("masses must be nonnegative")
-        sums = p.sum(axis=1)
-        bad = sums[np.abs(sums - 1.0) > MASS_TOL]
-        if bad.size:
-            raise ValidationError(f"masses must sum to 1 within {MASS_TOL}, got {bad[0]!r}")
+        _check_permutations(r, "every rank row")
+        _check_grid_masses(self.origin, self.width, p)
         r.setflags(write=False)
         p.setflags(write=False)
 
@@ -202,8 +203,9 @@ def rank_function(observations, tie_order=None) -> RankVector:
         sigma = np.arange(1, m + 1)
     else:
         sigma = np.asarray(tie_order, dtype=np.int64)
-        if sigma.shape != (m,) or not np.array_equal(np.sort(sigma), np.arange(1, m + 1)):
-            raise ValidationError("tie_order must be a permutation of 1..M")
+        if sigma.shape != (m,):
+            raise ValidationError(f"tie_order must have {m} entries, one per observation")
+        _check_permutations(sigma[None, :], "tie_order")
     # sorting by (value, sigma) places index i at position rank[i]-1
     order = np.lexsort((sigma, x))
     ranks = np.empty(m, dtype=np.int64)
@@ -258,11 +260,9 @@ def shared_grid(values, config: BinningConfig) -> tuple[float, float, int]:
     pooled maximum so every observation lies inside the half-open range.
     Widths too small to advance the origin in floating point are widened to
     the smallest workable value; an fd width that would give more than
-    MAX_BINS bins falls back to the count rule, and a count or width that
-    would is a ParameterError.
+    MAX_BINS bins falls back to the count rule, and a fixed width that would
+    is a ParameterError (BinningConfig caps the bin count itself).
     """
-    if config.rule == "count" and config.bins > MAX_BINS:
-        raise ParameterError(f"bin count {config.bins} exceeds the maximum of {MAX_BINS}")
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise ValidationError("cannot build a grid from no values")

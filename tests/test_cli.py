@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: subcommands, exit codes, artifacts."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rwclust
 from rwclust import (
@@ -510,6 +513,151 @@ def test_threads_below_1_exits_3_before_io(tmp_path, capsys, argv, threads):
     assert out == "" and list(tmp_path.iterdir()) == []
     assert err.startswith("rwclust: error:") and err.count("\n") == 1
     assert "--threads" in err
+
+
+# each subcommand with its K settled, so that only the setting under test is bad
+_FIXED = {"represent": ["represent"], "distances": ["distances"], "cluster": ["cluster", "--k", "2"],
+          "stability": ["stability", "--k-range", "2..3"], "pipeline": ["pipeline", "--k", "2"]}
+_SELECTING = {c: [c, "--k-range", "2..3"] for c in ("cluster", "stability", "pipeline")}
+_BAD_SETTINGS = [
+    *((f"theta-{c}", [*_FIXED[c], "--theta", "2"], "theta") for c in list(_FIXED)[1:]),
+    *((f"bins-{c}", [*argv, "--bins", "0"], "bin count") for c, argv in _FIXED.items()),
+    *((f"bin-width-{c}", [*argv, "--bin-rule", "count", "--bin-width", "0.1"], "width rule only")
+      for c, argv in _FIXED.items()),
+    ("no-k-cluster", ["cluster"], "--k-range"),
+    ("no-k-pipeline", ["pipeline", "--theta-sweep"], "--k-range"),
+    *((f"runs-{c}", [*argv, "--stability-runs", "1"], "runs") for c, argv in _SELECTING.items()),
+    *((f"subsample-{c}", [*argv, "--subsample", "0.3"], "subsample")
+      for c, argv in _SELECTING.items()),
+    ("seed-stability", [*_SELECTING["stability"], "--seed", "-1"], "seed"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", [case[1:] for case in _BAD_SETTINGS],
+                         ids=[case[0] for case in _BAD_SETTINGS])
+def test_bad_setting_exits_3_before_io(tmp_path, capsys, argv, reason):
+    # as with --threads: a missing input and an empty directory show any I/O
+    where = ["--input", str(tmp_path / "absent.csv")]
+    if argv[0] == "pipeline":
+        where += ["--output-dir", str(tmp_path / "out")]
+    code, out, err = run([*argv, *where, "--quiet"], capsys)
+    assert code == 3
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("rwclust: error:") and err.count("\n") == 1
+    assert reason in err
+
+
+# ---------------------------------------------------------------------------
+# exit-code fuzz
+# ---------------------------------------------------------------------------
+
+# inputs that every subcommand must refuse while loading, whatever its flags
+_BAD_INPUTS = {
+    "empty.csv": b"",
+    "header_only.csv": b"t,A,B\n",
+    "garbage.csv": b"t,A,B\nt1,1,zap\nt2,2,3\nt3,3,4\n",
+    "two_rows.csv": b"t,A,B\nt1,1,2\nt2,2,3\n",
+    "unordered.csv": b"t,A,B\nt2,1,2\nt1,2,3\nt3,3,4\n",
+    "duplicate_ids.csv": b"t,A,A\nt1,1,2\nt2,2,3\nt3,3,4\n",
+    "blank_line.csv": b"t,A,B\nt1,1,2\n\nt2,2,3\nt3,3,4\n",
+    "not_utf8.csv": b"t,A,B\nt1,\xff,2\nt2,2,3\nt3,3,4\n",
+    "long_row.csv": b"t,A\nt1,1,2\nt2,2\nt3,3\n",
+}
+_SPECS = {"spec_ok.json": b'{"n_series": 2, "m_obs": 5, "blocks": [{"size": 2, "rho": 0.5}],'
+                          b' "groups": [{"family": "gaussian"}]}',
+          "spec_list.json": b"[1, 2]", "spec_empty.json": b"", "spec_not_utf8.json": b'{"\xff": 1}'}
+
+_GARBAGE = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e308", "-1e308",
+                            "99999999999999999999", "1_0", "+2", "0x1", "1.5", "-1", "0"])
+_NUMBER = _GARBAGE | st.integers(-10**12, 10**12).map(str) | st.floats().map(repr)
+
+# flag -> (valid values, a strategy that may draw bad ones); --bins stays at
+# most 10^4 and synth's panels tiny, so no example allocates much
+_COMMON = {"--seed": (("0", "7"), _NUMBER),
+           "--threads": (("1", "2"), st.sampled_from(["0", "-1", "abc", "+2"]))}
+_INGEST = {
+    **_COMMON,
+    "--missing": (("reject", "drop-series"), st.just("skip")),
+    "--date-format": (("%Y", "%", "t%d"), st.just("%Y")),
+    "--bins": (("5", "100"), _GARBAGE | st.integers(-10**4, 10**4).map(str)),
+    "--bin-width": (("0.5",), _NUMBER),
+    "--bin-rule": (("count", "width", "fd"), st.just("magic")),
+}
+_THETA = {"--theta": (("0", "0.5", "1"), _NUMBER)}
+_SELECT = {"--method": (("average", "complete", "medoids"), st.just("ward")),
+           "--stability-runs": (("2", "5"), _NUMBER), "--subsample": (("0.5", "0.7"), _NUMBER)}
+_K_RANGE = (("2..4",), st.sampled_from(["4..2", "1..3", "2..999", "abc", "2..", "0..0"]))
+_K = {"--k": (("2", "3"), _NUMBER), "--k-range": _K_RANGE}
+_VALUE_FLAGS = {
+    "represent": _INGEST,
+    "distances": {**_INGEST, **_THETA, "--format": (("csv", "json"), st.just("xml"))},
+    "cluster": {**_INGEST, **_THETA, **_SELECT, **_K},
+    "stability": {**_INGEST, **_THETA, **_SELECT, "--k-range": _K_RANGE},
+    "pipeline": {**_INGEST, **_THETA, **_SELECT, **_K},
+    "synth": {
+        **_COMMON,
+        "--blocks": (("2x3", "3,2"), st.sampled_from(["0x2", "2x0", "abc", "", "1,,2", "-1x2"])),
+        "--rho": (("0.5", "0.5,0.2"), _NUMBER),
+        "--dists": (("gaussian", "student_t:3,laplace"), st.sampled_from(
+            ["student_t:2", "student_t:abc", "cauchy", "gaussian:3", ""])),
+        "--scales": (("2", "1,2"), _NUMBER),
+        "--m": (("5", "20"), st.sampled_from(["", "abc", "nan", "1.5", "1e3", "+2"])
+                | st.integers(-3, 1).map(str)),
+        "--spec": (("spec_ok.json",), st.sampled_from(["absent.json", *list(_SPECS)[1:]])),
+    },
+}
+_SWITCHES = {
+    "represent": ["--already-increments"],
+    "distances": ["--already-increments", "--exact-spearman-norm"],
+    "cluster": ["--already-increments", "--exact-spearman-norm", "--summary"],
+    "stability": ["--already-increments", "--exact-spearman-norm"],
+    "pipeline": ["--already-increments", "--exact-spearman-norm", "--theta-sweep"],
+    "synth": [],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, content in {**_BAD_INPUTS, **_SPECS}.items():
+        (root / name).write_bytes(content)
+    return root
+
+
+@given(st.sampled_from(sorted(_VALUE_FLAGS)), st.data())
+@settings(max_examples=400, deadline=None)
+def test_every_failure_exits_2_or_3_with_one_line(fuzz_dir, command, data):
+    argv = [command]
+    valid_only = data.draw(st.booleans())  # else bad values too, so most runs exit 3
+    for flag, (valid, bad) in _VALUE_FLAGS[command].items():
+        if data.draw(st.booleans()):
+            value = data.draw(st.sampled_from(valid) if valid_only else st.sampled_from(valid) | bad)
+            argv += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
+    argv += [flag for flag in _SWITCHES[command] + ["--quiet"] if data.draw(st.booleans())]
+    json_logs = data.draw(st.booleans())
+    argv += ["--json-logs"] if json_logs else []
+    out_dir = fuzz_dir / "out"
+    if command == "synth":
+        argv += ["--output-prefix", str(fuzz_dir / "synth" / "p")]
+    else:
+        argv += ["--input", str(fuzz_dir / data.draw(st.sampled_from(
+            ["absent.csv", ".", *_BAD_INPUTS])))]
+        argv += ["--output-dir", str(out_dir)] if command == "pipeline" else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    # a bad setting exits 3, anything else the input's 2; only synth can succeed
+    assert code in ((0, 2, 3) if command == "synth" else (2, 3)), (argv, err)
+    if code:
+        assert out == "" and "Traceback" not in err
+        assert err.count("\n") == 1, (argv, err)
+        if json_logs:
+            assert set(json.loads(err)) == {"error", "message"}, (argv, err)
+        else:
+            assert err.startswith("rwclust: error:"), (argv, err)
+    if command != "synth":
+        assert not out_dir.exists()
 
 
 def test_json_logs_error_shape(tmp_path, capsys):

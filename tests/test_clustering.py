@@ -442,6 +442,8 @@ def test_stability_parameter_checks(rng):
         stability_select_k(panel, params, binning, k_range=[2, 3], seed=-1)
     with pytest.raises(ParameterError):
         stability_select_k(panel, params, binning, k_range=[2, 3], agreement="rand")
+    with pytest.raises(ParameterError):
+        stability_select_k(panel, params, binning, k_range=[2, 3], method="ward")
 
 
 def test_stability_degenerate_subsample(rng):
@@ -457,16 +459,18 @@ def test_stability_degenerate_subsample(rng):
 def test_stability_report_validation():
     from rwclust import StabilityReport
 
-    with pytest.raises(ValidationError):
-        StabilityReport(
-            k_range=(2, 3),
-            scores=(0.5, 0.9),
-            dispersion=(0.0, 0.0),
-            selected_k=2,  # must be 3, the maximizer
-            runs=4,
-            seed=0,
-            subsample_fraction=0.7,
-        )
+    # must be 3, the maximizer; then 2, the smaller of two tied maximizers
+    for scores, selected_k in (((0.5, 0.9), 2), ((0.9, 0.9), 3)):
+        with pytest.raises(ValidationError):
+            StabilityReport(
+                k_range=(2, 3),
+                scores=scores,
+                dispersion=(0.0, 0.0),
+                selected_k=selected_k,
+                runs=4,
+                seed=0,
+                subsample_fraction=0.7,
+            )
 
 
 # ---------------------------------------------------------------------------

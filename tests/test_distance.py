@@ -25,6 +25,7 @@ from rwclust import (
     rank_function,
     represent,
 )
+from rwclust import distance
 from rwclust.distance import _d1_factor, _rank_sq_sums
 
 from conftest import make_increment_panel
@@ -315,3 +316,27 @@ def test_triangle_inequality_sampled(rng):
         for j in range(8):
             for k in range(8):
                 assert v[i, j] <= v[i, k] + v[k, j] + 1e-12
+
+
+def test_hellinger_pool_never_exceeds_rows(monkeypatch, rng):
+    # the stub runs every task inline, so no thread is ever started
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(distance, "ThreadPoolExecutor", InlinePool)
+    rep = represent(make_increment_panel(rng.standard_normal((5, 30))))
+    pooled = distance_matrix(rep, threads=64)
+    assert workers and max(workers) <= rep.n_series
+    assert pooled.values.tobytes() == distance_matrix(rep, threads=1).values.tobytes()

@@ -30,6 +30,17 @@ BASIC = """t,A,B
 """
 
 
+@pytest.mark.parametrize("content", [
+    b"t,A\nt1,\xff\n",  # not UTF-8
+    b"t,A\nt1,\"" + b"1" * 200_000 + b"\"\n",  # a field beyond the csv module's limit
+], ids=["not-utf8", "oversized-field"])
+def test_unreadable_csv_is_a_format_error(tmp_path, content):
+    path = tmp_path / "p.csv"
+    path.write_bytes(content)
+    with pytest.raises(PanelFormatError, match="UTF-8 CSV"):
+        load_panel(path)
+
+
 def test_basic_parse(tmp_path):
     # header "t,A,B" plus rows of levels: two series, one row per time point
     panel = load_panel(write_csv(tmp_path / "p.csv", BASIC))

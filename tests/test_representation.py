@@ -22,7 +22,7 @@ from rwclust import (
 
 from rwclust.representation import MAX_BINS
 
-from conftest import make_increment_panel
+from conftest import make_increment_panel, make_level_panel
 
 
 def predicate_ranks(x, sigma=None):
@@ -258,6 +258,9 @@ def test_binning_config_validation():
         BinningConfig(rule="count", bins=0)
     with pytest.raises(ParameterError):
         BinningConfig(rule="width")
+    for rule in ("count", "fd"):  # a width the rule would ignore
+        with pytest.raises(ParameterError, match="width rule only"):
+            BinningConfig(rule=rule, width=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +281,23 @@ def test_density_validation():
         BinnedDensity(origin=0.0, width=-1.0, masses=np.array([1.0]))
     with pytest.raises(ValidationError):
         BinnedDensity(origin=0.0, width=1.0, masses=np.array([1.5, -0.5]))
+
+
+def test_value_objects_freeze_caller_arrays():
+    # arrays of the stored dtype are kept, not copied, and made read-only
+    levels, values = np.array([[0.0, 0.3, 0.1]]), np.array([[0.3, -0.2, 0.8]])
+    ranks, masses = np.array([[3, 1, 2], [1, 3, 2]]), np.array([[0.5, 0.5], [1.0, 0.0]])
+    row_ranks, row_masses = ranks[0], masses[1]
+    rep = NonParamRepresentation(ids=("a", "b"), ranks=ranks, masses=masses, origin=0.0, width=1.0)
+    for stored, given_array in [
+        (make_level_panel(levels).values, levels),
+        (make_increment_panel(values).values, values),
+        (RankVector(ranks=row_ranks).ranks, row_ranks),
+        (BinnedDensity(origin=0.0, width=1.0, masses=row_masses).masses, row_masses),
+        (rep.ranks, ranks),
+        (rep.masses, masses),
+    ]:
+        assert stored is given_array and not stored.flags.writeable
 
 
 def test_represent_single_series():
