@@ -50,7 +50,13 @@ from .ingestion import (
     to_increments,
 )
 from .representation import BinningConfig, represent
-from .synthetic import CorrelationBlock, DistributionGroup, SyntheticSpec, generate_panel
+from .synthetic import (
+    CorrelationBlock,
+    DistributionGroup,
+    SyntheticSpec,
+    _check_cells,
+    generate_panel,
+)
 
 log = logging.getLogger(__name__)
 
@@ -103,6 +109,10 @@ class RunConfig:
         if self.theta is not None:  # the sweep's thetas are valid constants
             self.distance_params(self.theta)
         self.binning  # building it checks the grid settings
+        if self.k is not None and self.k < 2:
+            raise ParameterError(f"--k must be at least 2, got {self.k}")
+        if self.k_range is not None and self.k_range[0] < 2:
+            raise ParameterError(f"--k-range must start at 2 or more, got {self.k_range[0]}")
         if self.method is not None and self.k is None:  # a run that clusters selects its K
             if self.k_range is None:
                 raise ParameterError("either --k or --k-range is required")
@@ -475,10 +485,14 @@ def _cmd_stability(args) -> int:
     return EXIT_OK
 
 
-def _parse_blocks(text: str) -> list[int]:
+def _parse_blocks(text: str, m_obs: int) -> list[int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
     if m:
-        return [int(m.group(2))] * int(m.group(1))
+        count = int(m.group(1))
+        # each block holds a series of at least 3 levels, so a count that alone
+        # breaks the cell cap is refused before the list is built
+        _check_cells(count, max(m_obs, 2))
+        return [int(m.group(2))] * count
     try:
         return [int(s) for s in text.split(",")]
     except ValueError:
@@ -519,7 +533,7 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
     elif args.blocks is None:
         raise ParameterError("synth needs --spec or --blocks")
     else:
-        sizes = _parse_blocks(args.blocks)
+        sizes = _parse_blocks(args.blocks, args.m)
         rhos = _parse_floats(args.rho, "--rho")
         if len(rhos) == 1:
             rhos = rhos * len(sizes)

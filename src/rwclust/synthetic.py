@@ -2,19 +2,23 @@
 
 Panels are built from a one-factor-per-block latent Gaussian field: block b
 shares a factor F_b, series n in block b draws Z_n = sqrt(rho)*F_b +
-sqrt(1-rho)*eps_n with i.i.d. standard normal eps. Each series' marginal is
-then swapped to its distribution group's family through the probability
-integral transform, standardized to unit variance and multiplied by the
-group scale. Dependence structure (the copula) and marginal shape are
-therefore controlled independently: rank-based clustering sees only the
-blocks, histogram-based clustering only the families.
+sqrt(1-rho)*eps_n with i.i.d. standard normal eps. The whole field is one
+N x M matrix: eps is a single N x M draw whose row i is series i, and every
+series' Z is formed in one expression from its block's rho. Each series'
+marginal is then swapped to its distribution group's family through the
+probability integral transform (scipy.special's normal CDF and Student-t
+quantile, the Laplace quantile in closed form), one call per group,
+standardized to unit variance and multiplied by the group scale.
+Dependence structure (the copula) and marginal shape are therefore
+controlled independently: rank-based clustering sees only the blocks,
+histogram-based clustering only the families.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .clustering import ClusterAssignment, adjusted_rand
 from .errors import ParameterError, ValidationError
@@ -24,9 +28,27 @@ FAMILIES = ("gaussian", "student_t", "laplace")
 
 RECOVERY_TARGETS = ("dependence", "distribution", "product")
 
+# cap on n_series * (m_obs + 1) panel levels, checked before anything is
+# allocated; the largest benchmark panel has 10**6
+MAX_CELLS = 10**8
+
 # open-interval clamp for the uniform scores; keeps ppf finite in the far tails
 _U_LO = np.nextafter(0.0, 1.0)
 _U_HI = np.nextafter(1.0, 0.0)
+
+
+def _require_int(name: str, value) -> None:
+    """Raise unless `value` is an integer; a bool or a float such as 2.0 is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_cells(n_series: int, m_obs: int) -> None:
+    """Raise unless an n_series x (m_obs + 1) panel of levels is within MAX_CELLS."""
+    if n_series * (m_obs + 1) > MAX_CELLS:
+        raise ParameterError(
+            f"{n_series} series of {m_obs + 1} levels exceed the cap of {MAX_CELLS} panel cells"
+        )
 
 
 @dataclass(frozen=True)
@@ -37,6 +59,7 @@ class CorrelationBlock:
     rho: float
 
     def __post_init__(self):
+        _require_int("block size", self.size)
         if self.size < 1:
             raise ValidationError(f"block size must be >= 1, got {self.size}")
         if not 0.0 <= self.rho < 1.0:
@@ -54,8 +77,8 @@ class DistributionGroup:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not self.scale > 0:
-            raise ValidationError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise ValidationError(f"scale must be > 0 and finite, got {self.scale}")
         if self.family == "student_t":
             if self.df is None or not self.df > 2:
                 raise ValidationError(f"student_t needs df > 2, got {self.df}")
@@ -80,6 +103,8 @@ class SyntheticSpec:
     distribution_labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        for name in ("n_series", "m_obs", "seed"):
+            _require_int(name, getattr(self, name))
         if self.m_obs < 2:
             raise ValidationError(f"need at least 2 increments per series, got {self.m_obs}")
         if not self.blocks or not self.groups:
@@ -88,12 +113,15 @@ class SyntheticSpec:
             raise ValidationError(
                 f"block sizes sum to {sum(b.size for b in self.blocks)}, expected {self.n_series}"
             )
+        _check_cells(self.n_series, self.m_obs)
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.distribution_labels is not None:
             lab = self.distribution_labels
             if len(lab) != self.n_series:
                 raise ValidationError("distribution_labels must cover every series")
+            for g in lab:
+                _require_int("a distribution label", g)
             if any(not 0 <= g < len(self.groups) for g in lab):
                 raise ValidationError("distribution_labels must index into groups")
 
@@ -121,11 +149,11 @@ def _swap_margin(z: np.ndarray, group: DistributionGroup) -> np.ndarray:
     if group.family == "gaussian":
         x = z
     else:
-        u = np.clip(stats.norm.cdf(z), _U_LO, _U_HI)
+        u = np.clip(special.ndtr(z), _U_LO, _U_HI)
         if group.family == "student_t":
-            x = stats.t.ppf(u, group.df) * np.sqrt((group.df - 2.0) / group.df)
+            x = special.stdtrit(group.df, u) * np.sqrt((group.df - 2.0) / group.df)
         else:  # laplace: variance 2*b^2, so b = 1/sqrt(2)
-            x = stats.laplace.ppf(u, scale=1.0 / np.sqrt(2.0))
+            x = np.where(u > 0.5, -np.log(2 * (1 - u)), np.log(2 * u)) * (1.0 / np.sqrt(2.0))
     return x * group.scale
 
 
@@ -145,10 +173,10 @@ def _assign_groups(spec: SyntheticSpec) -> np.ndarray:
 def generate_panel(spec: SyntheticSpec) -> tuple[SeriesPanel, GroundTruth]:
     """Draw one panel of random walks matching the spec, plus its planted truth.
 
-    Levels start at 0 and cumulate the generated increments. Identical spec
-    and seed reproduce the panel bit for bit; the draw order is fixed
-    (factors first, then every series in id order).
-    """
+    The seed's stream gives the block factors, then one N x M standard normal
+    draw whose row i is series i. Levels start at 0 and cumulate the
+    increments, bit for bit the same for the same spec; ParameterError if a
+    scale overflows them."""
     n, m = spec.n_series, spec.m_obs
     dep = np.repeat(np.arange(len(spec.blocks)), [b.size for b in spec.blocks])
     dist = _assign_groups(spec)
@@ -156,24 +184,22 @@ def generate_panel(spec: SyntheticSpec) -> tuple[SeriesPanel, GroundTruth]:
 
     rng = np.random.default_rng(spec.seed)
     factors = rng.standard_normal((len(spec.blocks), m))
-    increments = np.empty((n, m))
-    for i in range(n):
-        rho = spec.blocks[dep[i]].rho
-        z = np.sqrt(rho) * factors[dep[i]] + np.sqrt(1.0 - rho) * rng.standard_normal(m)
-        increments[i] = _swap_margin(z, spec.groups[dist[i]])
+    rho = np.array([b.rho for b in spec.blocks], dtype=float)[dep, None]
+    z = np.sqrt(rho) * factors[dep] + np.sqrt(1.0 - rho) * rng.standard_normal((n, m))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for g, group in enumerate(spec.groups):
+            z[dist == g] = _swap_margin(z[dist == g], group)
+        levels = np.concatenate([np.zeros((n, 1)), np.cumsum(z, axis=1)], axis=1)
+    if not np.isfinite(levels).all():
+        raise ParameterError(f"scales {[g.scale for g in spec.groups]} overflow the panel levels")
 
-    levels = np.concatenate([np.zeros((n, 1)), np.cumsum(increments, axis=1)], axis=1)
     id_width = len(str(n - 1)) if n > 1 else 1
     t_width = len(str(m))
     ids = tuple(f"s{i:0{id_width}d}" for i in range(n))
     index = tuple(f"t{j:0{t_width}d}" for j in range(m + 1))
     panel = SeriesPanel(ids=ids, index=index, values=levels)
-    truth = GroundTruth(
-        ids=ids,
-        dependence_labels=dep,
-        distribution_labels=dist,
-        product_labels=product,
-    )
+    truth = GroundTruth(ids=ids, dependence_labels=dep, distribution_labels=dist,
+                        product_labels=product)
     return panel, truth
 
 

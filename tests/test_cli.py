@@ -467,13 +467,43 @@ def test_synth_without_spec_or_blocks_exits_3(capsys):
     ('{"n_series": 4,', "not valid JSON"),
     ('{"n_series": 4, "m_obs": 50, "blocks": [{"size": 4, "rho": 1.5}],'
      ' "groups": [{"family": "gaussian"}]}', "intra-block correlation"),
-], ids=["missing-key", "not-an-object", "bad-json", "bad-value"])
+    ('{"n_series": 2, "m_obs": 5.5, "blocks": [{"size": 2, "rho": 0.5}],'
+     ' "groups": [{"family": "gaussian"}]}', "m_obs must be an integer"),
+    ('{"n_series": 2, "m_obs": 5, "blocks": [{"size": 2.0, "rho": 0.5}],'
+     ' "groups": [{"family": "gaussian"}]}', "block size must be an integer"),
+    ('{"n_series": 2, "m_obs": 5, "blocks": [{"size": 2, "rho": 0.5}],'
+     ' "groups": [{"family": "gaussian"}], "seed": 1.5}', "seed must be an integer"),
+    ('{"n_series": 2, "m_obs": 5, "blocks": [{"size": 2, "rho": 0.5}],'
+     ' "groups": [{"family": "gaussian"}, {"family": "laplace"}],'
+     ' "distribution_labels": [0, 0.5]}', "label must be an integer"),
+], ids=["missing-key", "not-an-object", "bad-json", "bad-value", "m-float", "size-float",
+        "seed-float", "label-float"])
 def test_synth_bad_spec_exits_3(tmp_path, capsys, text, reason):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(text)
     code, _, err = run(["synth", "--spec", str(spec_path), "--quiet"], capsys)
     assert code == 3
     assert "Traceback" not in err
+    assert err.startswith("rwclust: error:") and err.count("\n") == 1
+    assert reason in err
+
+
+_HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--blocks", "2x3", "--m", _HUGE], "cap of 100000000 panel cells"),
+    (["--blocks", f"1x{_HUGE}"], "cap of 100000000 panel cells"),
+    (["--blocks", f"{_HUGE}x1"], "cap of 100000000 panel cells"),
+    (["--blocks", "1x2", "--m", "5", "--scales", "inf"], "scale must be > 0 and finite"),
+    (["--blocks", "1x2", "--m", "5", "--scales", "1e308"], "scales [1e+308] overflow"),
+], ids=["m-huge", "block-size-huge", "block-count-huge", "scale-inf", "scale-overflows"])
+def test_synth_bad_size_or_scale_exits_3(tmp_path, capsys, argv, reason):
+    # refused before any file is written, without a traceback or numpy warnings
+    code, out, err = run(["synth", *argv, "--output-prefix", str(tmp_path / "out" / "p"),
+                          "--quiet"], capsys)
+    assert code == 3
+    assert out == "" and not (tmp_path / "out").exists()
     assert err.startswith("rwclust: error:") and err.count("\n") == 1
     assert reason in err
 
@@ -530,6 +560,9 @@ _BAD_SETTINGS = [
     *((f"subsample-{c}", [*argv, "--subsample", "0.3"], "subsample")
       for c, argv in _SELECTING.items()),
     ("seed-stability", [*_SELECTING["stability"], "--seed", "-1"], "seed"),
+    *((f"k-1-{c}", [c, "--k", "1"], "--k must be at least 2") for c in ("cluster", "pipeline")),
+    *((f"k-range-1-{c}", [c, "--k-range", "1..3"], "--k-range must start at 2")
+      for c in _SELECTING),
 ]
 
 
@@ -565,14 +598,17 @@ _BAD_INPUTS = {
 }
 _SPECS = {"spec_ok.json": b'{"n_series": 2, "m_obs": 5, "blocks": [{"size": 2, "rho": 0.5}],'
                           b' "groups": [{"family": "gaussian"}]}',
-          "spec_list.json": b"[1, 2]", "spec_empty.json": b"", "spec_not_utf8.json": b'{"\xff": 1}'}
+          "spec_list.json": b"[1, 2]", "spec_empty.json": b"", "spec_not_utf8.json": b'{"\xff": 1}',
+          "spec_float_sizes.json": b'{"n_series": 2.0, "m_obs": 5.0, "blocks": [{"size": 2.0,'
+                                   b' "rho": 0.5}], "groups": [{"family": "gaussian"}]}'}
 
 _GARBAGE = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e308", "-1e308",
                             "99999999999999999999", "1_0", "+2", "0x1", "1.5", "-1", "0"])
 _NUMBER = _GARBAGE | st.integers(-10**12, 10**12).map(str) | st.floats().map(repr)
 
 # flag -> (valid values, a strategy that may draw bad ones); --bins stays at
-# most 10^4 and synth's panels tiny, so no example allocates much
+# most 10^4 and synth's panels are tiny or over the cell cap, which is refused
+# before anything is allocated, so no example allocates much
 _COMMON = {"--seed": (("0", "7"), _NUMBER),
            "--threads": (("1", "2"), st.sampled_from(["0", "-1", "abc", "+2"]))}
 _INGEST = {
@@ -596,12 +632,14 @@ _VALUE_FLAGS = {
     "pipeline": {**_INGEST, **_THETA, **_SELECT, **_K},
     "synth": {
         **_COMMON,
-        "--blocks": (("2x3", "3,2"), st.sampled_from(["0x2", "2x0", "abc", "", "1,,2", "-1x2"])),
+        "--blocks": (("2x3", "3,2"), st.sampled_from(["0x2", "2x0", "abc", "", "1,,2", "-1x2",
+                                                      "1x99999999999999999999"])),
         "--rho": (("0.5", "0.5,0.2"), _NUMBER),
         "--dists": (("gaussian", "student_t:3,laplace"), st.sampled_from(
             ["student_t:2", "student_t:abc", "cauchy", "gaussian:3", ""])),
         "--scales": (("2", "1,2"), _NUMBER),
-        "--m": (("5", "20"), st.sampled_from(["", "abc", "nan", "1.5", "1e3", "+2"])
+        "--m": (("5", "20"), st.sampled_from(["", "abc", "nan", "1.5", "1e3", "+2",
+                                              "99999999999999999999"])
                 | st.integers(-3, 1).map(str)),
         "--spec": (("spec_ok.json",), st.sampled_from(["absent.json", *list(_SPECS)[1:]])),
     },

@@ -1,9 +1,17 @@
 """Ground-truth generator: reproducibility, calibration, and recovery scoring."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
+import rwclust
 from rwclust import (
     BinningConfig,
     ClusterAssignment,
@@ -22,6 +30,7 @@ from rwclust import (
     score_recovery,
     to_increments,
 )
+from rwclust.synthetic import _U_HI, _U_LO, MAX_CELLS, _swap_margin
 
 
 def rank_vector(rng, m):
@@ -71,8 +80,40 @@ def test_family_validation():
         DistributionGroup("student_t", df=2.0)  # variance would be infinite
     with pytest.raises(ValidationError):
         DistributionGroup("gaussian", df=5.0)  # df is meaningless here
-    with pytest.raises(ValidationError):
-        DistributionGroup("laplace", scale=0.0)
+    for scale in (0.0, np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            DistributionGroup("laplace", scale=scale)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_series", 2.0), ("m_obs", 5.5), ("m_obs", True), ("seed", 1.5), ("seed", False),
+    ("size", 2.0), ("size", True), ("label", 0.5), ("label", True),
+])
+def test_integer_fields_refuse_bools_and_floats(field, value):
+    fields = {"n_series": 2, "m_obs": 5, "seed": 0, "size": 2, "label": 0}
+    fields[field] = value
+    with pytest.raises(ValidationError, match="must be an integer"):
+        SyntheticSpec(
+            n_series=fields["n_series"],
+            m_obs=fields["m_obs"],
+            blocks=(CorrelationBlock(size=fields["size"], rho=0.5),),
+            groups=(DistributionGroup("gaussian"),),
+            seed=fields["seed"],
+            distribution_labels=(0, fields["label"]),
+        )
+
+
+def test_cell_cap_is_exact():
+    # builds the specs only: generating a panel at the cap would allocate gigabytes
+    def spec(n, m):
+        return SyntheticSpec(n_series=n, m_obs=m, blocks=(CorrelationBlock(size=n, rho=0.0),),
+                             groups=(DistributionGroup("gaussian"),))
+    assert MAX_CELLS == 10**8
+    spec(4, MAX_CELLS // 4 - 1)  # exactly MAX_CELLS levels
+    spec(1, MAX_CELLS - 1)
+    for n, m in ((4, MAX_CELLS // 4), (1, MAX_CELLS), (MAX_CELLS // 3 + 1, 2), (1, 10**20)):
+        with pytest.raises(ParameterError, match="cap"):
+            spec(n, m)
 
 
 def test_distribution_labels_validation():
@@ -206,6 +247,94 @@ def test_explicit_labels_respected():
     )
     _, truth = generate_panel(spec)
     assert truth.distribution_labels.tolist() == list(labels)
+
+
+def test_overflowing_scale_raises_without_warnings():
+    spec = spec_one_block(2, 5, 0.5, (DistributionGroup("gaussian", scale=1e308),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="1e\\+308"):
+            generate_panel(spec)
+
+
+# ---------------------------------------------------------------------------
+# reference: scipy.stats margins and one draw per series
+# ---------------------------------------------------------------------------
+
+def reference_margin(z, group):
+    """The margin swap through the scipy.stats distributions."""
+    if group.family == "gaussian":
+        x = z
+    else:
+        u = np.clip(stats.norm.cdf(z), _U_LO, _U_HI)
+        if group.family == "student_t":
+            x = stats.t.ppf(u, group.df) * np.sqrt((group.df - 2.0) / group.df)
+        else:
+            x = stats.laplace.ppf(u, scale=1.0 / np.sqrt(2.0))
+    return x * group.scale
+
+
+def reference_levels(spec, truth):
+    """The panel levels drawn one series at a time through reference_margin."""
+    n, m = spec.n_series, spec.m_obs
+    dep, dist = truth.dependence_labels, truth.distribution_labels
+    rng = np.random.default_rng(spec.seed)
+    factors = rng.standard_normal((len(spec.blocks), m))
+    increments = np.empty((n, m))
+    for i in range(n):
+        rho = spec.blocks[dep[i]].rho
+        z = np.sqrt(rho) * factors[dep[i]] + np.sqrt(1.0 - rho) * rng.standard_normal(m)
+        increments[i] = reference_margin(z, spec.groups[dist[i]])
+    return np.concatenate([np.zeros((n, 1)), np.cumsum(increments, axis=1)], axis=1)
+
+
+_GROUPS = (
+    DistributionGroup("gaussian"),
+    DistributionGroup("gaussian", scale=2.5),
+    DistributionGroup("student_t", df=2.5),
+    DistributionGroup("student_t", scale=1e-3, df=3.0),
+    DistributionGroup("student_t", scale=7.0, df=30.0),
+    DistributionGroup("laplace"),
+    DistributionGroup("laplace", scale=0.5),
+)
+
+
+@pytest.mark.parametrize("group", _GROUPS, ids=lambda g: f"{g.family}-{g.df}-{g.scale}")
+def test_margin_matches_scipy_stats_bit_for_bit(group):
+    tails = [0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17, 1.0, -1.0, 8.3, -8.3, 40.0, -40.0]
+    z = np.concatenate([tails, np.random.default_rng(3).standard_normal(500)])
+    for sample in (z, z.reshape(4, -1)):
+        assert _swap_margin(sample, group).tobytes() == reference_margin(sample, group).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(
+        n_series=12, m_obs=300, seed=11,
+        blocks=(CorrelationBlock(5, 0.9), CorrelationBlock(3, 0.0), CorrelationBlock(4, 0.4)),
+        groups=_GROUPS[::2],
+    ),
+    SyntheticSpec(
+        n_series=7, m_obs=40, seed=5,
+        blocks=(CorrelationBlock(3, 0.7), CorrelationBlock(4, 0.2)),
+        groups=_GROUPS[1::2],
+        distribution_labels=(2, 0, 1, 2, 2, 0, 1),
+    ),
+    spec_one_block(1, 2, 0.5, (DistributionGroup("student_t", df=4.0),)),
+], ids=["mixed-rho", "explicit-labels", "1x1-m2"])
+def test_panel_matches_per_series_reference_bit_for_bit(spec):
+    panel, truth = generate_panel(spec)
+    assert panel.values.tobytes() == reference_levels(spec, truth).tobytes()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(rwclust.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rwclust; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
