@@ -18,11 +18,13 @@ from .clustering import (
     stability_select_k,
 )
 from .distance import (
+    DistanceComponents,
     DistanceMatrix,
     DistanceParams,
     d0_empirical,
     d1_empirical,
     d_theta,
+    distance_components,
     distance_matrix,
 )
 from .errors import (
@@ -76,6 +78,7 @@ __all__ = [
     "CorrelationBlock",
     "DegenerateSampleError",
     "DimensionError",
+    "DistanceComponents",
     "DistanceMatrix",
     "DistanceParams",
     "DistributionGroup",
@@ -101,6 +104,7 @@ __all__ = [
     "d0_empirical",
     "d1_empirical",
     "d_theta",
+    "distance_components",
     "distance_matrix",
     "empirical_margin",
     "generate_panel",

@@ -32,7 +32,7 @@ from .clustering import (
     cluster_summary,
     stability_select_k,
 )
-from .distance import DistanceMatrix, DistanceParams, distance_matrix
+from .distance import DistanceMatrix, DistanceParams, distance_components, distance_matrix
 from .errors import (
     BinningRangeError,
     DegenerateSampleError,
@@ -399,13 +399,14 @@ def _assignment_payload(assignment: ClusterAssignment,
 
 
 def _select_k(cfg: RunConfig, inc: IncrementPanel,
-              theta: float) -> tuple[int, StabilityReport | None]:
-    """The fixed K, or the K that stability selection picks and its report."""
+              thetas: tuple[float, ...]) -> list[tuple[int, StabilityReport | None]]:
+    """Per theta of `thetas`, the fixed K, or the K that stability selection
+    picks and its report; one resampling pass serves every theta."""
     if cfg.k is not None:
-        return cfg.k, None
+        return [(cfg.k, None)] * len(thetas)
     lo, hi = cfg.k_range
-    report = stability_select_k(
-        inc, cfg.distance_params(theta), cfg.binning,
+    reports = stability_select_k(
+        inc, tuple(cfg.distance_params(theta) for theta in thetas), cfg.binning,
         k_range=range(lo, hi + 1),
         runs=cfg.stability_runs,
         subsample_fraction=cfg.subsample,
@@ -413,17 +414,22 @@ def _select_k(cfg: RunConfig, inc: IncrementPanel,
         method=cfg.method,
         threads=cfg.threads,
     )
-    return report.selected_k, report
+    return [(report.selected_k, report) for report in reports]
 
 
-def _fit(cfg: RunConfig, inc: IncrementPanel, theta: float):
-    """Select K, then cluster the full panel's distance matrix at that K.
+def _fit(cfg: RunConfig, inc: IncrementPanel, thetas: tuple[float, ...]) -> list[tuple]:
+    """Select K, then cluster the full panel's distance matrix at that K, per theta.
 
-    Returns (distance matrix, assignment, stability report or None).
+    Returns one (distance matrix, assignment, stability report or None) per
+    theta of `thetas`.
     """
-    k, report = _select_k(cfg, inc, theta)
-    dm = distance_matrix(represent(inc, cfg.binning), cfg.distance_params(theta), threads=cfg.threads)
-    return dm, cluster(dm, k, cfg.method), report
+    selected = _select_k(cfg, inc, thetas)
+    parts = distance_components(represent(inc, cfg.binning), cfg.exact_spearman_norm,
+                                threads=cfg.threads)
+    matrices = [parts.blend(theta) for theta in thetas]
+    del parts  # two N x N arrays, released before clustering and writing
+    return [(dm, cluster(dm, k, cfg.method), report)
+            for dm, (k, report) in zip(matrices, selected)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +473,7 @@ def _cmd_distances(args) -> int:
 def _cmd_cluster(args) -> int:
     cfg = _config(args)
     panel, inc = _load(cfg)
-    _, assignment, report = _fit(cfg, inc, cfg.theta)
+    [(_, assignment, report)] = _fit(cfg, inc, (cfg.theta,))
     summary = cluster_summary(assignment, panel) if args.summary else None
     payload = cfg.provenance(_CLUSTER_FIELDS)
     payload.update(_assignment_payload(assignment, summary, report))
@@ -478,7 +484,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_stability(args) -> int:
     cfg = _config(args)
     _, inc = _load(cfg)
-    _, report = _select_k(cfg, inc, cfg.theta)
+    [(_, report)] = _select_k(cfg, inc, (cfg.theta,))
     payload = cfg.provenance(_STABILITY_FIELDS)
     payload["stability"] = asdict(report)
     _write(args.output, _json, payload)
@@ -619,10 +625,11 @@ def _summary_csv(f, summary: ClusterSummary, provenance: dict) -> None:
         writer.writerow([r.cluster, _fmt(r.mean), _fmt(r.quantile_10), _fmt(r.quantile_90), r.size])
 
 
-def _run_single_theta(cfg: RunConfig, theta: float, panel: SeriesPanel,
-                      inc: IncrementPanel, out_dir: Path, suffix: str) -> ClusterAssignment:
+def _write_theta(cfg: RunConfig, theta: float, fit: tuple, panel: SeriesPanel,
+                 out_dir: Path, suffix: str) -> None:
+    """Write the artifacts of one theta's `_fit` result into out_dir."""
     provenance = cfg.provenance(_CLUSTER_FIELDS, theta=theta)
-    dm, assignment, report = _fit(cfg, inc, theta)
+    dm, assignment, report = fit
     summary = cluster_summary(assignment, panel)
 
     _write(out_dir / f"distance_matrix{suffix}.csv", _matrix_csv, dm, provenance)
@@ -634,7 +641,6 @@ def _run_single_theta(cfg: RunConfig, theta: float, panel: SeriesPanel,
         _write(out_dir / f"stability{suffix}.json", _json,
                {**provenance, "stability": asdict(report)})
     log.info("theta=%g: k=%d, artifacts in %s", theta, assignment.k, out_dir)
-    return assignment
 
 
 def run_pipeline(cfg: RunConfig, output_dir: str | Path) -> int:
@@ -643,14 +649,16 @@ def run_pipeline(cfg: RunConfig, output_dir: str | Path) -> int:
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.theta is not None:
-        _run_single_theta(cfg, cfg.theta, panel, inc, out_dir, suffix="")
+    sweep = cfg.theta is None
+    thetas = SWEEP_THETAS if sweep else (cfg.theta,)
+    fits = _fit(cfg, inc, thetas)
+    for theta, fit in zip(thetas, fits):
+        _write_theta(cfg, theta, fit, panel, out_dir, f"_theta{theta:g}" if sweep else "")
+    if not sweep:
         return EXIT_OK
 
-    labels = {}  # every assignment lists inc.ids in one order, so labels pair up by position
-    for theta in SWEEP_THETAS:
-        suffix = f"_theta{theta:g}"
-        labels[theta] = _run_single_theta(cfg, theta, panel, inc, out_dir, suffix).labels
+    # every assignment lists inc.ids in one order, so labels pair up by position
+    labels = {theta: assignment.labels for theta, (_, assignment, _) in zip(thetas, fits)}
     payload = cfg.provenance(_CLUSTER_FIELDS, theta="sweep")
     payload["tables"] = {
         "theta0.5_vs_theta0": _contingency(labels[0.5], labels[0.0]).tolist(),

@@ -5,19 +5,22 @@ and a deterministic k-medoids work purely on the precomputed matrix. The
 number of clusters is picked by resampling observations, reclustering each
 subsample, and keeping the K whose partitions agree most (mean pairwise
 adjusted Rand index by default, minimal-matching agreement as an option),
-ties going to the smaller K.
+ties going to the smaller K. One resampling pass scores several thetas at
+once: each subsample is represented and its theta-free distance parts are
+computed once, then blended and clustered per theta.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.cluster.hierarchy import cut_tree, linkage
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
-from .distance import DistanceMatrix, DistanceParams, distance_matrix
+from .distance import DistanceMatrix, DistanceParams, distance_components
 from .errors import DegenerateSampleError, DimensionError, ParameterError, ValidationError
 from .ingestion import IncrementPanel
 from .representation import BinningConfig, represent
@@ -233,7 +236,7 @@ class StabilityReport:
 
 def stability_select_k(
     panel: IncrementPanel,
-    params: DistanceParams,
+    params: DistanceParams | Sequence[DistanceParams],
     binning: BinningConfig,
     k_range,
     runs: int = 20,
@@ -242,16 +245,27 @@ def stability_select_k(
     method: str = "average_linkage",
     threads: int = 1,
     agreement: str = "ari",
-) -> StabilityReport:
+) -> StabilityReport | tuple[StabilityReport, ...]:
     """Pick the cluster count whose partitions replicate best under resampling.
 
     Draws `runs` observation subsamples (over the time axis, the series set
-    stays fixed), rebuilds representation, distances, and clustering on each,
-    and scores every K by the mean pairwise agreement between the partitions
-    of the runs: adjusted Rand index by default, or 1 - minimal_matching with
-    agreement="minimal_matching". Each run's random stream derives from
-    (seed, run index), so results do not depend on scheduling.
+    stays fixed). Each is represented and its theta-free distance parts are
+    computed once; for every DistanceParams they are blended at its theta
+    and clustered. Every K is scored by the mean pairwise agreement between
+    the partitions of the runs: adjusted Rand index by default, or
+    1 - minimal_matching with agreement="minimal_matching". Each run's
+    random stream derives from (seed, run index), so results do not depend
+    on scheduling, and a sequence of params, which must share
+    exact_spearman_norm, gives the tuple of reports that one call per
+    params would give, in the same order.
     """
+    single = isinstance(params, DistanceParams)
+    all_params = (params,) if single else tuple(params)
+    if not all_params:
+        raise ParameterError("params must hold at least one DistanceParams")
+    norm = all_params[0].exact_spearman_norm
+    if any(p.exact_spearman_norm != norm for p in all_params):
+        raise ParameterError("every DistanceParams of one call must share exact_spearman_norm")
     ks = sorted(int(k) for k in k_range)
     n, m = panel.n_series, panel.n_obs
     _check_resampling(runs, subsample_fraction, seed)
@@ -266,31 +280,35 @@ def stability_select_k(
             f"subsample of {m_sub} observations is too small to represent"
         )
 
-    partitions = []  # one n x len(ks) label array per run
+    partitions = [[] for _ in all_params]  # per params, one n x len(ks) label array per run
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, run]))
         idx = np.sort(rng.choice(m, size=m_sub, replace=False))
         sub = IncrementPanel(ids=panel.ids, values=panel.values[:, idx])
-        dm = distance_matrix(represent(sub, binning), params, threads=threads)
-        partitions.append(_partitions(dm.values, method, ks))
+        parts = distance_components(represent(sub, binning), norm, threads=threads)
+        for p, runs_of_p in zip(all_params, partitions):
+            runs_of_p.append(_partitions(parts.blend(p.theta).values, method, ks))
 
-    scores, spreads = [], []
-    for col in range(len(ks)):
-        agreements = [
-            _AGREEMENT[agreement](pa[:, col], pb[:, col])
-            for pa, pb in itertools.combinations(partitions, 2)
-        ]
-        scores.append(float(np.mean(agreements)))
-        spreads.append(float(np.std(agreements)))
-    return StabilityReport(
-        k_range=tuple(ks),
-        scores=tuple(scores),
-        dispersion=tuple(spreads),
-        selected_k=_smallest_maximizer(ks, scores),
-        runs=runs,
-        seed=seed,
-        subsample_fraction=subsample_fraction,
-    )
+    reports = []
+    for runs_of_p in partitions:
+        scores, spreads = [], []
+        for col in range(len(ks)):
+            agreements = [
+                _AGREEMENT[agreement](pa[:, col], pb[:, col])
+                for pa, pb in itertools.combinations(runs_of_p, 2)
+            ]
+            scores.append(float(np.mean(agreements)))
+            spreads.append(float(np.std(agreements)))
+        reports.append(StabilityReport(
+            k_range=tuple(ks),
+            scores=tuple(scores),
+            dispersion=tuple(spreads),
+            selected_k=_smallest_maximizer(ks, scores),
+            runs=runs,
+            seed=seed,
+            subsample_fraction=subsample_fraction,
+        ))
+    return reports[0] if single else tuple(reports)
 
 
 @dataclass(frozen=True)

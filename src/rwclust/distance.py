@@ -32,9 +32,15 @@ mass matrix in two parts:
   are bit-identical for any `threads` split of those rows. The Gram form
   1 - sum sqrt(px py) is not used: it loses the exact zero of identical
   pairs.
+
+Neither part depends on theta. `distance_components` computes both, scaled,
+as a `DistanceComponents`, and its `blend(theta)` forms the matrix for one
+theta with an element-wise square root, so a theta sweep pays for the two
+kernels once. `distance_matrix` is that blend at a single theta.
 """
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -55,8 +61,12 @@ class DistanceParams:
     exact_spearman_norm: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ParameterError(f"theta must lie in [0, 1], got {self.theta}")
+        _check_theta(self.theta)
+
+
+def _check_theta(theta: float) -> None:
+    if not 0.0 <= theta <= 1.0:
+        raise ParameterError(f"theta must lie in [0, 1], got {theta}")
 
 
 def _d1_factor(m: int, exact_spearman_norm: bool) -> float:
@@ -173,6 +183,45 @@ def _rank_sq_sums(ranks: np.ndarray) -> np.ndarray:
     return 2 * (s - gram)
 
 
+@dataclass(frozen=True)
+class DistanceComponents:
+    """The theta-free squared parts of every pair of a panel: d1sq holds the
+    scaled rank part d1^2, d0sq the Hellinger part d0^2 (both N x N)."""
+
+    ids: tuple[str, ...]
+    d1sq: np.ndarray
+    d0sq: np.ndarray
+    meta: dict[str, Any]
+
+    def blend(self, theta: float) -> DistanceMatrix:
+        """The distance matrix at `theta` in [0, 1], with a meta dict of its own."""
+        _check_theta(theta)
+        values = np.sqrt(theta * self.d1sq + (1.0 - theta) * self.d0sq)
+        return DistanceMatrix(ids=self.ids, values=values, theta=theta, meta=copy.deepcopy(self.meta))
+
+
+def distance_components(
+    rep: NonParamRepresentation,
+    exact_spearman_norm: bool = False,
+    threads: int = 1,
+) -> DistanceComponents:
+    """Both squared parts of every pair of the represented panel, ready to blend.
+
+    `threads` splits the Hellinger rows; results do not depend on it.
+    """
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
+    d1sq = _rank_sq_sums(rep.ranks) * _d1_factor(rep.m, exact_spearman_norm)
+    d0sq = _pairwise_sq(np.sqrt(rep.masses), threads) * 0.5
+    origin, width, nbins = rep.grid
+    meta = {
+        "m": rep.m,
+        "binning": {"origin": origin, "width": width, "bins": nbins},
+        "exact_spearman_norm": exact_spearman_norm,
+    }
+    return DistanceComponents(ids=rep.ids, d1sq=d1sq, d0sq=d0sq, meta=meta)
+
+
 def distance_matrix(
     rep: NonParamRepresentation,
     params: DistanceParams = DistanceParams(),
@@ -183,16 +232,4 @@ def distance_matrix(
     Every entry agrees with a scalar d_theta call on the same pair. `threads`
     splits the Hellinger rows; results do not depend on it.
     """
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
-    t = params.theta
-    d1sq = _rank_sq_sums(rep.ranks) * _d1_factor(rep.m, params.exact_spearman_norm)
-    d0sq = _pairwise_sq(np.sqrt(rep.masses), threads) * 0.5
-    values = np.sqrt(t * d1sq + (1.0 - t) * d0sq)
-    origin, width, nbins = rep.grid
-    meta = {
-        "m": rep.m,
-        "binning": {"origin": origin, "width": width, "bins": nbins},
-        "exact_spearman_norm": params.exact_spearman_norm,
-    }
-    return DistanceMatrix(ids=rep.ids, values=values, theta=t, meta=meta)
+    return distance_components(rep, params.exact_spearman_norm, threads).blend(params.theta)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rwclust
+import rwclust.cli
 from rwclust import (
     ClusterAssignment,
     CorrelationBlock,
@@ -193,6 +194,30 @@ def test_sweep_artifacts_match_single_theta_runs(synth_panel, tmp_path, capsys, 
             stem, ext = name.split(".")
             swept = sweep / f"{stem}_theta{theta}.{ext}"
             assert swept.read_bytes() == (single / name).read_bytes(), swept.name
+
+
+def test_sweep_represents_and_runs_the_kernel_once_per_run(synth_panel, tmp_path, capsys,
+                                                           monkeypatch):
+    # one stability pass serves all three thetas: one representation and one
+    # rank kernel per resample run, plus one of each for the full panel
+    calls = {"represent": 0, "kernel": 0}
+
+    def count(module, name, key):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(rwclust.clustering, "represent", "represent")
+    count(rwclust.cli, "represent", "represent")
+    count(rwclust.distance, "_rank_sq_sums", "kernel")
+    csv_path, _ = synth_panel
+    code, _, _ = run(["pipeline", "--input", str(csv_path), "--theta-sweep", "--k-range", "2..3",
+                      "--stability-runs", "3", "--output-dir", str(tmp_path), "--quiet"], capsys)
+    assert code == 0
+    assert calls == {"represent": 4, "kernel": 4}
 
 
 def test_subcommand_config_matches_pipeline(synth_panel, tmp_path, capsys):

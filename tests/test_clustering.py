@@ -446,6 +446,32 @@ def test_stability_parameter_checks(rng):
         stability_select_k(panel, params, binning, k_range=[2, 3], method="ward")
 
 
+@pytest.mark.parametrize("method, agreement, exact", [
+    ("average_linkage", "ari", False),
+    ("k_medoids", "minimal_matching", False),
+    ("average_linkage", "ari", True),
+], ids=["average-ari", "medoids-matching", "exact-norm"])
+def test_stability_params_sequence_equals_single_calls(rng, method, agreement, exact):
+    # runs outer, thetas inner: each run's stream is keyed by (seed, run), so
+    # one pass over three thetas scores exactly as three separate calls
+    panel = make_increment_panel(rng.standard_normal((9, 60)))
+    params = tuple(DistanceParams(theta=t, exact_spearman_norm=exact) for t in (0.0, 0.5, 1.0))
+    binning = BinningConfig(bins=8)
+    kwargs = dict(k_range=[2, 3, 4], runs=5, seed=7, method=method, agreement=agreement)
+    reports = stability_select_k(panel, params, binning, **kwargs)
+    assert reports == tuple(stability_select_k(panel, p, binning, **kwargs) for p in params)
+
+
+def test_stability_params_sequence_checks(rng):
+    panel = make_increment_panel(rng.standard_normal((5, 20)))
+    binning = BinningConfig(bins=5)
+    with pytest.raises(ParameterError):
+        stability_select_k(panel, (), binning, k_range=[2, 3])
+    mixed = (DistanceParams(theta=0.0), DistanceParams(theta=1.0, exact_spearman_norm=True))
+    with pytest.raises(ParameterError):
+        stability_select_k(panel, mixed, binning, k_range=[2, 3])
+
+
 def test_stability_degenerate_subsample(rng):
     # 3 observations at fraction 0.5 leaves a single-column subsample
     panel = make_increment_panel(rng.standard_normal((5, 3)))

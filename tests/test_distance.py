@@ -21,6 +21,7 @@ from rwclust import (
     d0_empirical,
     d1_empirical,
     d_theta,
+    distance_components,
     distance_matrix,
     rank_function,
     represent,
@@ -247,6 +248,34 @@ def test_matrix_thread_count_does_not_change_bits(rng):
     single = distance_matrix(rep, params, threads=1)
     multi = distance_matrix(rep, params, threads=4)
     assert np.array_equal(single.values, multi.values)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["default-norm", "exact-norm"])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_blend_is_bit_equal_to_distance_matrix(rng, threads, exact):
+    rep = represent(make_increment_panel(rng.standard_normal((7, 30))))
+    parts = distance_components(rep, exact_spearman_norm=exact, threads=threads)
+    for theta in (0.0, 0.25, 0.5, 1.0):
+        params = DistanceParams(theta=theta, exact_spearman_norm=exact)
+        dm = distance_matrix(rep, params, threads=threads)
+        blended = parts.blend(theta)
+        assert blended.values.tobytes() == dm.values.tobytes()
+        assert (blended.ids, blended.theta, blended.meta) == (dm.ids, dm.theta, dm.meta)
+
+
+@pytest.mark.parametrize("theta", [-0.1, 1.5, float("nan")])
+def test_blend_rejects_theta_outside_unit_interval(rng, theta):
+    parts = distance_components(represent(make_increment_panel(rng.standard_normal((3, 12)))))
+    with pytest.raises(ParameterError):
+        parts.blend(theta)
+
+
+def test_blends_do_not_share_meta(rng):
+    parts = distance_components(represent(make_increment_panel(rng.standard_normal((3, 12)))))
+    a, b = parts.blend(0.5), parts.blend(0.5)
+    assert a.meta is not b.meta
+    a.meta["binning"]["bins"] = -1
+    assert b.meta == parts.meta and b.meta["binning"]["bins"] != -1
 
 
 def test_matrix_rank_part_is_exact_beyond_one_chunk():
