@@ -7,7 +7,11 @@ subsample, and keeping the K whose partitions agree most (mean pairwise
 adjusted Rand index by default, minimal-matching agreement as an option),
 ties going to the smaller K. One resampling pass scores several thetas at
 once: each subsample is represented and its theta-free distance parts are
-computed once, then blended and clustered per theta.
+computed once, then blended and clustered per theta. The pass sorts the
+panel once: a subsample's stable order is the full order with the dropped
+observations filtered out. Trees are cut with a union-find that merges in
+scipy's `cut_tree` order, so equal merge heights resolve as `cut_tree`
+resolves them.
 """
 from __future__ import annotations
 
@@ -16,14 +20,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import cut_tree, linkage
+from scipy.cluster.hierarchy import linkage
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
 from .distance import DistanceMatrix, DistanceParams, distance_components
 from .errors import DegenerateSampleError, DimensionError, ParameterError, ValidationError
 from .ingestion import IncrementPanel
-from .representation import BinningConfig, represent
+from .representation import BinningConfig, NonParamRepresentation, _represent_ordered
 
 CLUSTER_METHODS = ("average_linkage", "complete_linkage", "k_medoids")
 
@@ -113,13 +117,52 @@ def _check_method(method: str) -> None:
         raise ParameterError(f"unknown method {method!r}; expected one of {CLUSTER_METHODS}")
 
 
+def _cut(tree: np.ndarray, ks) -> np.ndarray:
+    """Labels of the linkage `tree` cut into k clusters for each k of `ks`,
+    one column per k, array-equal to scipy's cut_tree(tree, n_clusters=ks).
+
+    Merges go in cut_tree's order: by height, and among equal heights the
+    row that a right-child-first breadth-first walk from the root visits
+    later goes first (a child before its parent). Labels are numbered by
+    first appearance. Needs a monotone tree, as average and complete
+    linkage give.
+    """
+    n = tree.shape[0] + 1
+    children = tree[:, :2].astype(np.int64)
+    visit = np.empty(n - 1, dtype=np.int64)
+    queue = [2 * n - 2]
+    for pos, node in enumerate(queue):  # the queue grows while it is walked
+        if node >= n:
+            visit[node - n] = pos
+            queue.extend(children[node - n, ::-1].tolist())
+    order = np.lexsort((-visit, tree[:, 2]))
+    # parent[node] is the newest merge over node so far; pointer doubling
+    # takes every leaf to the cluster it sits in after the merges applied
+    parent = np.arange(2 * n - 1)
+    labels = np.empty((n, len(ks)), dtype=np.int64)
+    done = 0
+    for col in np.argsort(ks)[::-1]:
+        rows = order[done:n - ks[col]]
+        parent[children[rows]] = (n + rows)[:, None]
+        done = n - ks[col]
+        root = parent
+        while not np.array_equal(nxt := root[root], root):
+            root = nxt
+        _, first, inverse = np.unique(root[:n], return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        labels[:, col] = rank[inverse]
+    return labels
+
+
 def _partitions(values: np.ndarray, method: str, ks) -> np.ndarray:
     """Raw labels of the distance matrix `values` cut into k clusters for
-    each k of `ks`, one column per k (one linkage tree serves every k)."""
+    each k of `ks`, one column per k (one linkage tree serves every k, cut
+    in scipy cut_tree's merge order, labels numbered as cut_tree numbers
+    them)."""
     if method == "k_medoids":
         return np.column_stack([_kmedoids_labels(values, k) for k in ks])
-    tree = linkage(squareform(values, checks=False), method=_LINKAGE_NAME[method])
-    return cut_tree(tree, n_clusters=ks)
+    return _cut(linkage(squareform(values, checks=False), method=_LINKAGE_NAME[method]), ks)
 
 
 def cluster(
@@ -198,6 +241,26 @@ def _smallest_maximizer(ks, scores) -> int:
     return min(k for k, s in zip(ks, scores) if s == best)
 
 
+def _subsample_representation(
+    panel: IncrementPanel, order: np.ndarray, idx: np.ndarray, binning: BinningConfig
+) -> NonParamRepresentation:
+    """represent() of the panel's observations at the sorted indices `idx`,
+    given `order`, the stable argsort of every row of the whole panel.
+
+    Dropping the other columns from `order` keeps a stable order, because
+    `idx` is sorted; each kept column is then renumbered to its place in idx.
+    """
+    keep = np.zeros(panel.n_obs, dtype=bool)
+    keep[idx] = True
+    place = np.cumsum(keep) - 1
+    return _represent_ordered(
+        panel.ids,
+        panel.values[:, idx],
+        place[order[keep[order]].reshape(panel.n_series, idx.size)],
+        binning,
+    )
+
+
 def _check_resampling(runs: int, subsample_fraction: float, seed: int) -> None:
     """Raise unless stability_select_k's resampling settings are in range."""
     if runs < 2:
@@ -249,7 +312,9 @@ def stability_select_k(
     """Pick the cluster count whose partitions replicate best under resampling.
 
     Draws `runs` observation subsamples (over the time axis, the series set
-    stays fixed). Each is represented and its theta-free distance parts are
+    stays fixed). The panel is sorted once, and each subsample's ranks come
+    from that sort with the dropped observations filtered out. Each
+    subsample is represented and its theta-free distance parts are
     computed once; for every DistanceParams they are blended at its theta
     and clustered. Every K is scored by the mean pairwise agreement between
     the partitions of the runs: adjusted Rand index by default, or
@@ -280,12 +345,13 @@ def stability_select_k(
             f"subsample of {m_sub} observations is too small to represent"
         )
 
+    order = np.argsort(panel.values, axis=1, kind="stable")  # the one sort of the call
     partitions = [[] for _ in all_params]  # per params, one n x len(ks) label array per run
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, run]))
         idx = np.sort(rng.choice(m, size=m_sub, replace=False))
-        sub = IncrementPanel(ids=panel.ids, values=panel.values[:, idx])
-        parts = distance_components(represent(sub, binning), norm, threads=threads)
+        rep = _subsample_representation(panel, order, idx, binning)
+        parts = distance_components(rep, norm, threads=threads)
         for p, runs_of_p in zip(all_params, partitions):
             runs_of_p.append(_partitions(parts.blend(p.theta).values, method, ks))
 

@@ -307,15 +307,29 @@ def represent(panel: IncrementPanel, binning: BinningConfig = BinningConfig()) -
 
     Row for row, the result equals rank_function and empirical_margin on the
     shared grid: a stable sort keeps the arrival-order tie rule, and one
-    offset bincount histograms all rows.
+    offset bincount histograms all rows. Stability selection sorts its panel
+    once and derives each subsample's order from that sort, so its
+    subsamples go through the same code without a sort of their own.
     """
     x = panel.values
+    return _represent_ordered(panel.ids, x, np.argsort(x, axis=1, kind="stable"), binning)
+
+
+def _represent_ordered(
+    ids, x: np.ndarray, order: np.ndarray, binning: BinningConfig
+) -> NonParamRepresentation:
+    """represent() of the N x M values `x` whose rows `order` sorts stably.
+
+    Callers pass `order` as a temporary: dropping it once the ranks are built
+    then frees it before the histogram's N x M temporaries are allocated.
+    """
     n, m = x.shape
-    origin, width, nbins = shared_grid(x, binning)
     ranks = np.empty((n, m), dtype=np.int64)
-    np.put_along_axis(ranks, np.argsort(x, axis=1, kind="stable"), np.arange(1, m + 1), axis=1)
+    np.put_along_axis(ranks, order, np.arange(1, m + 1), axis=1)
+    del order
+    origin, width, nbins = shared_grid(x, binning)
     idx = _bin_index(x, origin, width, nbins) + nbins * np.arange(n)[:, None]
     counts = np.bincount(idx.ravel(), minlength=n * nbins).reshape(n, nbins)
     return NonParamRepresentation(
-        ids=panel.ids, ranks=ranks, masses=counts / m, origin=origin, width=width
+        ids=ids, ranks=ranks, masses=counts / m, origin=origin, width=width
     )

@@ -199,8 +199,10 @@ def test_sweep_artifacts_match_single_theta_runs(synth_panel, tmp_path, capsys, 
 def test_sweep_represents_and_runs_the_kernel_once_per_run(synth_panel, tmp_path, capsys,
                                                            monkeypatch):
     # one stability pass serves all three thetas: one representation and one
-    # rank kernel per resample run, plus one of each for the full panel
-    calls = {"represent": 0, "kernel": 0}
+    # rank kernel per resample run, plus one of each for the full panel; the
+    # pass sorts the panel once, and its runs derive their orders from it
+    calls = {"represent": 0, "kernel": 0, "stability": 0}
+    stable_sorts = []
 
     def count(module, name, key):
         inner = getattr(module, name)
@@ -210,14 +212,25 @@ def test_sweep_represents_and_runs_the_kernel_once_per_run(synth_panel, tmp_path
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    count(rwclust.clustering, "represent", "represent")
-    count(rwclust.cli, "represent", "represent")
+    def argsort(a, *args, **kwargs):
+        if kwargs.get("kind") == "stable":
+            stable_sorts.append(np.shape(a))
+        return np_argsort(a, *args, **kwargs)
+
+    np_argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", argsort)
+    count(rwclust.representation, "_represent_ordered", "represent")
+    count(rwclust.clustering, "_represent_ordered", "represent")
     count(rwclust.distance, "_rank_sq_sums", "kernel")
+    count(rwclust.cli, "stability_select_k", "stability")
     csv_path, _ = synth_panel
     code, _, _ = run(["pipeline", "--input", str(csv_path), "--theta-sweep", "--k-range", "2..3",
                       "--stability-runs", "3", "--output-dir", str(tmp_path), "--quiet"], capsys)
     assert code == 0
-    assert calls == {"represent": 4, "kernel": 4}
+    assert calls == {"represent": 4, "kernel": 4, "stability": 1}
+    # both sort the whole panel of 12 series x 300 increments: one for the
+    # stability call, one for the full-panel representation
+    assert stable_sorts == [(12, 300)] * 2
 
 
 def test_subcommand_config_matches_pipeline(synth_panel, tmp_path, capsys):

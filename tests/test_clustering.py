@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import cut_tree, linkage
+from scipy.spatial.distance import squareform
 
 from rwclust import (
     BinningConfig,
@@ -25,6 +27,7 @@ from rwclust import (
     represent,
     stability_select_k,
 )
+from rwclust.clustering import _partitions, _subsample_representation
 
 from conftest import make_increment_panel, make_level_panel
 
@@ -210,6 +213,68 @@ def test_cluster_deterministic(rng):
         a = cluster(dm, 3, method)
         b = cluster(dm, 3, method)
         assert np.array_equal(a.labels, b.labels)
+
+
+def row_order_cut(tree, k):
+    """Labels, numbered by first appearance, after merging the first n - k
+    linkage rows in row order: the cut that ignores cut_tree's tie order."""
+    n = tree.shape[0] + 1
+    leaves = {i: [i] for i in range(n)}
+    for r in range(n - k):
+        leaves[n + r] = leaves.pop(int(tree[r, 0])) + leaves.pop(int(tree[r, 1]))
+    labels = np.empty(n, dtype=np.int64)
+    for label, members in enumerate(sorted(leaves.values(), key=min)):
+        labels[members] = label
+    return labels
+
+
+@pytest.mark.parametrize("name", ["average", "complete"])
+def test_cut_matches_scipy_cut_tree_on_tied_heights(name):
+    # integer distances tie many merge heights, as duplicate series and
+    # count data do; the cut must merge in cut_tree's order to match it
+    rng = np.random.default_rng(11)
+    row_order_differs = 0
+    for _ in range(100):
+        n = int(rng.integers(4, 14))
+        d = np.triu(rng.integers(0, 5, size=(n, n)), 1).astype(float)
+        d += d.T
+        ks = list(range(2, n))  # a K = n column breaks cut_tree unless it comes first
+        tree = linkage(squareform(d, checks=False), method=name)
+        expected = cut_tree(tree, n_clusters=ks)
+        assert np.array_equal(_partitions(d, f"{name}_linkage", ks), expected)
+        assert np.array_equal(_partitions(d, f"{name}_linkage", ks[::-1]), expected[:, ::-1])
+        row_order_differs += any(
+            not np.array_equal(row_order_cut(tree, k), expected[:, col]) for col, k in enumerate(ks)
+        )
+    assert row_order_differs > 0
+
+
+def tie_fraction(values):
+    """Mean share of a row's values that repeat another value of the row."""
+    return float(np.mean([1.0 - np.unique(row).size / row.size for row in values]))
+
+
+@pytest.mark.parametrize("kind", ["continuous", "tied", "constant_row"])
+def test_subsample_representation_equals_represent_of_the_subsample(kind):
+    rng = np.random.default_rng(5)
+    if kind == "tied":
+        values = rng.poisson(0.05, size=(8, 400)).astype(float)
+        assert tie_fraction(values) > 0.99
+    else:
+        values = rng.standard_normal((8, 400))
+        if kind == "constant_row":
+            values[2] = 1.5
+    panel = make_increment_panel(values)
+    order = np.argsort(values, axis=1, kind="stable")
+    binning = BinningConfig(bins=20)
+    for _ in range(20):
+        idx = np.sort(rng.choice(400, size=280, replace=False))
+        got = _subsample_representation(panel, order, idx, binning)
+        want = represent(make_increment_panel(values[:, idx]), binning)
+        assert got.ids == want.ids
+        assert np.array_equal(got.ranks, want.ranks)
+        assert np.array_equal(got.masses, want.masses)
+        assert got.grid == want.grid
 
 
 # ---------------------------------------------------------------------------
