@@ -21,9 +21,6 @@ from .distance import (
     DistanceComponents,
     DistanceMatrix,
     DistanceParams,
-    d0_empirical,
-    d1_empirical,
-    d_theta,
     distance_components,
     distance_matrix,
 )
@@ -31,8 +28,6 @@ from .errors import (
     BinningRangeError,
     DegenerateSampleError,
     DimensionError,
-    GridCompatibilityError,
-    InsufficientDataError,
     PanelFormatError,
     ParameterError,
     RwclustError,
@@ -47,13 +42,8 @@ from .ingestion import (
     to_increments,
 )
 from .representation import (
-    BinnedDensity,
     BinningConfig,
     NonParamRepresentation,
-    RankVector,
-    SeriesRepresentation,
-    empirical_margin,
-    rank_function,
     represent,
     shared_grid,
 )
@@ -69,7 +59,6 @@ from .synthetic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinnedDensity",
     "BinningConfig",
     "BinningRangeError",
     "ClusterAssignment",
@@ -82,18 +71,14 @@ __all__ = [
     "DistanceMatrix",
     "DistanceParams",
     "DistributionGroup",
-    "GridCompatibilityError",
     "GroundTruth",
     "IncrementPanel",
     "IngestionOptions",
-    "InsufficientDataError",
     "NonParamRepresentation",
     "PanelFormatError",
     "ParameterError",
-    "RankVector",
     "RwclustError",
     "SeriesPanel",
-    "SeriesRepresentation",
     "StabilityReport",
     "SyntheticSpec",
     "ValidationError",
@@ -101,16 +86,11 @@ __all__ = [
     "as_increments",
     "cluster",
     "cluster_summary",
-    "d0_empirical",
-    "d1_empirical",
-    "d_theta",
     "distance_components",
     "distance_matrix",
-    "empirical_margin",
     "generate_panel",
     "load_panel",
     "minimal_matching",
-    "rank_function",
     "represent",
     "score_recovery",
     "shared_grid",

@@ -82,7 +82,7 @@ def _canonical_labels(ids, raw_labels) -> np.ndarray:
     return labels
 
 
-def _kmedoids_labels(d: np.ndarray, k: int, max_iter: int = 200) -> np.ndarray:
+def _kmedoids_labels(d: np.ndarray, k: int) -> np.ndarray:
     """Alternating k-medoids on a distance matrix, fully deterministic.
 
     Build: first medoid is the medoid of the whole set, the rest are added
@@ -96,7 +96,7 @@ def _kmedoids_labels(d: np.ndarray, k: int, max_iter: int = 200) -> np.ndarray:
         medoids.append(int(np.argmax(nearest)))
 
     labels = np.empty(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(200):  # alternation stops once the medoids repeat; 200 only bounds it
         labels = np.argmin(d[:, medoids], axis=1)
         labels[medoids] = np.arange(k)  # anchor each medoid to its own cluster
         new_medoids = []

@@ -47,8 +47,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DimensionError, GridCompatibilityError, ParameterError, ValidationError
-from .representation import BinnedDensity, NonParamRepresentation, RankVector, SeriesRepresentation
+from .errors import ParameterError, ValidationError
+from .representation import NonParamRepresentation
 
 BOUND_TOL = 1e-9  # slack on the theoretical entry bound, covers sqrt rounding
 
@@ -73,40 +73,6 @@ def _d1_factor(m: int, exact_spearman_norm: bool) -> float:
     if exact_spearman_norm:
         return 3.0 / (m * (m * m - 1))
     return 3.0 / (m * m * (m - 1))
-
-
-def _d1_sq(rx: RankVector, ry: RankVector, exact_spearman_norm: bool) -> float:
-    if len(rx) != len(ry):
-        raise DimensionError(f"rank vectors differ in length: {len(rx)} vs {len(ry)}")
-    d = rx.ranks.astype(float) - ry.ranks.astype(float)
-    return _d1_factor(len(rx), exact_spearman_norm) * float((d * d).sum())
-
-
-def _d0_sq(dx: BinnedDensity, dy: BinnedDensity) -> float:
-    if dx.grid() != dy.grid():
-        raise GridCompatibilityError(
-            f"densities live on different grids: {dx.grid()} vs {dy.grid()}"
-        )
-    d = np.sqrt(dx.masses) - np.sqrt(dy.masses)
-    return 0.5 * float((d * d).sum())
-
-
-def d1_empirical(ranks_x: RankVector, ranks_y: RankVector, *, exact_spearman_norm: bool = False) -> float:
-    """Rank-correlation distance between two series; 0 iff the rank vectors match."""
-    return float(np.sqrt(_d1_sq(ranks_x, ranks_y, exact_spearman_norm)))
-
-
-def d0_empirical(dens_x: BinnedDensity, dens_y: BinnedDensity) -> float:
-    """Hellinger distance between two shared-grid histograms; 1 iff supports are disjoint."""
-    return float(np.sqrt(_d0_sq(dens_x, dens_y)))
-
-
-def d_theta(rep_x: SeriesRepresentation, rep_y: SeriesRepresentation, params: DistanceParams) -> float:
-    """Blend of the two components; equals d0_empirical at theta=0 and d1_empirical at theta=1."""
-    t = params.theta
-    d1sq = _d1_sq(rep_x.ranks, rep_y.ranks, params.exact_spearman_norm)
-    d0sq = _d0_sq(rep_x.density, rep_y.density)
-    return float(np.sqrt(t * d1sq + (1.0 - t) * d0sq))
 
 
 @dataclass(frozen=True)
@@ -229,7 +195,7 @@ def distance_matrix(
 ) -> DistanceMatrix:
     """All-pairs blended distance over a represented panel.
 
-    Every entry agrees with a scalar d_theta call on the same pair. `threads`
-    splits the Hellinger rows; results do not depend on it.
+    Entry (i, j) is d_theta of rows i and j as the module docstring defines
+    it. `threads` splits the Hellinger rows; results do not depend on it.
     """
     return distance_components(rep, params.exact_spearman_norm, threads).blend(params.theta)

@@ -21,16 +21,8 @@ class ValidationError(RwclustError):
     """Structurally invalid data: duplicate ids, missing cells, broken invariants."""
 
 
-class InsufficientDataError(RwclustError):
-    """Too few observations for the requested operation."""
-
-
 class BinningRangeError(RwclustError):
     """An observation falls outside the histogram grid."""
-
-
-class GridCompatibilityError(RwclustError):
-    """Two binned densities do not share the same (origin, width, bin count) grid."""
 
 
 class DimensionError(RwclustError):

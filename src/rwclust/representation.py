@@ -4,11 +4,13 @@ Each series is projected onto two components that together lose no sample
 information: a bijective rank vector (the joint-dependence part, invariant
 under strictly increasing transforms) and a histogram of per-bin probability
 masses on a grid shared by the whole panel (the marginal-distribution part).
+For a series X_1..X_M the two are specified as
 
-Ranks break ties by arrival order: rank[i] counts the observations k with
-X_k < X_i, or X_k == X_i and tie_order(k) <= tie_order(i). With the default
-identity tie order, earlier observations win ties, so the rank vector is
-always a permutation of {1,...,M}.
+    rank[i]   = #{k : X_k < X_i, or X_k == X_i and k <= i}
+    masses[b] = #{i : X_i falls in bin b of the grid} / M
+
+Ties go to the earlier observation, so every rank vector is a permutation
+of {1,...,M}. `_bin_index` states which bin a value falls in.
 """
 from __future__ import annotations
 
@@ -56,86 +58,6 @@ class BinningConfig:
             raise ParameterError(f"bin width must be finite and > 0, got {self.width}")
 
 
-def _check_permutations(rows: np.ndarray, name: str) -> None:
-    """Raise unless every row of the N x M int array `rows`, called `name`, permutes 1..M, M >= 2."""
-    n, m = rows.shape
-    if m < 2:
-        raise ValidationError(f"{name} must have at least 2 entries")
-    # with every entry in 1..M, a row is a permutation iff no value repeats;
-    # offsetting each row by i*M counts all rows in one bincount
-    if rows.min() < 1 or rows.max() > m or (
-        np.bincount((rows - 1 + m * np.arange(n)[:, None]).ravel(), minlength=n * m) != 1
-    ).any():
-        raise ValidationError(f"{name} must be a permutation of 1..M")
-
-
-def _check_grid_masses(origin: float, width: float, masses: np.ndarray) -> None:
-    """Raise unless the grid is valid and every row of the N x B array `masses` is a distribution."""
-    if not np.isfinite(origin):
-        raise ValidationError("grid origin must be finite")
-    if not width > 0:
-        raise ValidationError(f"bin width must be > 0, got {width}")
-    if masses.shape[1] < 1:
-        raise ValidationError("masses must have at least one bin")
-    if (masses < 0).any():
-        raise ValidationError("masses must be nonnegative")
-    sums = masses.sum(axis=1)
-    bad = sums[np.abs(sums - 1.0) > MASS_TOL]
-    if bad.size:
-        raise ValidationError(f"masses must sum to 1 within {MASS_TOL}, got {bad[0]!r}")
-
-
-@dataclass(frozen=True)
-class RankVector:
-    """A permutation of {1,...,M} ranking one series' observations."""
-
-    ranks: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.ranks, dtype=np.int64)
-        object.__setattr__(self, "ranks", r)
-        if r.ndim != 1:
-            raise ValidationError("rank vector must be 1-d")
-        _check_permutations(r[None, :], "ranks")
-        r.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.ranks.shape[0]
-
-
-@dataclass(frozen=True)
-class BinnedDensity:
-    """Per-bin probability masses on a uniform grid starting at `origin`."""
-
-    origin: float
-    width: float
-    masses: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
-        object.__setattr__(self, "masses", m)
-        if m.ndim != 1:
-            raise ValidationError("masses must be a 1-d array")
-        _check_grid_masses(self.origin, self.width, m[None, :])
-        m.setflags(write=False)
-
-    @property
-    def bin_count(self) -> int:
-        return self.masses.shape[0]
-
-    def grid(self) -> tuple[float, float, int]:
-        return (self.origin, self.width, self.bin_count)
-
-
-@dataclass(frozen=True)
-class SeriesRepresentation:
-    """One series' (rank vector, binned density) pair."""
-
-    id: str
-    ranks: RankVector
-    density: BinnedDensity
-
-
 @dataclass(frozen=True)
 class NonParamRepresentation:
     """Rank and mass matrices for a whole panel, on one shared grid.
@@ -159,8 +81,27 @@ class NonParamRepresentation:
         n = len(self.ids)
         if n == 0 or r.ndim != 2 or p.ndim != 2 or r.shape[0] != n or p.shape[0] != n:
             raise ValidationError("ids, rank rows, and mass rows must have equal nonzero length")
-        _check_permutations(r, "every rank row")
-        _check_grid_masses(self.origin, self.width, p)
+        m = r.shape[1]
+        if m < 2:
+            raise ValidationError("every rank row must have at least 2 entries")
+        # with every entry in 1..M, a row is a permutation iff no value repeats;
+        # offsetting each row by i*M counts all rows in one bincount
+        if r.min() < 1 or r.max() > m or (
+            np.bincount((r - 1 + m * np.arange(n)[:, None]).ravel(), minlength=n * m) != 1
+        ).any():
+            raise ValidationError("every rank row must be a permutation of 1..M")
+        if not np.isfinite(self.origin):
+            raise ValidationError("grid origin must be finite")
+        if not self.width > 0:
+            raise ValidationError(f"bin width must be > 0, got {self.width}")
+        if p.shape[1] < 1:
+            raise ValidationError("masses must have at least one bin")
+        if (p < 0).any():
+            raise ValidationError("masses must be nonnegative")
+        sums = p.sum(axis=1)
+        bad = sums[np.abs(sums - 1.0) > MASS_TOL]
+        if bad.size:
+            raise ValidationError(f"masses must sum to 1 within {MASS_TOL}, got {bad[0]!r}")
         r.setflags(write=False)
         p.setflags(write=False)
 
@@ -176,45 +117,18 @@ class NonParamRepresentation:
     def grid(self) -> tuple[float, float, int]:
         return (self.origin, self.width, self.masses.shape[1])
 
-    def series(self, i: int) -> SeriesRepresentation:
-        return SeriesRepresentation(
-            self.ids[i],
-            RankVector(ranks=self.ranks[i]),
-            BinnedDensity(origin=self.origin, width=self.width, masses=self.masses[i]),
-        )
-
-
-def rank_function(observations, tie_order=None) -> RankVector:
-    """Bijective ranks of one series, ties broken by arrival order.
-
-    Parameters
-    ----------
-    observations : array_like, shape (M,)
-        The raw values, M >= 2.
-    tie_order : array_like of int, optional
-        A permutation of {1,...,M}; equal values are ordered by it. Defaults
-        to the identity, i.e. first arrival gets the lower rank.
-    """
-    x = np.asarray(observations, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 2:
-        raise ValidationError("observations must be 1-d with at least 2 entries")
-    m = x.shape[0]
-    if tie_order is None:
-        sigma = np.arange(1, m + 1)
-    else:
-        sigma = np.asarray(tie_order, dtype=np.int64)
-        if sigma.shape != (m,):
-            raise ValidationError(f"tie_order must have {m} entries, one per observation")
-        _check_permutations(sigma[None, :], "tie_order")
-    # sorting by (value, sigma) places index i at position rank[i]-1
-    order = np.lexsort((sigma, x))
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[order] = np.arange(1, m + 1)
-    return RankVector(ranks=ranks)
-
 
 def _bin_index(x: np.ndarray, origin: float, width: float, bin_count: int) -> np.ndarray:
-    """Bin of every value of x (any shape) on the grid; the rule empirical_margin documents."""
+    """Bin of every value of x (any shape) on the half-open grid [origin, origin + bin_count*width).
+
+    Bin k holds origin + k*width <= x < origin + (k+1)*width, with one float
+    concession: a value whose bin quotient sits within EDGE_TOL (relative)
+    below an edge counts to the bin right of that edge. Without the snap,
+    rescaling data and grid together could move edge-sitting values (the
+    pooled extremes in particular) across a bin boundary.
+    Raises BinningRangeError if any value falls off the grid; the caller
+    owns the grid and must widen it.
+    """
     hi = origin + bin_count * width
     inside = (x >= origin) & (x < hi)
     if not inside.all():
@@ -228,29 +142,6 @@ def _bin_index(x: np.ndarray, origin: float, width: float, bin_count: int) -> np
     # right edge of the padded grid
     np.minimum(idx, bin_count - 1, out=idx)
     return idx
-
-
-def empirical_margin(observations, origin: float, width: float, bin_count: int) -> BinnedDensity:
-    """Histogram masses of one series on the half-open grid [origin, origin + bin_count*width).
-
-    masses[k] = #{i : origin + k*width <= X_i < origin + (k+1)*width} / M, with
-    one float concession: a value whose bin quotient sits within EDGE_TOL
-    (relative) below an edge counts to the bin right of that edge. Without the
-    snap, rescaling data and grid together could move edge-sitting values (the
-    pooled extremes in particular) across a bin boundary.
-    Raises BinningRangeError if any observation falls off the grid; the caller
-    owns the grid and must widen it.
-    """
-    x = np.asarray(observations, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ValidationError("observations must be a nonempty 1-d array")
-    if not width > 0:
-        raise ParameterError(f"bin width must be > 0, got {width}")
-    if bin_count < 1:
-        raise ParameterError(f"bin count must be >= 1, got {bin_count}")
-    idx = _bin_index(x, origin, width, bin_count)
-    counts = np.bincount(idx, minlength=bin_count)
-    return BinnedDensity(origin=origin, width=width, masses=counts / x.shape[0])
 
 
 def shared_grid(values, config: BinningConfig) -> tuple[float, float, int]:
@@ -305,9 +196,10 @@ def shared_grid(values, config: BinningConfig) -> tuple[float, float, int]:
 def represent(panel: IncrementPanel, binning: BinningConfig = BinningConfig()) -> NonParamRepresentation:
     """Project every series of a panel onto (ranks, shared-grid density).
 
-    Row for row, the result equals rank_function and empirical_margin on the
-    shared grid: a stable sort keeps the arrival-order tie rule, and one
-    offset bincount histograms all rows. Stability selection sorts its panel
+    Row for row, the result follows the rank and histogram definitions of
+    this module on the grid `shared_grid` builds from the pooled values: a
+    stable sort keeps the arrival-order tie rule, and one offset bincount
+    histograms all rows. Stability selection sorts its panel
     once and derives each subsample's order from that sort, so its
     subsamples go through the same code without a sort of their own.
     """

@@ -15,25 +15,19 @@ import pytest
 from scipy import stats
 
 from rwclust import (
-    BinnedDensity,
     BinningConfig,
     CorrelationBlock,
     DistanceParams,
     DistributionGroup,
-    RankVector,
-    SeriesRepresentation,
+    IncrementPanel,
+    NonParamRepresentation,
     SyntheticSpec,
     cluster,
     cluster_summary,
-    d0_empirical,
-    d1_empirical,
-    d_theta,
+    distance_components,
     distance_matrix,
-    empirical_margin,
     generate_panel,
-    rank_function,
     represent,
-    shared_grid,
     score_recovery,
     stability_select_k,
     to_increments,
@@ -67,17 +61,20 @@ def report(number: int, what: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def random_density(rng, bins, origin=0.0, width=1.0):
+def random_masses(rng, bins):
     v = rng.random(bins) + 1e-3
-    return BinnedDensity(origin=origin, width=width, masses=v / v.sum())
+    return v / v.sum()
 
 
-def random_representation(rng, m, bins):
-    return SeriesRepresentation(
-        id="x",
-        ranks=RankVector(ranks=rng.permutation(m) + 1),
-        density=random_density(rng, bins),
-    )
+def matrix_representation(rank_rows, mass_rows):
+    """The shipped panel representation built straight from rank and mass rows."""
+    ids = tuple(f"s{i}" for i in range(len(rank_rows)))
+    return NonParamRepresentation(ids=ids, ranks=np.stack(rank_rows), masses=np.stack(mass_rows),
+                                  origin=0.0, width=1.0)
+
+
+def panel_of(rows):
+    return IncrementPanel(ids=tuple(f"s{i}" for i in range(len(rows))), values=np.asarray(rows))
 
 
 @pytest.fixture(scope="module")
@@ -108,21 +105,23 @@ def test_criterion_1_estimator_oracle():
     worst_d0 = 0.0
     for _ in range(200):
         m = int(rng.integers(10, 51))
-        ra = RankVector(ranks=rng.permutation(m) + 1)
-        rb = RankVector(ranks=rng.permutation(m) + 1)
+        ra = rng.permutation(m) + 1
+        rb = rng.permutation(m) + 1
+        bins = int(rng.integers(1, 40))
+        pa = random_masses(rng, bins)
+        pb = random_masses(rng, bins)
+        parts = distance_components(matrix_representation([ra, rb], [pa, pb]))
+
         naive = 0.0
         for i in range(m):
-            naive += float(ra.ranks[i] - rb.ranks[i]) ** 2
+            naive += float(ra[i] - rb[i]) ** 2
         naive = math.sqrt(3.0 * naive / (m * m * (m - 1)))
-        worst_d1 = max(worst_d1, abs(d1_empirical(ra, rb) - naive))
+        worst_d1 = max(worst_d1, abs(math.sqrt(parts.d1sq[0, 1]) - naive))
 
-        bins = int(rng.integers(1, 40))
-        da = random_density(rng, bins)
-        db = random_density(rng, bins)
         acc = 0.0
         for k in range(bins):
-            acc += (math.sqrt(da.masses[k]) - math.sqrt(db.masses[k])) ** 2
-        worst_d0 = max(worst_d0, abs(d0_empirical(da, db) - math.sqrt(0.5 * acc)))
+            acc += (math.sqrt(pa[k]) - math.sqrt(pb[k])) ** 2
+        worst_d0 = max(worst_d0, abs(math.sqrt(parts.d0sq[0, 1]) - math.sqrt(0.5 * acc)))
     elapsed = time.perf_counter() - start
     ok = worst_d1 <= 1e-12 and worst_d0 <= 1e-12 and elapsed < 5.0
     report(
@@ -133,7 +132,6 @@ def test_criterion_1_estimator_oracle():
 
 def test_criterion_2_metric_properties():
     rng = np.random.default_rng(202)
-    params = DistanceParams(theta=0.5)
     start = time.perf_counter()
     worst_slack = -np.inf
     symmetric = True
@@ -141,13 +139,18 @@ def test_criterion_2_metric_properties():
     for _ in range(1000):
         m = int(rng.integers(5, 30))
         bins = int(rng.integers(2, 15))
-        x, y, z = (random_representation(rng, m, bins) for _ in range(3))
-        dxy, dyz, dxz = d_theta(x, y, params), d_theta(y, z, params), d_theta(x, z, params)
+        x, y, z = ((rng.permutation(m) + 1, random_masses(rng, bins)) for _ in range(3))
+        # rows x, y, z, x: pair (0, 1) differences y - x, pair (1, 3) x - y,
+        # and pair (0, 3) compares two separate copies of x
+        rows = (x, y, z, x)
+        rep = matrix_representation([r for r, _ in rows], [p for _, p in rows])
+        v = distance_components(rep).blend(0.5).values
+        dxy, dyz, dxz = v[0, 1], v[1, 2], v[0, 2]
         worst_slack = max(
             worst_slack, dxy - (dxz + dyz), dxz - (dxy + dyz), dyz - (dxy + dxz)
         )
-        symmetric &= d_theta(x, y, params) == d_theta(y, x, params)
-        self_zero &= d_theta(x, x, params) == 0.0
+        symmetric &= v[0, 1] == v[1, 3]
+        self_zero &= v[0, 3] == 0.0
     elapsed = time.perf_counter() - start
     ok = worst_slack <= 1e-12 and symmetric and self_zero and elapsed < 10.0
     report(
@@ -165,7 +168,7 @@ def test_criterion_3_spearman_consistency():
         # mix in correlation so the pairs span the whole dependence range
         w = rng.uniform(-1.0, 1.0)
         y = w * x + math.sqrt(max(1.0 - w * w, 1e-12)) * rng.standard_normal(m)
-        d1sq = d1_empirical(rank_function(x), rank_function(y)) ** 2
+        d1sq = distance_components(represent(panel_of([x, y]))).d1sq[0, 1]
         rho = stats.spearmanr(x, y).statistic
         worst = max(worst, abs(d1sq - (1.0 - rho) / 2.0))
     ok = worst <= 1e-2
@@ -174,37 +177,23 @@ def test_criterion_3_spearman_consistency():
 
 def test_criterion_4_monotone_invariance():
     rng = np.random.default_rng(404)
+    binning = BinningConfig(bins=20)
     exp_exact = True
     affine_exact = True
     for _ in range(50):
         values = rng.standard_normal((5, 60))
+        before = distance_components(represent(panel_of(values), binning))
 
         # strictly increasing map on one series leaves every rank distance alone
-        ranks_before = [rank_function(row) for row in values]
         bumped = values.copy()
         bumped[2] = np.exp(bumped[2])
-        ranks_after = [rank_function(row) for row in bumped]
-        for i in range(5):
-            for j in range(i + 1, 5):
-                exp_exact &= (
-                    d1_empirical(ranks_before[i], ranks_before[j])
-                    == d1_empirical(ranks_after[i], ranks_after[j])
-                )
+        after = distance_components(represent(panel_of(bumped), binning))
+        exp_exact &= np.array_equal(before.d1sq, after.d1sq)
 
-        # affine map of the data with the correspondingly mapped grid leaves
-        # every histogram distance alone
-        origin, width, count = shared_grid(values, BinningConfig(bins=20))
-        dens_before = [empirical_margin(row, origin, width, count) for row in values]
-        mapped = 3.0 * values + 7.0
-        dens_after = [
-            empirical_margin(row, 3.0 * origin + 7.0, 3.0 * width, count) for row in mapped
-        ]
-        for i in range(5):
-            for j in range(i + 1, 5):
-                affine_exact &= (
-                    d0_empirical(dens_before[i], dens_before[j])
-                    == d0_empirical(dens_after[i], dens_after[j])
-                )
+        # affine map of the data, represented on the grid its own pooled
+        # values give, leaves every histogram distance alone
+        mapped = distance_components(represent(panel_of(3.0 * values + 7.0), binning))
+        affine_exact &= np.array_equal(before.d0sq, mapped.d0sq)
     ok = exp_exact and affine_exact
     report(
         4, "monotone maps leave the matched component unchanged",

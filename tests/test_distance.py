@@ -7,23 +7,14 @@ import numpy as np
 import pytest
 
 from rwclust import (
-    BinnedDensity,
     BinningConfig,
-    DimensionError,
     DistanceMatrix,
     DistanceParams,
-    GridCompatibilityError,
     NonParamRepresentation,
     ParameterError,
-    RankVector,
-    SeriesRepresentation,
     ValidationError,
-    d0_empirical,
-    d1_empirical,
-    d_theta,
     distance_components,
     distance_matrix,
-    rank_function,
     represent,
 )
 from rwclust import distance
@@ -51,17 +42,20 @@ def naive_d0_sq(px, py):
     return 0.5 * s
 
 
-def rv(seq):
-    return RankVector(ranks=np.asarray(seq))
-
-
-def dens(masses, origin=0.0, width=1.0):
-    return BinnedDensity(origin=origin, width=width, masses=np.asarray(masses, dtype=float))
-
-
-def random_density(rng, bins, origin=0.0, width=1.0):
+def random_masses(rng, bins):
     v = rng.random(bins) + 1e-3
-    return dens(v / v.sum(), origin=origin, width=width)
+    return v / v.sum()
+
+
+def components(rank_rows=None, mass_rows=None, **kwargs):
+    """distance_components of a panel given by its rank rows and mass rows;
+    the part left out is the same for every row, so it adds zero."""
+    n = len(rank_rows if rank_rows is not None else mass_rows)
+    ranks = np.tile([1, 2], (n, 1)) if rank_rows is None else np.asarray(rank_rows)
+    masses = np.ones((n, 1)) if mass_rows is None else np.asarray(mass_rows, dtype=float)
+    rep = NonParamRepresentation(ids=tuple(f"s{i}" for i in range(n)), ranks=ranks,
+                                 masses=masses, origin=0.0, width=1.0)
+    return distance_components(rep, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -69,49 +63,46 @@ def random_density(rng, bins, origin=0.0, width=1.0):
 # ---------------------------------------------------------------------------
 
 def test_d1_identical_is_zero():
-    r = rv([3, 1, 2, 4])
-    assert d1_empirical(r, r) == 0.0
+    r = [3, 1, 2, 4]
+    assert components([r, r]).d1sq[0, 1] == 0.0
 
 
 def test_d1_reversed_ranks():
-    a, b = rv([1, 2, 3, 4]), rv([4, 3, 2, 1])
-    assert naive_d1_sq(a.ranks, b.ranks) == 1.25  # oracle confirms the closed form
-    assert d1_empirical(a, b) == pytest.approx(math.sqrt(1.25), abs=1e-15)
+    a, b = [1, 2, 3, 4], [4, 3, 2, 1]
+    assert naive_d1_sq(a, b) == 1.25  # oracle confirms the closed form
+    assert math.sqrt(components([a, b]).d1sq[0, 1]) == pytest.approx(math.sqrt(1.25), abs=1e-15)
 
 
 def test_d1_single_swap():
-    a, b = rv([1, 2, 3]), rv([1, 3, 2])
-    assert naive_d1_sq(a.ranks, b.ranks) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert d1_empirical(a, b) == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-15)
+    a, b = [1, 2, 3], [1, 3, 2]
+    assert naive_d1_sq(a, b) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert math.sqrt(components([a, b]).d1sq[0, 1]) == pytest.approx(
+        math.sqrt(1.0 / 3.0), abs=1e-15
+    )
 
 
 def test_d1_matches_naive_oracle(rng):
     for _ in range(50):
         m = int(rng.integers(2, 40))
-        a, b = rv(rng.permutation(m) + 1), rv(rng.permutation(m) + 1)
-        assert d1_empirical(a, b) ** 2 == pytest.approx(
-            naive_d1_sq(a.ranks, b.ranks), abs=1e-12
-        )
+        a, b = rng.permutation(m) + 1, rng.permutation(m) + 1
+        assert components([a, b]).d1sq[0, 1] == pytest.approx(naive_d1_sq(a, b), abs=1e-12)
 
 
 def test_d1_exact_norm_caps_at_one():
     # reversal is the extreme case; the alternative normalization makes it exactly 1
     for m in (2, 3, 5, 8, 20):
-        a = rv(np.arange(1, m + 1))
-        b = rv(np.arange(m, 0, -1))
-        assert d1_empirical(a, b, exact_spearman_norm=True) == pytest.approx(1.0, abs=1e-12)
+        rows = [np.arange(1, m + 1), np.arange(m, 0, -1)]
+        exact = components(rows, exact_spearman_norm=True).d1sq[0, 1]
+        assert math.sqrt(exact) == pytest.approx(1.0, abs=1e-12)
         # the default normalization exceeds 1 by the (M+1)/M factor
-        assert d1_empirical(a, b) ** 2 == pytest.approx((m + 1) / m, abs=1e-12)
+        assert components(rows).d1sq[0, 1] == pytest.approx((m + 1) / m, abs=1e-12)
 
 
 def test_d1_symmetry_exact(rng):
-    a, b = rv(rng.permutation(17) + 1), rv(rng.permutation(17) + 1)
-    assert d1_empirical(a, b) == d1_empirical(b, a)
-
-
-def test_d1_length_mismatch():
-    with pytest.raises(DimensionError):
-        d1_empirical(rv([1, 2, 3]), rv([2, 1]))
+    a, b = rng.permutation(17) + 1, rng.permutation(17) + 1
+    # pair (0, 1) is computed as a against b, pair (1, 2) as b against a
+    d1sq = components([a, b, a]).d1sq
+    assert d1sq[0, 1] == d1sq[1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +110,16 @@ def test_d1_length_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_d0_identical_is_zero():
-    d = dens([0.25, 0.75])
-    assert d0_empirical(d, d) == 0.0
+    p = [0.25, 0.75]
+    assert components(mass_rows=[p, p]).d0sq[0, 1] == 0.0
 
 
 def test_d0_disjoint_supports():
-    assert d0_empirical(dens([1.0, 0.0]), dens([0.0, 1.0])) == 1.0
+    assert components(mass_rows=[[1.0, 0.0], [0.0, 1.0]]).d0sq[0, 1] == 1.0
 
 
 def test_d0_half_overlap():
-    val = d0_empirical(dens([0.5, 0.5]), dens([1.0, 0.0]))
+    val = math.sqrt(components(mass_rows=[[0.5, 0.5], [1.0, 0.0]]).d0sq[0, 1])
     expected_sq = 1.0 - math.sqrt(0.5)
     assert naive_d0_sq([0.5, 0.5], [1.0, 0.0]) == pytest.approx(expected_sq, abs=1e-15)
     assert val == pytest.approx(math.sqrt(expected_sq), abs=1e-15)
@@ -137,23 +128,16 @@ def test_d0_half_overlap():
 def test_d0_matches_naive_oracle(rng):
     for _ in range(50):
         bins = int(rng.integers(1, 30))
-        a, b = random_density(rng, bins), random_density(rng, bins)
-        assert d0_empirical(a, b) ** 2 == pytest.approx(
-            naive_d0_sq(a.masses, b.masses), abs=1e-12
+        a, b = random_masses(rng, bins), random_masses(rng, bins)
+        assert components(mass_rows=[a, b]).d0sq[0, 1] == pytest.approx(
+            naive_d0_sq(a, b), abs=1e-12
         )
 
 
 def test_d0_bounded_by_one(rng):
     for _ in range(50):
-        a, b = random_density(rng, 12), random_density(rng, 12)
-        assert 0.0 <= d0_empirical(a, b) <= 1.0 + 1e-12
-
-
-def test_d0_grid_mismatch():
-    with pytest.raises(GridCompatibilityError):
-        d0_empirical(dens([1.0]), dens([1.0], origin=2.0))
-    with pytest.raises(GridCompatibilityError):
-        d0_empirical(dens([0.5, 0.5]), dens([1.0]))
+        a, b = random_masses(rng, 12), random_masses(rng, 12)
+        assert 0.0 <= math.sqrt(components(mass_rows=[a, b]).d0sq[0, 1]) <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +146,16 @@ def test_d0_grid_mismatch():
 
 def test_theta_blend_value():
     # ranks chosen so the squared rank distance is exactly 1, densities equal
-    rep_x = represent(make_increment_panel([[10.0, 20.0, 30.0], [20.0, 30.0, 10.0]]))
-    x, y = rep_x.series(0), rep_x.series(1)
-    assert x.ranks.ranks.tolist() == [1, 2, 3]
-    assert y.ranks.ranks.tolist() == [2, 3, 1]
-    assert naive_d1_sq(x.ranks.ranks, y.ranks.ranks) == pytest.approx(1.0, abs=1e-15)
+    rep = represent(make_increment_panel([[10.0, 20.0, 30.0], [20.0, 30.0, 10.0]]))
+    assert rep.ranks[0].tolist() == [1, 2, 3]
+    assert rep.ranks[1].tolist() == [2, 3, 1]
+    assert naive_d1_sq(rep.ranks[0], rep.ranks[1]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_theta_half_blend():
-    a = rank_function([10.0, 20.0, 30.0])
-    b = rank_function([20.0, 30.0, 10.0])
-    d = dens([0.5, 0.5])
-    x = SeriesRepresentation(id="x", ranks=a, density=d)
-    y = SeriesRepresentation(id="y", ranks=b, density=d)
-    out = d_theta(x, y, DistanceParams(theta=0.5))
+    # the two rows hold the same values, so their histograms are equal
+    rep = represent(make_increment_panel([[10.0, 20.0, 30.0], [20.0, 30.0, 10.0]]))
+    out = distance_components(rep).blend(0.5).values[0, 1]
     assert out == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
@@ -183,23 +163,26 @@ def test_theta_endpoints_bitwise(rng):
     for _ in range(20):
         m = int(rng.integers(2, 25))
         bins = int(rng.integers(1, 10))
-        x = SeriesRepresentation("x", rv(rng.permutation(m) + 1), random_density(rng, bins))
-        y = SeriesRepresentation("y", rv(rng.permutation(m) + 1), random_density(rng, bins))
-        assert d_theta(x, y, DistanceParams(theta=0.0)) == d0_empirical(x.density, y.density)
-        assert d_theta(x, y, DistanceParams(theta=1.0)) == d1_empirical(x.ranks, y.ranks)
+        x = (rng.permutation(m) + 1, random_masses(rng, bins))
+        y = (rng.permutation(m) + 1, random_masses(rng, bins))
+        parts = components([x[0], y[0]], [x[1], y[1]])
+        assert np.array_equal(parts.blend(0.0).values, np.sqrt(parts.d0sq))
+        assert np.array_equal(parts.blend(1.0).values, np.sqrt(parts.d1sq))
 
 
 def test_theta_self_distance_zero(rng):
-    x = SeriesRepresentation("x", rv(rng.permutation(9) + 1), random_density(rng, 5))
+    x = (rng.permutation(9) + 1, random_masses(rng, 5))
+    parts = components([x[0], x[0]], [x[1], x[1]])
     for theta in (0.0, 0.3, 1.0):
-        assert d_theta(x, x, DistanceParams(theta=theta)) == 0.0
+        assert parts.blend(theta).values[0, 1] == 0.0
 
 
 def test_theta_symmetry_exact(rng):
-    x = SeriesRepresentation("x", rv(rng.permutation(11) + 1), random_density(rng, 7))
-    y = SeriesRepresentation("y", rv(rng.permutation(11) + 1), random_density(rng, 7))
-    p = DistanceParams(theta=0.4)
-    assert d_theta(x, y, p) == d_theta(y, x, p)
+    x = (rng.permutation(11) + 1, random_masses(rng, 7))
+    y = (rng.permutation(11) + 1, random_masses(rng, 7))
+    # pair (0, 1) is computed as x against y, pair (1, 2) as y against x
+    v = components([x[0], y[0], x[0]], [x[1], y[1], x[1]]).blend(0.4).values
+    assert v[0, 1] == v[1, 2]
 
 
 def test_theta_validation():
@@ -231,7 +214,8 @@ def test_matrix_agrees_with_pairwise_calls(rng):
     dm = distance_matrix(rep, params)
     for i in range(3):
         for j in range(3):
-            expected = d_theta(rep.series(i), rep.series(j), params)
+            expected = math.sqrt(0.5 * naive_d1_sq(rep.ranks[i], rep.ranks[j])
+                                 + 0.5 * naive_d0_sq(rep.masses[i], rep.masses[j]))
             assert dm.values[i, j] == pytest.approx(expected, abs=1e-15)
 
 

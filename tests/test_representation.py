@@ -1,5 +1,8 @@
-"""Rank vectors, binned densities, and the shared grid."""
+"""Ranks, histograms, and the shared grid."""
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,94 +10,97 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rwclust import (
-    BinnedDensity,
     BinningConfig,
     BinningRangeError,
     NonParamRepresentation,
     ParameterError,
-    RankVector,
     ValidationError,
-    empirical_margin,
-    rank_function,
     represent,
     shared_grid,
 )
 
-from rwclust.representation import MAX_BINS
+from rwclust.representation import MAX_BINS, _bin_index
 
 from conftest import make_increment_panel, make_level_panel
 
 
-def predicate_ranks(x, sigma=None):
-    """Oracle: count, for each i, the k satisfying the tie-broken ordering predicate."""
+def predicate_ranks(x):
+    """Oracle: count, for each i, the k that come before it with ties going to the earlier one."""
     m = len(x)
-    sigma = list(range(1, m + 1)) if sigma is None else list(sigma)
     out = []
     for i in range(m):
         c = 0
         for k in range(m):
-            if x[k] < x[i] or (x[k] == x[i] and sigma[k] <= sigma[i]):
+            if x[k] < x[i] or (x[k] == x[i] and k <= i):
                 c += 1
         out.append(c)
     return out
 
 
+def naive_masses(x, origin, width, bin_count):
+    """Oracle: per-value histogram on the half-open grid, with the edge snap written out."""
+    counts = [0] * bin_count
+    for v in x:
+        q = (v - origin) / width
+        k = math.floor(q)
+        # a quotient within 16 ulp (relative) below an edge counts to the next bin
+        if 1.0 - (q - k) <= 16 * sys.float_info.epsilon * max(abs(q), 1.0):
+            k += 1
+        counts[min(k, bin_count - 1)] += 1
+    return np.array([c / len(x) for c in counts])
+
+
+def ranks_of(x):
+    return represent(make_increment_panel([x])).ranks[0]
+
+
+def masses_of(rows):
+    """Masses of the unit-width representation of `rows`, and its grid."""
+    rep = represent(make_increment_panel(rows), BinningConfig(rule="width", width=1.0))
+    return rep.masses, rep.grid
+
+
 # ---------------------------------------------------------------------------
-# rank_function
+# ranks
 # ---------------------------------------------------------------------------
 
 def test_rank_tie_goes_to_earlier_arrival():
     x = [2.0, 5.0, 2.0]
     assert predicate_ranks(x) == [1, 3, 2]  # oracle agrees with the frozen value
-    assert rank_function(x).ranks.tolist() == [1, 3, 2]
+    assert ranks_of(x).tolist() == [1, 3, 2]
 
 
 def test_rank_sorted_input():
-    assert rank_function([1.0, 2.0, 3.0, 4.0]).ranks.tolist() == [1, 2, 3, 4]
+    assert ranks_of([1.0, 2.0, 3.0, 4.0]).tolist() == [1, 2, 3, 4]
 
 
 def test_rank_constant_input():
     x = [7.0, 7.0, 7.0]
     assert predicate_ranks(x) == [1, 2, 3]
-    assert rank_function(x).ranks.tolist() == [1, 2, 3]
-
-
-def test_rank_explicit_tie_order():
-    x = [7.0, 7.0, 7.0]
-    sigma = [2, 3, 1]
-    assert predicate_ranks(x, sigma) == [2, 3, 1]
-    assert rank_function(x, tie_order=sigma).ranks.tolist() == [2, 3, 1]
+    assert ranks_of(x).tolist() == [1, 2, 3]
 
 
 def test_rank_mixed_ties_against_oracle(rng):
     for _ in range(20):
         x = rng.integers(0, 5, size=12).astype(float)  # plenty of ties
-        sigma = rng.permutation(12) + 1
-        assert rank_function(x, tie_order=sigma).ranks.tolist() == predicate_ranks(x, sigma)
+        assert ranks_of(x).tolist() == predicate_ranks(x)
 
 
 def test_rank_distinct_values_match_sorted_position(rng):
     x = rng.standard_normal(8)
     expected = [1 + sorted(x).index(v) for v in x]
-    assert rank_function(x).ranks.tolist() == expected
-
-
-def test_rank_rejects_bad_tie_order():
-    with pytest.raises(ValidationError):
-        rank_function([1.0, 2.0, 3.0], tie_order=[1, 1, 2])
-    with pytest.raises(ValidationError):
-        rank_function([1.0, 2.0, 3.0], tie_order=[0, 1, 2])
+    assert ranks_of(x).tolist() == expected
 
 
 def test_rank_rejects_short_input():
     with pytest.raises(ValidationError):
-        rank_function([1.0])
+        represent(make_increment_panel([[1.0]]))
 
 
 @given(st.lists(st.integers(-3, 3), min_size=2, max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_rank_is_bijection(xs):
-    r = rank_function([float(v) for v in xs]).ranks
+    r = ranks_of([float(v) for v in xs])
     assert sorted(r.tolist()) == list(range(1, len(xs) + 1))
 
 
@@ -102,13 +108,13 @@ def test_rank_is_bijection(xs):
 @settings(max_examples=200, deadline=None)
 def test_rank_matches_predicate_oracle(xs):
     x = [float(v) for v in xs]
-    assert rank_function(x).ranks.tolist() == predicate_ranks(x)
+    assert ranks_of(x).tolist() == predicate_ranks(x)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=25, unique=True))
 @settings(max_examples=100, deadline=None)
 def test_rank_preserves_strict_order(xs):
-    r = rank_function(xs).ranks
+    r = ranks_of(xs)
     for i in range(len(xs)):
         for j in range(len(xs)):
             if xs[i] < xs[j]:
@@ -120,8 +126,8 @@ def test_rank_preserves_strict_order(xs):
 def test_rank_invariant_under_exact_scaling(xs):
     # x -> 4x shifts the exponent only, so it is strictly increasing even in
     # floating point; ranks must not move
-    before = rank_function(xs).ranks
-    after = rank_function(4.0 * np.asarray(xs)).ranks
+    before = ranks_of(xs)
+    after = ranks_of(4.0 * np.asarray(xs))
     assert np.array_equal(before, after)
 
 
@@ -132,60 +138,56 @@ def test_rank_invariant_under_increasing_map(xs):
     # near-equal inputs into ties; skip those collisions
     y = np.exp(np.asarray(xs))
     assume(len(np.unique(y)) == len(np.unique(np.asarray(xs))))
-    before = rank_function(xs).ranks
-    after = rank_function(y).ranks
+    before = ranks_of(xs)
+    after = ranks_of(y)
     assert np.array_equal(before, after)
 
 
 # ---------------------------------------------------------------------------
-# empirical_margin
+# histograms: a second row of zeros puts the grid's origin at 0
 # ---------------------------------------------------------------------------
 
 def test_margin_basic_counting():
-    d = empirical_margin([0.1, 0.9, 1.5], origin=0.0, width=1.0, bin_count=2)
-    assert np.allclose(d.masses, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
-    assert d.grid() == (0.0, 1.0, 2)
+    masses, grid = masses_of([[0.1, 0.9, 1.5], [0.0, 0.0, 0.0]])
+    assert np.allclose(masses[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+    assert grid == (0.0, 1.0, 2)
 
 
 def test_margin_single_occupied_bin():
-    d = empirical_margin([2.2, 2.4, 2.9], origin=0.0, width=1.0, bin_count=4)
-    assert d.masses.tolist() == [0.0, 0.0, 1.0, 0.0]
+    masses, grid = masses_of([[2.2, 2.4, 2.9], [0.0, 0.0, 3.5]])
+    assert grid == (0.0, 1.0, 4)
+    assert masses[0].tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
 def test_margin_uniform_two_per_bin():
     x = [0.5, 0.6, 1.5, 1.6, 2.5, 2.6, 3.5, 3.6]
-    d = empirical_margin(x, origin=0.0, width=1.0, bin_count=4)
-    assert d.masses.tolist() == [0.25, 0.25, 0.25, 0.25]
+    masses, grid = masses_of([x, [0.0] * 8])
+    assert grid == (0.0, 1.0, 4)
+    assert masses[0].tolist() == [0.25, 0.25, 0.25, 0.25]
 
 
 def test_margin_left_edge_belongs_to_bin():
-    d = empirical_margin([0.0, 1.0], origin=0.0, width=1.0, bin_count=2)
-    assert d.masses.tolist() == [0.5, 0.5]
+    masses, grid = masses_of([[0.0, 1.0]])
+    assert grid == (0.0, 1.0, 2)
+    assert masses[0].tolist() == [0.5, 0.5]
 
 
 def test_margin_out_of_range():
     with pytest.raises(BinningRangeError):
-        empirical_margin([-0.1, 0.5], origin=0.0, width=1.0, bin_count=2)
+        _bin_index(np.array([-0.1, 0.5]), 0.0, 1.0, 2)
     with pytest.raises(BinningRangeError):
-        empirical_margin([0.5, 2.0], origin=0.0, width=1.0, bin_count=2)  # right edge excluded
-
-
-def test_margin_parameter_checks():
-    with pytest.raises(ParameterError):
-        empirical_margin([0.5], origin=0.0, width=0.0, bin_count=2)
-    with pytest.raises(ParameterError):
-        empirical_margin([0.5], origin=0.0, width=1.0, bin_count=0)
+        _bin_index(np.array([0.5, 2.0]), 0.0, 1.0, 2)  # right edge excluded
 
 
 @given(
-    st.lists(st.floats(0.0, 9.999), min_size=1, max_size=60),
+    st.lists(st.floats(0.0, 9.999), min_size=2, max_size=60),
     st.integers(1, 12),
 )
 @settings(max_examples=100, deadline=None)
 def test_margin_masses_sum_to_one(xs, bins):
-    d = empirical_margin(xs, origin=0.0, width=10.0 / bins, bin_count=bins)
-    assert abs(d.masses.sum() - 1.0) <= 1e-12
-    assert (d.masses >= 0).all()
+    masses = represent(make_increment_panel([xs]), BinningConfig(bins=bins)).masses[0]
+    assert abs(masses.sum() - 1.0) <= 1e-12
+    assert (masses >= 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +238,7 @@ def test_grid_always_covers_sample(xs, bins):
     assert (x >= origin).all()
     assert (x < origin + count * width).all()
     # coverage means every series can be binned without a range error
-    empirical_margin(xs, origin, width, count)
+    _bin_index(x, origin, width, count)
 
 
 def test_grid_refuses_more_than_max_bins():
@@ -264,36 +266,38 @@ def test_binning_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# value objects and represent()
+# the panel representation and represent()
 # ---------------------------------------------------------------------------
+
+def one_series(ranks=(1, 2), masses=(1.0,), width=1.0):
+    return NonParamRepresentation(ids=("a",), ranks=[ranks], masses=[masses],
+                                  origin=0.0, width=width)
+
 
 def test_rank_vector_validation():
     with pytest.raises(ValidationError):
-        RankVector(ranks=np.array([1, 2, 2]))
+        one_series(ranks=(1, 2, 2))
     with pytest.raises(ValidationError):
-        RankVector(ranks=np.array([0, 1, 2]))
+        one_series(ranks=(0, 1, 2))
 
 
 def test_density_validation():
     with pytest.raises(ValidationError):
-        BinnedDensity(origin=0.0, width=1.0, masses=np.array([0.5, 0.4]))
+        one_series(masses=(0.5, 0.4))
     with pytest.raises(ValidationError):
-        BinnedDensity(origin=0.0, width=-1.0, masses=np.array([1.0]))
+        one_series(width=-1.0)
     with pytest.raises(ValidationError):
-        BinnedDensity(origin=0.0, width=1.0, masses=np.array([1.5, -0.5]))
+        one_series(masses=(1.5, -0.5))
 
 
 def test_value_objects_freeze_caller_arrays():
     # arrays of the stored dtype are kept, not copied, and made read-only
     levels, values = np.array([[0.0, 0.3, 0.1]]), np.array([[0.3, -0.2, 0.8]])
     ranks, masses = np.array([[3, 1, 2], [1, 3, 2]]), np.array([[0.5, 0.5], [1.0, 0.0]])
-    row_ranks, row_masses = ranks[0], masses[1]
     rep = NonParamRepresentation(ids=("a", "b"), ranks=ranks, masses=masses, origin=0.0, width=1.0)
     for stored, given_array in [
         (make_level_panel(levels).values, levels),
         (make_increment_panel(values).values, values),
-        (RankVector(ranks=row_ranks).ranks, row_ranks),
-        (BinnedDensity(origin=0.0, width=1.0, masses=row_masses).masses, row_masses),
         (rep.ranks, ranks),
         (rep.masses, masses),
     ]:
@@ -317,9 +321,8 @@ def test_represent_identical_series_agree(rng):
 
 def test_represent_shares_one_grid(rng):
     rep = represent(make_increment_panel(rng.standard_normal((5, 40))), BinningConfig(bins=12))
-    origin, width, count = rep.grid
+    count = rep.grid[2]
     assert count >= 12
-    assert all(rep.series(i).density.grid() == (origin, width, count) for i in range(5))
     assert rep.ranks.shape == (5, 40)
     assert rep.masses.shape == (5, count)
 
@@ -342,9 +345,8 @@ def test_represent_rows_match_per_series_oracles(n, m, data, scale, binning):
     x = np.asarray(ints, dtype=float) * scale
     rep = represent(make_increment_panel(x), binning)
     for i in range(n):
-        assert np.array_equal(rep.ranks[i], rank_function(x[i]).ranks)
-        margin = empirical_margin(x[i], *rep.grid)
-        assert margin.masses.tobytes() == rep.masses[i].tobytes()
+        assert rep.ranks[i].tolist() == predicate_ranks(x[i])
+        assert naive_masses(x[i], *rep.grid).tobytes() == rep.masses[i].tobytes()
 
 
 def test_representation_validates_matrices():
@@ -352,7 +354,7 @@ def test_representation_validates_matrices():
               origin=0.0, width=1.0)
     rep = NonParamRepresentation(**ok)
     assert (rep.n_series, rep.m, rep.grid) == (2, 3, (0.0, 1.0, 2))
-    assert rep.series(1).ranks.ranks.tolist() == [3, 1, 2]
+    assert rep.ranks[1].tolist() == [3, 1, 2]
     bad = [
         dict(ids=("x",)),  # ids and rows disagree
         dict(ranks=[[1, 2, 2], [3, 1, 2]]),  # repeated rank

@@ -19,22 +19,17 @@ from rwclust import (
     DistanceParams,
     DistributionGroup,
     GroundTruth,
+    IncrementPanel,
     ParameterError,
     SyntheticSpec,
     ValidationError,
-    d0_empirical,
-    d1_empirical,
+    distance_components,
     generate_panel,
-    rank_function,
     represent,
     score_recovery,
     to_increments,
 )
 from rwclust.synthetic import _U_HI, _U_LO, MAX_CELLS, _swap_margin
-
-
-def rank_vector(rng, m):
-    return rank_function(rng.standard_normal(m))
 
 
 def spec_one_block(n, m, rho, groups, seed=0, labels=None):
@@ -179,36 +174,33 @@ def test_independent_series_rank_distance_near_half():
     # Monte-Carlo oracle: squared rank distance between independent series
     # concentrates at 1/2
     oracle_rng = np.random.default_rng(77)
-    draws = []
-    for _ in range(20):
-        a = rank_vector(oracle_rng, 5000)
-        b = rank_vector(oracle_rng, 5000)
-        draws.append(d1_empirical(a, b) ** 2)
+    noise = oracle_rng.standard_normal((40, 5000))
+    independent = IncrementPanel(ids=tuple(f"s{i}" for i in range(40)), values=noise)
+    d1sq = distance_components(represent(independent)).d1sq
+    draws = [d1sq[2 * k, 2 * k + 1] for k in range(20)]
     assert abs(np.mean(draws) - 0.5) < 0.01
 
     spec = spec_one_block(4, 5000, 0.0, (DistributionGroup("gaussian"),), seed=2)
     panel, _ = generate_panel(spec)
-    rep = represent(to_increments(panel), BinningConfig(bins=100))
+    d1sq = distance_components(represent(to_increments(panel), BinningConfig(bins=100))).d1sq
     for i in range(4):
         for j in range(i + 1, 4):
-            d1sq = d1_empirical(rep.series(i).ranks, rep.series(j).ranks) ** 2
-            assert abs(d1sq - 0.5) < 0.05
+            assert abs(d1sq[i, j] - 0.5) < 0.05
 
 
 def test_tight_block_rank_distance_near_zero():
     spec = spec_one_block(2, 5000, 0.99, (DistributionGroup("gaussian"),), seed=3)
     panel, _ = generate_panel(spec)
-    rep = represent(to_increments(panel))
-    assert d1_empirical(rep.series(0).ranks, rep.series(1).ranks) ** 2 < 0.05
+    assert distance_components(represent(to_increments(panel))).d1sq[0, 1] < 0.05
 
 
 def test_same_family_histograms_close():
     spec = spec_one_block(4, 5000, 0.0, (DistributionGroup("student_t", df=3.0),), seed=4)
     panel, _ = generate_panel(spec)
-    rep = represent(to_increments(panel), BinningConfig(bins=100))
+    d0sq = distance_components(represent(to_increments(panel), BinningConfig(bins=100))).d0sq
     for i in range(4):
         for j in range(i + 1, 4):
-            assert d0_empirical(rep.series(i).density, rep.series(j).density) < 0.1
+            assert np.sqrt(d0sq[i, j]) < 0.1
 
 
 def test_product_labels_refine_both():
