@@ -11,11 +11,12 @@ computed once, then blended and clustered per theta. The pass sorts the
 panel once: a subsample's stable order is the full order with the dropped
 observations filtered out. Trees are cut with a union-find that merges in
 scipy's `cut_tree` order, so equal merge heights resolve as `cut_tree`
-resolves them.
+resolves them. Each K's adjusted Rand indices for all run pairs come from
+one vectorised pass per run, over the pairs it opens; `adjusted_rand` is
+that pass applied to two partitions.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -188,36 +189,68 @@ def cluster(
     )
 
 
-def _contingency(labels_a, labels_b) -> np.ndarray:
+def _compressed(labels_a, labels_b) -> tuple[np.ndarray, np.ndarray]:
+    """Both partitions with their labels renumbered 0, 1, ... in sorted order."""
     a = np.asarray(labels_a).ravel()
     b = np.asarray(labels_b).ravel()
     if a.shape != b.shape:
         raise DimensionError(f"partitions differ in length: {a.shape[0]} vs {b.shape[0]}")
     if a.shape[0] == 0:
         raise DimensionError("cannot compare empty partitions")
-    _, ia = np.unique(a, return_inverse=True)
-    _, ib = np.unique(b, return_inverse=True)
+    return np.unique(a, return_inverse=True)[1], np.unique(b, return_inverse=True)[1]
+
+
+def _contingency(labels_a, labels_b) -> np.ndarray:
+    ia, ib = _compressed(labels_a, labels_b)
     cols = ib.max() + 1
     return np.bincount(ia * cols + ib, minlength=(ia.max() + 1) * cols).reshape(-1, cols)
 
 
+def _comb2(x):
+    return x * (x - 1) // 2
+
+
+def _pairwise_ari(labels: np.ndarray) -> np.ndarray:
+    """Adjusted Rand index of every pair of rows of `labels`, an R x n array
+    of labels in 0..K-1, in itertools.combinations order.
+
+    Pairs are grouped by their first row a: each point's contingency cell
+    against every later row b is coded as (b - a - 1, label in a, label in
+    b), and one np.unique counts the cells of all those pairs. The extra
+    memory is O(R * n), whatever K is.
+    """
+    runs, n = labels.shape
+    k = int(labels.max()) + 1
+    agree = []
+    for a in range(runs - 1):
+        later = labels[a + 1:]
+        codes = (np.arange(later.shape[0])[:, None] * k + labels[a]) * k + later
+        cells, counts = np.unique(codes, return_counts=True)
+        # integer sums below 2**53, so the float weights add exactly
+        agree.append(
+            np.bincount(cells // (k * k), weights=_comb2(counts), minlength=later.shape[0])
+        )
+    sizes = np.bincount((np.arange(runs)[:, None] * k + labels).ravel(), minlength=runs * k)
+    pairs = _comb2(sizes).reshape(runs, k).sum(axis=1)
+    first, second = np.triu_indices(runs, 1)
+    # pa * pb / total with Python ints, which round the exact quotient once:
+    # the products pass 2**53 from about 13,800 points and overflow int64
+    # from about 77,000. total is 0 only for n = 1, where every count is 0
+    total = max(_comb2(n), 1)
+    expected = np.array([
+        pa * pb / total for pa, pb in zip(pairs[first].tolist(), pairs[second].tolist())
+    ])
+    top = (pairs[first] + pairs[second]) / 2.0
+    # top == expected only when both partitions are degenerate and identical
+    return np.divide(
+        np.concatenate(agree) - expected, top - expected,
+        out=np.ones(first.size), where=top != expected,
+    )
+
+
 def adjusted_rand(labels_a, labels_b) -> float:
     """Chance-corrected Rand index; 1 iff the partitions agree up to relabeling."""
-    table = _contingency(labels_a, labels_b)
-    n = int(table.sum())
-
-    def comb2(x):
-        return x * (x - 1) // 2
-
-    agree = int(comb2(table).sum())
-    pairs_a = int(comb2(table.sum(axis=1)).sum())
-    pairs_b = int(comb2(table.sum(axis=0)).sum())
-    total = comb2(n)
-    expected = pairs_a * pairs_b / total if total else 0.0
-    top = (pairs_a + pairs_b) / 2.0
-    if top == expected:  # both partitions degenerate and identical
-        return 1.0
-    return float((agree - expected) / (top - expected))
+    return float(_pairwise_ari(np.stack(_compressed(labels_a, labels_b)))[0])
 
 
 def minimal_matching(labels_a, labels_b) -> float:
@@ -271,10 +304,18 @@ def _check_resampling(runs: int, subsample_fraction: float, seed: int) -> None:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
 
 
-# agreement between two partitions: 1 iff they match up to relabeling
+def _pairwise_matching(labels: np.ndarray) -> np.ndarray:
+    """1 - minimal_matching of every pair of rows of `labels`, in
+    itertools.combinations order."""
+    first, second = np.triu_indices(len(labels), 1)
+    return np.array([1.0 - minimal_matching(labels[a], labels[b]) for a, b in zip(first, second)])
+
+
+# agreement of every pair of runs, from one K column's runs x n label array:
+# 1 iff the two partitions match up to relabeling
 _AGREEMENT = {
-    "ari": adjusted_rand,
-    "minimal_matching": lambda a, b: 1.0 - minimal_matching(a, b),
+    "ari": _pairwise_ari,
+    "minimal_matching": _pairwise_matching,
 }
 
 
@@ -318,7 +359,10 @@ def stability_select_k(
     computed once; for every DistanceParams they are blended at its theta
     and clustered. Every K is scored by the mean pairwise agreement between
     the partitions of the runs: adjusted Rand index by default, or
-    1 - minimal_matching with agreement="minimal_matching". Each run's
+    1 - minimal_matching with agreement="minimal_matching". The adjusted
+    Rand indices of one K for all run pairs come from one vectorised pass
+    per run, over its pairs with every later run; minimal matching solves
+    one assignment per run pair. Each run's
     random stream derives from (seed, run index), so results do not depend
     on scheduling, and a sequence of params, which must share
     exact_spearman_norm, gives the tuple of reports that one call per
@@ -359,10 +403,7 @@ def stability_select_k(
     for runs_of_p in partitions:
         scores, spreads = [], []
         for col in range(len(ks)):
-            agreements = [
-                _AGREEMENT[agreement](pa[:, col], pb[:, col])
-                for pa, pb in itertools.combinations(runs_of_p, 2)
-            ]
+            agreements = _AGREEMENT[agreement](np.stack([labels[:, col] for labels in runs_of_p]))
             scores.append(float(np.mean(agreements)))
             spreads.append(float(np.std(agreements)))
         reports.append(StabilityReport(

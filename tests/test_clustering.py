@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rwclust import (
     DimensionError,
     DistanceMatrix,
     DistanceParams,
+    IncrementPanel,
     ParameterError,
     ValidationError,
     adjusted_rand,
@@ -27,7 +29,7 @@ from rwclust import (
     represent,
     stability_select_k,
 )
-from rwclust.clustering import _partitions, _subsample_representation
+from rwclust.clustering import _pairwise_ari, _partitions, _subsample_representation
 
 from conftest import make_increment_panel, make_level_panel
 
@@ -344,6 +346,49 @@ def test_ari_symmetric(rng):
     assert adjusted_rand(a, b) == pytest.approx(adjusted_rand(b, a), abs=1e-15)
 
 
+def test_ari_exact_past_float_products():
+    # from about 13,800 points the product of two pair counts passes 2**53,
+    # and from about 77,000 it overflows int64; the expected index must
+    # still round once, as exact integer division does
+    def comb2(x):
+        return x * (x - 1) // 2
+
+    gen = np.random.default_rng(3)  # its draws include quotients a float product misrounds
+    for _ in range(8):
+        n = int(gen.integers(20_000, 100_000))
+        a = gen.integers(0, 3, size=n)
+        b = np.where(gen.random(n) < 0.5, a, gen.integers(0, 3, size=n))
+        agree = sum(comb2(c) for c in Counter(zip(a.tolist(), b.tolist())).values())
+        pairs_a = sum(comb2(c) for c in Counter(a.tolist()).values())
+        pairs_b = sum(comb2(c) for c in Counter(b.tolist()).values())
+        expected = pairs_a * pairs_b / comb2(n)
+        top = (pairs_a + pairs_b) / 2.0
+        assert adjusted_rand(a, b) == (agree - expected) / (top - expected)
+
+
+def test_pairwise_ari_equals_pair_count_oracle(rng):
+    # exact equality: both evaluate the same formula on the same integer pair
+    # counts, so every value, and the mean and spread over them, must agree bit for bit
+    cases = [
+        np.array([[0, 1, 1, 2], [2, 2, 0, 0]]),  # two runs, one pair
+        np.array([[0] * 5, [0] * 5, [0, 1, 2, 3, 4], [4, 3, 2, 1, 0]]),  # degenerate pairs
+    ]
+    for _ in range(25):
+        runs, n = int(rng.integers(2, 26)), int(rng.integers(3, 41))
+        k = int(rng.integers(1, n + 1))
+        # a stride above 1 leaves label values unused
+        labels = rng.integers(0, k, size=(runs, n)) * int(rng.integers(1, 4))
+        labels[rng.integers(runs)] = 0  # one cluster
+        labels[rng.integers(runs)] = rng.permutation(n)  # all singletons
+        cases.append(labels)
+    for labels in cases:
+        got = _pairwise_ari(labels)
+        want = [pair_count_ari(a, b) for a, b in itertools.combinations(labels.tolist(), 2)]
+        assert got.tolist() == want
+        assert np.mean(got) == np.mean(want)
+        assert np.std(got) == np.std(want)
+
+
 # ---------------------------------------------------------------------------
 # minimal_matching
 # ---------------------------------------------------------------------------
@@ -462,6 +507,34 @@ def test_stability_identical_subsamples_score_one(rng):
     )
     assert report.scores == (1.0, 1.0)
     assert report.selected_k == 2  # tie resolves to the smallest K
+
+
+@pytest.mark.parametrize("method", ["average_linkage", "k_medoids"])
+def test_stability_scores_follow_the_definition(method):
+    # run r clusters the observations that SeedSequence([seed, r]) draws; each
+    # K scores the mean and spread of the ARI over all run pairs. K runs to
+    # n - 1, so most columns hold many small clusters
+    n, m, runs, seed, fraction = 30, 50, 25, 9, 0.7
+    gen = np.random.default_rng(17)
+    values = gen.standard_normal((n, m)) * gen.uniform(0.5, 2.0, size=(n, 1))
+    ids = tuple(f"s{i}" for i in range(n))
+    params, binning = DistanceParams(theta=0.5), BinningConfig(bins=8)
+    ks = list(range(2, n))
+    report = stability_select_k(
+        IncrementPanel(ids, values), params, binning, ks,
+        runs=runs, subsample_fraction=fraction, seed=seed, method=method,
+    )
+    m_sub = int(np.floor(fraction * m))
+    partitions = []
+    for run in range(runs):
+        stream = np.random.default_rng(np.random.SeedSequence([seed, run]))
+        idx = np.sort(stream.choice(m, size=m_sub, replace=False))
+        dm = distance_matrix(represent(IncrementPanel(ids, values[:, idx]), binning), params)
+        partitions.append([cluster(dm, k, method).labels.tolist() for k in ks])
+    for col in range(len(ks)):
+        aris = [pair_count_ari(a[col], b[col]) for a, b in itertools.combinations(partitions, 2)]
+        assert report.scores[col] == np.mean(aris)
+        assert report.dispersion[col] == np.std(aris)
 
 
 def test_stability_deterministic(rng):
