@@ -32,7 +32,7 @@ from .clustering import (
     cluster_summary,
     stability_select_k,
 )
-from .distance import DistanceMatrix, DistanceParams, distance_components, distance_matrix
+from .distance import DistanceMatrix, DistanceParams, _weighted_components, distance_matrix
 from .errors import (
     BinningRangeError,
     DegenerateSampleError,
@@ -420,14 +420,17 @@ def _select_k(cfg: RunConfig, inc: IncrementPanel,
 def _fit(cfg: RunConfig, inc: IncrementPanel, thetas: tuple[float, ...]) -> list[tuple]:
     """Select K, then cluster the full panel's distance matrix at that K, per theta.
 
+    The full panel gets only the distance parts that `thetas` weight.
+
     Returns one (distance matrix, assignment, stability report or None) per
     theta of `thetas`.
     """
     selected = _select_k(cfg, inc, thetas)
-    parts = distance_components(represent(inc, cfg.binning), cfg.exact_spearman_norm,
-                                threads=cfg.threads)
+    x = inc.values
+    parts = _weighted_components(inc.ids, x, lambda: np.argsort(x, axis=1, kind="stable"),
+                                 cfg.binning, thetas, cfg.exact_spearman_norm, cfg.threads)
     matrices = [parts.blend(theta) for theta in thetas]
-    del parts  # two N x N arrays, released before clustering and writing
+    del parts  # one or two N x N arrays, released before clustering and writing
     return [(dm, cluster(dm, k, cfg.method), report)
             for dm, (k, report) in zip(matrices, selected)]
 

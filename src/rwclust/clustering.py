@@ -6,10 +6,12 @@ number of clusters is picked by resampling observations, reclustering each
 subsample, and keeping the K whose partitions agree most (mean pairwise
 adjusted Rand index by default, minimal-matching agreement as an option),
 ties going to the smaller K. One resampling pass scores several thetas at
-once: each subsample is represented and its theta-free distance parts are
-computed once, then blended and clustered per theta. The pass sorts the
-panel once: a subsample's stable order is the full order with the dropped
-observations filtered out. Trees are cut with a union-find that merges in
+once: each subsample's theta-free distance parts are computed once, then
+blended and clustered per theta. Only the parts that some theta weights are
+computed, so a pass at theta 0 builds no ranks and one at theta 1 no
+histograms. A pass that needs ranks sorts the panel once: a subsample's
+stable order is the full order with the dropped observations filtered
+out. Trees are cut with a union-find that merges in
 scipy's `cut_tree` order, so equal merge heights resolve as `cut_tree`
 resolves them. Each K's adjusted Rand indices for all run pairs come from
 one vectorised pass per run, over the pairs it opens; `adjusted_rand` is
@@ -18,6 +20,7 @@ that pass applied to two partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +28,10 @@ from scipy.cluster.hierarchy import linkage
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
-from .distance import DistanceMatrix, DistanceParams, distance_components
+from .distance import DistanceMatrix, DistanceParams, _weighted_components, _weighted_parts
 from .errors import DegenerateSampleError, DimensionError, ParameterError, ValidationError
 from .ingestion import IncrementPanel
-from .representation import BinningConfig, NonParamRepresentation, _represent_ordered
+from .representation import BinningConfig
 
 CLUSTER_METHODS = ("average_linkage", "complete_linkage", "k_medoids")
 
@@ -274,24 +277,17 @@ def _smallest_maximizer(ks, scores) -> int:
     return min(k for k, s in zip(ks, scores) if s == best)
 
 
-def _subsample_representation(
-    panel: IncrementPanel, order: np.ndarray, idx: np.ndarray, binning: BinningConfig
-) -> NonParamRepresentation:
-    """represent() of the panel's observations at the sorted indices `idx`,
-    given `order`, the stable argsort of every row of the whole panel.
+def _subsample_order(order: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The stable row order of the panel's observations at the sorted indices
+    `idx`, given `order`, the stable argsort of every row of the whole panel.
 
     Dropping the other columns from `order` keeps a stable order, because
     `idx` is sorted; each kept column is then renumbered to its place in idx.
     """
-    keep = np.zeros(panel.n_obs, dtype=bool)
+    keep = np.zeros(order.shape[1], dtype=bool)
     keep[idx] = True
     place = np.cumsum(keep) - 1
-    return _represent_ordered(
-        panel.ids,
-        panel.values[:, idx],
-        place[order[keep[order]].reshape(panel.n_series, idx.size)],
-        binning,
-    )
+    return place[order[keep[order]].reshape(order.shape[0], idx.size)]
 
 
 def _check_resampling(runs: int, subsample_fraction: float, seed: int) -> None:
@@ -353,20 +349,22 @@ def stability_select_k(
     """Pick the cluster count whose partitions replicate best under resampling.
 
     Draws `runs` observation subsamples (over the time axis, the series set
-    stays fixed). The panel is sorted once, and each subsample's ranks come
-    from that sort with the dropped observations filtered out. Each
-    subsample is represented and its theta-free distance parts are
-    computed once; for every DistanceParams they are blended at its theta
-    and clustered. Every K is scored by the mean pairwise agreement between
-    the partitions of the runs: adjusted Rand index by default, or
-    1 - minimal_matching with agreement="minimal_matching". The adjusted
-    Rand indices of one K for all run pairs come from one vectorised pass
-    per run, over its pairs with every later run; minimal matching solves
-    one assignment per run pair. Each run's
-    random stream derives from (seed, run index), so results do not depend
-    on scheduling, and a sequence of params, which must share
-    exact_spearman_norm, gives the tuple of reports that one call per
-    params would give, in the same order.
+    stays fixed). Each subsample's theta-free distance parts are computed
+    once; for every DistanceParams they are blended at its theta and
+    clustered. A part is computed only when some theta weights it: the rank
+    part when a theta is above 0, the histogram part when one is below 1,
+    so a call at theta 0 never sorts the panel. Otherwise the panel is
+    sorted once, and each subsample's ranks come from that sort with the
+    dropped observations filtered out. Every K is scored by the mean
+    pairwise agreement between the partitions of the runs: adjusted Rand
+    index by default, or 1 - minimal_matching with
+    agreement="minimal_matching". The adjusted Rand indices of one K for
+    all run pairs come from one vectorised pass per run, over its pairs
+    with every later run; minimal matching solves one assignment per run
+    pair. Each run's random stream derives from (seed, run index), so
+    results do not depend on scheduling, and a sequence of params, which
+    must share exact_spearman_norm, gives the tuple of reports that one
+    call per params would give, in the same order.
     """
     single = isinstance(params, DistanceParams)
     all_params = (params,) if single else tuple(params)
@@ -389,15 +387,20 @@ def stability_select_k(
             f"subsample of {m_sub} observations is too small to represent"
         )
 
-    order = np.argsort(panel.values, axis=1, kind="stable")  # the one sort of the call
+    thetas = [p.theta for p in all_params]
+    # the one sort of the call, made only when some theta weights the rank part
+    order = np.argsort(panel.values, axis=1, kind="stable") if _weighted_parts(thetas)[0] else None
     partitions = [[] for _ in all_params]  # per params, one n x len(ks) label array per run
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, run]))
         idx = np.sort(rng.choice(m, size=m_sub, replace=False))
-        rep = _subsample_representation(panel, order, idx, binning)
-        parts = distance_components(rep, norm, threads=threads)
-        for p, runs_of_p in zip(all_params, partitions):
-            runs_of_p.append(_partitions(parts.blend(p.theta).values, method, ks))
+        parts = _weighted_components(
+            panel.ids, panel.values[:, idx], partial(_subsample_order, order, idx), binning,
+            thetas, norm, threads,
+        )
+        for theta, runs_of_p in zip(thetas, partitions):
+            # labels lie below n, so int32 halves what the runs hold until scoring
+            runs_of_p.append(_partitions(parts.blend(theta).values, method, ks).astype(np.int32))
 
     reports = []
     for runs_of_p in partitions:

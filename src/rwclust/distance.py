@@ -37,18 +37,34 @@ Neither part depends on theta. `distance_components` computes both, scaled,
 as a `DistanceComponents`, and its `blend(theta)` forms the matrix for one
 theta with an element-wise square root, so a theta sweep pays for the two
 kernels once. `distance_matrix` is that blend at a single theta.
+
+A blend at theta weights d1^2 only when theta > 0 and d0^2 only when
+theta < 1 (`_weighted_parts`). Stability selection and the clustering fit
+compute a panel's parts with `_weighted_components`, which builds only the
+parts their thetas weight: at theta 0 no rank matrix (and no sort), at
+theta 1 no histogram. It composes the helpers that `represent` and
+`distance_components` compose for both parts, so the parts it builds are
+the same bits.
 """
 from __future__ import annotations
 
 import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .representation import NonParamRepresentation
+from .representation import (
+    BinningConfig,
+    NonParamRepresentation,
+    _check_masses,
+    _check_ranks,
+    _masses,
+    _ranks,
+    shared_grid,
+)
 
 BOUND_TOL = 1e-9  # slack on the theoretical entry bound, covers sqrt rounding
 
@@ -149,21 +165,68 @@ def _rank_sq_sums(ranks: np.ndarray) -> np.ndarray:
     return 2 * (s - gram)
 
 
+def _weighted_parts(thetas) -> tuple[bool, bool]:
+    """Which squared parts blends at `thetas` weight, as (d1^2, d0^2).
+
+    theta > 0 needs d1^2 and theta < 1 needs d0^2; a part no theta weights
+    is never computed, so a call at theta 0 never sorts its panel.
+    """
+    return any(t > 0.0 for t in thetas), any(t < 1.0 for t in thetas)
+
+
+def _d1sq(ranks: np.ndarray, exact_spearman_norm: bool) -> np.ndarray:
+    """The scaled rank part d1^2 of every pair of rows of an N x M permutation matrix."""
+    return _rank_sq_sums(ranks) * _d1_factor(ranks.shape[1], exact_spearman_norm)
+
+
+def _d0sq(masses: np.ndarray, threads: int) -> np.ndarray:
+    """The Hellinger part d0^2 of every pair of rows of an N x B mass matrix."""
+    return _pairwise_sq(np.sqrt(masses), threads) * 0.5
+
+
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
+
+
 @dataclass(frozen=True)
 class DistanceComponents:
     """The theta-free squared parts of every pair of a panel: d1sq holds the
-    scaled rank part d1^2, d0sq the Hellinger part d0^2 (both N x N)."""
+    scaled rank part d1^2, d0sq the Hellinger part d0^2 (both N x N).
+
+    A part is None when it was not computed; `blend` then serves every theta
+    that does not weight it.
+    """
 
     ids: tuple[str, ...]
-    d1sq: np.ndarray
-    d0sq: np.ndarray
+    d1sq: np.ndarray | None
+    d0sq: np.ndarray | None
     meta: dict[str, Any]
 
     def blend(self, theta: float) -> DistanceMatrix:
-        """The distance matrix at `theta` in [0, 1], with a meta dict of its own."""
+        """The distance matrix at `theta` in [0, 1], with a meta dict of its own.
+
+        A missing part enters as the scalar 0.0, which gives the same bits
+        as the computed part times the zero weight, since 0.0 * d is +0.0
+        for every finite d >= 0.
+        """
         _check_theta(theta)
-        values = np.sqrt(theta * self.d1sq + (1.0 - theta) * self.d0sq)
+        needs_d1sq, needs_d0sq = _weighted_parts((theta,))
+        if (needs_d1sq and self.d1sq is None) or (needs_d0sq and self.d0sq is None):
+            raise ParameterError(f"theta {theta} weights a distance part that was not computed")
+        d1sq = 0.0 if self.d1sq is None else self.d1sq
+        d0sq = 0.0 if self.d0sq is None else self.d0sq
+        values = np.sqrt(theta * d1sq + (1.0 - theta) * d0sq)
         return DistanceMatrix(ids=self.ids, values=values, theta=theta, meta=copy.deepcopy(self.meta))
+
+
+def _meta(m: int, grid: tuple[float, float, int], exact_spearman_norm: bool) -> dict[str, Any]:
+    origin, width, nbins = grid
+    return {
+        "m": m,
+        "binning": {"origin": origin, "width": width, "bins": nbins},
+        "exact_spearman_norm": exact_spearman_norm,
+    }
 
 
 def distance_components(
@@ -175,17 +238,48 @@ def distance_components(
 
     `threads` splits the Hellinger rows; results do not depend on it.
     """
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
-    d1sq = _rank_sq_sums(rep.ranks) * _d1_factor(rep.m, exact_spearman_norm)
-    d0sq = _pairwise_sq(np.sqrt(rep.masses), threads) * 0.5
-    origin, width, nbins = rep.grid
-    meta = {
-        "m": rep.m,
-        "binning": {"origin": origin, "width": width, "bins": nbins},
-        "exact_spearman_norm": exact_spearman_norm,
-    }
-    return DistanceComponents(ids=rep.ids, d1sq=d1sq, d0sq=d0sq, meta=meta)
+    _check_threads(threads)
+    return DistanceComponents(
+        ids=rep.ids,
+        d1sq=_d1sq(rep.ranks, exact_spearman_norm),
+        d0sq=_d0sq(rep.masses, threads),
+        meta=_meta(rep.m, rep.grid, exact_spearman_norm),
+    )
+
+
+def _weighted_components(
+    ids: tuple[str, ...],
+    x: np.ndarray,
+    order: Callable[[], np.ndarray],
+    binning: BinningConfig,
+    thetas,
+    exact_spearman_norm: bool,
+    threads: int,
+) -> DistanceComponents:
+    """distance_components(represent(...)) of the N x M values `x`, with only
+    the parts that blends at `thetas` weight; the other part is None.
+
+    `order()` gives the stable argsort of x's rows and is called only for
+    the rank part. The grid is built at every theta, so its errors and the
+    meta do not depend on which parts are computed, and every part built
+    passes the check NonParamRepresentation runs on it.
+    """
+    _check_threads(threads)
+    needs_d1sq, needs_d0sq = _weighted_parts(thetas)
+    grid = shared_grid(x, binning)
+    d1sq = d0sq = None
+    if needs_d1sq:
+        ranks = _ranks(order())
+        _check_ranks(ranks)
+        d1sq = _d1sq(ranks, exact_spearman_norm)
+        del ranks  # freed before the histogram's N x M temporaries
+    if needs_d0sq:
+        masses = _masses(x, grid)
+        _check_masses(masses)
+        d0sq = _d0sq(masses, threads)
+    return DistanceComponents(
+        ids=ids, d1sq=d1sq, d0sq=d0sq, meta=_meta(x.shape[1], grid, exact_spearman_norm)
+    )
 
 
 def distance_matrix(

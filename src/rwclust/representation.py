@@ -81,27 +81,12 @@ class NonParamRepresentation:
         n = len(self.ids)
         if n == 0 or r.ndim != 2 or p.ndim != 2 or r.shape[0] != n or p.shape[0] != n:
             raise ValidationError("ids, rank rows, and mass rows must have equal nonzero length")
-        m = r.shape[1]
-        if m < 2:
-            raise ValidationError("every rank row must have at least 2 entries")
-        # with every entry in 1..M, a row is a permutation iff no value repeats;
-        # offsetting each row by i*M counts all rows in one bincount
-        if r.min() < 1 or r.max() > m or (
-            np.bincount((r - 1 + m * np.arange(n)[:, None]).ravel(), minlength=n * m) != 1
-        ).any():
-            raise ValidationError("every rank row must be a permutation of 1..M")
+        _check_ranks(r)
         if not np.isfinite(self.origin):
             raise ValidationError("grid origin must be finite")
         if not self.width > 0:
             raise ValidationError(f"bin width must be > 0, got {self.width}")
-        if p.shape[1] < 1:
-            raise ValidationError("masses must have at least one bin")
-        if (p < 0).any():
-            raise ValidationError("masses must be nonnegative")
-        sums = p.sum(axis=1)
-        bad = sums[np.abs(sums - 1.0) > MASS_TOL]
-        if bad.size:
-            raise ValidationError(f"masses must sum to 1 within {MASS_TOL}, got {bad[0]!r}")
+        _check_masses(p)
         r.setflags(write=False)
         p.setflags(write=False)
 
@@ -116,6 +101,32 @@ class NonParamRepresentation:
     @property
     def grid(self) -> tuple[float, float, int]:
         return (self.origin, self.width, self.masses.shape[1])
+
+
+def _check_ranks(r: np.ndarray) -> None:
+    """Raise unless every row of the N x M int64 matrix `r` is a permutation of 1..M, M >= 2."""
+    n, m = r.shape
+    if m < 2:
+        raise ValidationError("every rank row must have at least 2 entries")
+    # with every entry in 1..M, a row is a permutation iff no value repeats;
+    # offsetting each row by i*M counts all rows in one bincount
+    if r.min() < 1 or r.max() > m or (
+        np.bincount((r - 1 + m * np.arange(n)[:, None]).ravel(), minlength=n * m) != 1
+    ).any():
+        raise ValidationError("every rank row must be a permutation of 1..M")
+
+
+def _check_masses(p: np.ndarray) -> None:
+    """Raise unless every row of the N x B float matrix `p` is a histogram: B >= 1
+    nonnegative masses that sum to 1 within MASS_TOL."""
+    if p.shape[1] < 1:
+        raise ValidationError("masses must have at least one bin")
+    if (p < 0).any():
+        raise ValidationError("masses must be nonnegative")
+    sums = p.sum(axis=1)
+    bad = sums[np.abs(sums - 1.0) > MASS_TOL]
+    if bad.size:
+        raise ValidationError(f"masses must sum to 1 within {MASS_TOL}, got {bad[0]!r}")
 
 
 def _bin_index(x: np.ndarray, origin: float, width: float, bin_count: int) -> np.ndarray:
@@ -198,30 +209,31 @@ def represent(panel: IncrementPanel, binning: BinningConfig = BinningConfig()) -
 
     Row for row, the result follows the rank and histogram definitions of
     this module on the grid `shared_grid` builds from the pooled values: a
-    stable sort keeps the arrival-order tie rule, and one offset bincount
-    histograms all rows. Stability selection sorts its panel
-    once and derives each subsample's order from that sort, so its
-    subsamples go through the same code without a sort of their own.
+    stable sort keeps the arrival-order tie rule (`_ranks`), and one offset
+    bincount histograms all rows (`_masses`). Distance calls that need one
+    part only compose the same helpers without building a representation.
     """
     x = panel.values
-    return _represent_ordered(panel.ids, x, np.argsort(x, axis=1, kind="stable"), binning)
+    grid = shared_grid(x, binning)
+    # the sort is a temporary of _ranks, freed before the histogram's
+    # N x M temporaries are allocated
+    ranks = _ranks(np.argsort(x, axis=1, kind="stable"))
+    return NonParamRepresentation(
+        ids=panel.ids, ranks=ranks, masses=_masses(x, grid), origin=grid[0], width=grid[1]
+    )
 
 
-def _represent_ordered(
-    ids, x: np.ndarray, order: np.ndarray, binning: BinningConfig
-) -> NonParamRepresentation:
-    """represent() of the N x M values `x` whose rows `order` sorts stably.
-
-    Callers pass `order` as a temporary: dropping it once the ranks are built
-    then frees it before the histogram's N x M temporaries are allocated.
-    """
-    n, m = x.shape
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """The N x M rank matrix of the values whose rows `order` sorts stably."""
+    n, m = order.shape
     ranks = np.empty((n, m), dtype=np.int64)
     np.put_along_axis(ranks, order, np.arange(1, m + 1), axis=1)
-    del order
-    origin, width, nbins = shared_grid(x, binning)
+    return ranks
+
+
+def _masses(x: np.ndarray, grid: tuple[float, float, int]) -> np.ndarray:
+    """The N x B histogram masses of the rows of the N x M values `x` on `grid`."""
+    n, m = x.shape
+    origin, width, nbins = grid
     idx = _bin_index(x, origin, width, nbins) + nbins * np.arange(n)[:, None]
-    counts = np.bincount(idx.ravel(), minlength=n * nbins).reshape(n, nbins)
-    return NonParamRepresentation(
-        ids=ids, ranks=ranks, masses=counts / m, origin=origin, width=width
-    )
+    return np.bincount(idx.ravel(), minlength=n * nbins).reshape(n, nbins) / m

@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -196,12 +197,20 @@ def test_sweep_artifacts_match_single_theta_runs(synth_panel, tmp_path, capsys, 
             assert swept.read_bytes() == (single / name).read_bytes(), swept.name
 
 
+@pytest.mark.parametrize("theta_flags, weighted", [
+    (("--theta-sweep",), ("rank", "hellinger")),
+    (("--theta", "0"), ("hellinger",)),
+    (("--theta", "1"), ("rank",)),
+], ids=["sweep", "theta0", "theta1"])
 def test_sweep_represents_and_runs_the_kernel_once_per_run(synth_panel, tmp_path, capsys,
-                                                           monkeypatch):
-    # one stability pass serves all three thetas: one representation and one
-    # rank kernel per resample run, plus one of each for the full panel; the
-    # pass sorts the panel once, and its runs derive their orders from it
-    calls = {"represent": 0, "kernel": 0, "stability": 0}
+                                                           monkeypatch, theta_flags, weighted):
+    # one stability pass serves all three thetas: one grid, and one of each
+    # weighted part's representation and kernel, per resample run, plus one
+    # for the full panel. A part no theta weights is never built: theta 0
+    # does not sort or rank, theta 1 does not bin. The pass sorts the panel
+    # at most once, and its runs derive their orders from that sort
+    calls = {"grid": 0, "rank": 0, "rank_kernel": 0, "hellinger": 0, "hellinger_kernel": 0,
+             "stability": 0}
     stable_sorts = []
 
     def count(module, name, key):
@@ -219,18 +228,22 @@ def test_sweep_represents_and_runs_the_kernel_once_per_run(synth_panel, tmp_path
 
     np_argsort = np.argsort
     monkeypatch.setattr(np, "argsort", argsort)
-    count(rwclust.representation, "_represent_ordered", "represent")
-    count(rwclust.clustering, "_represent_ordered", "represent")
-    count(rwclust.distance, "_rank_sq_sums", "kernel")
+    count(rwclust.distance, "shared_grid", "grid")
+    count(rwclust.distance, "_ranks", "rank")
+    count(rwclust.distance, "_rank_sq_sums", "rank_kernel")
+    count(rwclust.representation, "_bin_index", "hellinger")
+    count(rwclust.distance, "_pairwise_sq", "hellinger_kernel")
     count(rwclust.cli, "stability_select_k", "stability")
     csv_path, _ = synth_panel
-    code, _, _ = run(["pipeline", "--input", str(csv_path), "--theta-sweep", "--k-range", "2..3",
+    code, _, _ = run(["pipeline", "--input", str(csv_path), *theta_flags, "--k-range", "2..3",
                       "--stability-runs", "3", "--output-dir", str(tmp_path), "--quiet"], capsys)
     assert code == 0
-    assert calls == {"represent": 4, "kernel": 4, "stability": 1}
-    # both sort the whole panel of 12 series x 300 increments: one for the
-    # stability call, one for the full-panel representation
-    assert stable_sorts == [(12, 300)] * 2
+    per_part = {part: 4 if part.split("_")[0] in weighted else 0
+                for part in ("rank", "rank_kernel", "hellinger", "hellinger_kernel")}
+    assert calls == {"grid": 4, **per_part, "stability": 1}
+    # each sorts the whole panel of 12 series x 300 increments: one for the
+    # stability call, one for the full-panel ranks
+    assert stable_sorts == [(12, 300)] * (2 if "rank" in weighted else 0)
 
 
 def test_subcommand_config_matches_pipeline(synth_panel, tmp_path, capsys):
@@ -555,10 +568,14 @@ def test_synth_unparsable_number_list_exits_3(capsys, flag):
 
 
 def test_absurd_bin_width_exits_3(synth_panel, capsys):
+    # theta 1 weights no histogram, yet its grid is built and checked
     csv_path, _ = synth_panel
-    for width in ("1e-300", "inf"):  # too many bins; one bin and a non-JSON Infinity
+    commands = (["represent"], ["stability", "--theta", "1", "--k-range", "2..3"],
+                ["cluster", "--theta", "1", "--k", "2"])
+    for argv, width in itertools.product(commands, ("1e-300", "inf")):
+        # too many bins; one bin and a non-JSON Infinity
         code, out, err = run([
-            "represent", "--input", str(csv_path), "--bin-width", width, "--quiet",
+            *argv, "--input", str(csv_path), "--bin-width", width, "--quiet",
         ], capsys)
         assert code == 3
         assert out == ""

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,12 +25,15 @@ from rwclust import (
     adjusted_rand,
     cluster,
     cluster_summary,
+    distance_components,
     distance_matrix,
     minimal_matching,
     represent,
     stability_select_k,
 )
-from rwclust.clustering import _pairwise_ari, _partitions, _subsample_representation
+from rwclust.clustering import _pairwise_ari, _partitions, _subsample_order
+from rwclust.distance import _weighted_components
+from rwclust.representation import _ranks
 
 from conftest import make_increment_panel, make_level_panel
 
@@ -271,12 +275,18 @@ def test_subsample_representation_equals_represent_of_the_subsample(kind):
     binning = BinningConfig(bins=20)
     for _ in range(20):
         idx = np.sort(rng.choice(400, size=280, replace=False))
-        got = _subsample_representation(panel, order, idx, binning)
         want = represent(make_increment_panel(values[:, idx]), binning)
-        assert got.ids == want.ids
-        assert np.array_equal(got.ranks, want.ranks)
-        assert np.array_equal(got.masses, want.masses)
-        assert got.grid == want.grid
+        assert np.array_equal(_ranks(_subsample_order(order, idx)), want.ranks)
+        # the parts a subsample gets equal those of its full representation,
+        # whichever of them its thetas weight
+        both = distance_components(want)
+        for thetas, d1sq, d0sq in (((0.0,), None, both.d0sq), ((1.0,), both.d1sq, None),
+                                   ((0.0, 1.0), both.d1sq, both.d0sq)):
+            got = _weighted_components(panel.ids, values[:, idx], partial(_subsample_order, order, idx),
+                                       binning, thetas, False, 1)
+            assert got.ids == both.ids and got.meta == both.meta
+            for part, expected in ((got.d1sq, d1sq), (got.d0sq, d0sq)):
+                assert part is None if expected is None else np.array_equal(part, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +592,10 @@ def test_stability_parameter_checks(rng):
         stability_select_k(panel, params, binning, k_range=[2, 3], agreement="rand")
     with pytest.raises(ParameterError):
         stability_select_k(panel, params, binning, k_range=[2, 3], method="ward")
+    for theta in (0.0, 0.5, 1.0):  # whichever distance parts theta weights
+        with pytest.raises(ParameterError, match="threads"):
+            stability_select_k(panel, DistanceParams(theta=theta), binning, k_range=[2, 3],
+                               threads=0)
 
 
 @pytest.mark.parametrize("method, agreement, exact", [
@@ -591,13 +605,20 @@ def test_stability_parameter_checks(rng):
 ], ids=["average-ari", "medoids-matching", "exact-norm"])
 def test_stability_params_sequence_equals_single_calls(rng, method, agreement, exact):
     # runs outer, thetas inner: each run's stream is keyed by (seed, run), so
-    # one pass over three thetas scores exactly as three separate calls
-    panel = make_increment_panel(rng.standard_normal((9, 60)))
+    # one pass over three thetas scores exactly as three separate calls. The
+    # calls at theta 0 and 1 compute one distance part and the pass both, so
+    # the tied and constant-row panels compare them where ties and exact zeros occur
+    continuous = rng.standard_normal((9, 60))
+    tied = rng.poisson(0.05, size=(9, 60)).astype(float)
+    constant_row = rng.standard_normal((9, 60))
+    constant_row[4] = -0.5
     params = tuple(DistanceParams(theta=t, exact_spearman_norm=exact) for t in (0.0, 0.5, 1.0))
     binning = BinningConfig(bins=8)
     kwargs = dict(k_range=[2, 3, 4], runs=5, seed=7, method=method, agreement=agreement)
-    reports = stability_select_k(panel, params, binning, **kwargs)
-    assert reports == tuple(stability_select_k(panel, p, binning, **kwargs) for p in params)
+    for values in (continuous, tied, constant_row):
+        panel = make_increment_panel(values)
+        reports = stability_select_k(panel, params, binning, **kwargs)
+        assert reports == tuple(stability_select_k(panel, p, binning, **kwargs) for p in params)
 
 
 def test_stability_params_sequence_checks(rng):

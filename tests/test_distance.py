@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +169,16 @@ def test_theta_endpoints_bitwise(rng):
         parts = components([x[0], y[0]], [x[1], y[1]])
         assert np.array_equal(parts.blend(0.0).values, np.sqrt(parts.d0sq))
         assert np.array_equal(parts.blend(1.0).values, np.sqrt(parts.d1sq))
+        # with the unweighted part left out, an endpoint blend keeps its bits
+        # and a theta that weights the missing part is refused
+        d0_only = replace(parts, d1sq=None)
+        d1_only = replace(parts, d0sq=None)
+        assert d0_only.blend(0.0).values.tobytes() == parts.blend(0.0).values.tobytes()
+        assert d1_only.blend(1.0).values.tobytes() == parts.blend(1.0).values.tobytes()
+        for one_part, thetas in ((d0_only, (0.5, 1.0)), (d1_only, (0.0, 0.5))):
+            for theta in thetas:
+                with pytest.raises(ParameterError, match="not computed"):
+                    one_part.blend(theta)
 
 
 def test_theta_self_distance_zero(rng):
