@@ -20,9 +20,7 @@ from .clustering import (
 from .distance import (
     DistanceComponents,
     DistanceMatrix,
-    DistanceParams,
     distance_components,
-    distance_matrix,
 )
 from .errors import (
     BinningRangeError,
@@ -69,7 +67,6 @@ __all__ = [
     "DimensionError",
     "DistanceComponents",
     "DistanceMatrix",
-    "DistanceParams",
     "DistributionGroup",
     "GroundTruth",
     "IncrementPanel",
@@ -87,7 +84,6 @@ __all__ = [
     "cluster",
     "cluster_summary",
     "distance_components",
-    "distance_matrix",
     "generate_panel",
     "load_panel",
     "minimal_matching",

@@ -32,7 +32,7 @@ from .clustering import (
     cluster_summary,
     stability_select_k,
 )
-from .distance import DistanceMatrix, DistanceParams, _weighted_components, distance_matrix
+from .distance import DistanceComponents, DistanceMatrix, _check_theta, _weighted_components
 from .errors import (
     BinningRangeError,
     DegenerateSampleError,
@@ -107,7 +107,7 @@ class RunConfig:
     def __post_init__(self):
         """Run every check that needs no data, so that a bad setting fails before any input is read."""
         if self.theta is not None:  # the sweep's thetas are valid constants
-            self.distance_params(self.theta)
+            _check_theta(self.theta)
         self.binning  # building it checks the grid settings
         if self.k is not None and self.k < 2:
             raise ParameterError(f"--k must be at least 2, got {self.k}")
@@ -121,9 +121,6 @@ class RunConfig:
     @property
     def binning(self) -> BinningConfig:
         return BinningConfig(rule=self.bin_rule, bins=self.bins, width=self.bin_width)
-
-    def distance_params(self, theta: float) -> DistanceParams:
-        return DistanceParams(theta=theta, exact_spearman_norm=self.exact_spearman_norm)
 
     def provenance(self, keys: tuple[str, ...], theta: float | str | None = None) -> dict:
         """The version and the config restricted to `keys`; `theta` overrides its value."""
@@ -406,29 +403,34 @@ def _select_k(cfg: RunConfig, inc: IncrementPanel,
         return [(cfg.k, None)] * len(thetas)
     lo, hi = cfg.k_range
     reports = stability_select_k(
-        inc, tuple(cfg.distance_params(theta) for theta in thetas), cfg.binning,
+        inc, thetas, cfg.binning,
         k_range=range(lo, hi + 1),
         runs=cfg.stability_runs,
         subsample_fraction=cfg.subsample,
         seed=cfg.seed,
         method=cfg.method,
         threads=cfg.threads,
+        exact_spearman_norm=cfg.exact_spearman_norm,
     )
     return [(report.selected_k, report) for report in reports]
+
+
+def _components(cfg: RunConfig, inc: IncrementPanel,
+                thetas: tuple[float, ...]) -> DistanceComponents:
+    """The full panel's distance parts that `thetas` weight, ready to blend."""
+    x = inc.values
+    return _weighted_components(inc.ids, x, lambda: np.argsort(x, axis=1, kind="stable"),
+                                cfg.binning, thetas, cfg.exact_spearman_norm, cfg.threads)
 
 
 def _fit(cfg: RunConfig, inc: IncrementPanel, thetas: tuple[float, ...]) -> list[tuple]:
     """Select K, then cluster the full panel's distance matrix at that K, per theta.
 
-    The full panel gets only the distance parts that `thetas` weight.
-
     Returns one (distance matrix, assignment, stability report or None) per
     theta of `thetas`.
     """
     selected = _select_k(cfg, inc, thetas)
-    x = inc.values
-    parts = _weighted_components(inc.ids, x, lambda: np.argsort(x, axis=1, kind="stable"),
-                                 cfg.binning, thetas, cfg.exact_spearman_norm, cfg.threads)
+    parts = _components(cfg, inc, thetas)
     matrices = [parts.blend(theta) for theta in thetas]
     del parts  # one or two N x N arrays, released before clustering and writing
     return [(dm, cluster(dm, k, cfg.method), report)
@@ -464,7 +466,7 @@ def _cmd_represent(args) -> int:
 def _cmd_distances(args) -> int:
     cfg = _config(args)
     _, inc = _load(cfg)
-    dm = distance_matrix(represent(inc, cfg.binning), cfg.distance_params(cfg.theta), threads=cfg.threads)
+    dm = _components(cfg, inc, (cfg.theta,)).blend(cfg.theta)
     provenance = cfg.provenance(_DISTANCES_FIELDS)
     if args.format == "csv":
         _write(args.output, _matrix_csv, dm, provenance)
@@ -649,12 +651,12 @@ def _write_theta(cfg: RunConfig, theta: float, fit: tuple, panel: SeriesPanel,
 def run_pipeline(cfg: RunConfig, output_dir: str | Path) -> int:
     """Execute the full pipeline per config and write every artifact into output_dir."""
     panel, inc = _load(cfg)
-    out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     sweep = cfg.theta is None
     thetas = SWEEP_THETAS if sweep else (cfg.theta,)
     fits = _fit(cfg, inc, thetas)
+    # made only once the fit succeeds, so a K the panel cannot take leaves no directory
+    out_dir = Path(output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for theta, fit in zip(thetas, fits):
         _write_theta(cfg, theta, fit, panel, out_dir, f"_theta{theta:g}" if sweep else "")
     if not sweep:

@@ -28,7 +28,7 @@ from scipy.cluster.hierarchy import linkage
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
-from .distance import DistanceMatrix, DistanceParams, _weighted_components, _weighted_parts
+from .distance import DistanceMatrix, _check_theta, _weighted_components, _weighted_parts
 from .errors import DegenerateSampleError, DimensionError, ParameterError, ValidationError
 from .ingestion import IncrementPanel
 from .representation import BinningConfig
@@ -336,7 +336,7 @@ class StabilityReport:
 
 def stability_select_k(
     panel: IncrementPanel,
-    params: DistanceParams | Sequence[DistanceParams],
+    thetas: Sequence[float],
     binning: BinningConfig,
     k_range,
     runs: int = 20,
@@ -345,39 +345,41 @@ def stability_select_k(
     method: str = "average_linkage",
     threads: int = 1,
     agreement: str = "ari",
-) -> StabilityReport | tuple[StabilityReport, ...]:
+    exact_spearman_norm: bool = False,
+) -> tuple[StabilityReport, ...]:
     """Pick the cluster count whose partitions replicate best under resampling.
 
     Draws `runs` observation subsamples (over the time axis, the series set
     stays fixed). Each subsample's theta-free distance parts are computed
-    once; for every DistanceParams they are blended at its theta and
-    clustered. A part is computed only when some theta weights it: the rank
-    part when a theta is above 0, the histogram part when one is below 1,
-    so a call at theta 0 never sorts the panel. Otherwise the panel is
-    sorted once, and each subsample's ranks come from that sort with the
-    dropped observations filtered out. Every K is scored by the mean
+    once, under the d1 normalization `exact_spearman_norm` picks; for every
+    theta of `thetas` they are blended at that theta and clustered. A part
+    is computed only when some theta weights it: the rank part when a theta
+    is above 0, the histogram part when one is below 1, so a call at theta
+    0 never sorts the panel. Otherwise the panel is sorted once, and each
+    subsample's ranks come from that sort with the dropped observations
+    filtered out. Every K is scored by the mean
     pairwise agreement between the partitions of the runs: adjusted Rand
     index by default, or 1 - minimal_matching with
     agreement="minimal_matching". The adjusted Rand indices of one K for
     all run pairs come from one vectorised pass per run, over its pairs
     with every later run; minimal matching solves one assignment per run
     pair. Each run's random stream derives from (seed, run index), so
-    results do not depend on scheduling, and a sequence of params, which
-    must share exact_spearman_norm, gives the tuple of reports that one
-    call per params would give, in the same order.
+    results do not depend on scheduling. Returns one report per theta, in
+    the order of `thetas`; each is the report a call with that theta alone
+    would give.
     """
-    single = isinstance(params, DistanceParams)
-    all_params = (params,) if single else tuple(params)
-    if not all_params:
-        raise ParameterError("params must hold at least one DistanceParams")
-    norm = all_params[0].exact_spearman_norm
-    if any(p.exact_spearman_norm != norm for p in all_params):
-        raise ParameterError("every DistanceParams of one call must share exact_spearman_norm")
+    thetas = tuple(thetas)
+    if not thetas:
+        raise ParameterError("thetas must hold at least one theta")
+    for theta in thetas:
+        _check_theta(theta)
     ks = sorted(int(k) for k in k_range)
     n, m = panel.n_series, panel.n_obs
     _check_resampling(runs, subsample_fraction, seed)
-    if not ks or ks[0] < 2 or ks[-1] > n - 1:
-        raise ParameterError(f"k_range must be a nonempty subset of [2, {n - 1}], got {ks}")
+    if not ks:
+        raise ParameterError("k_range must not be empty")
+    if ks[0] < 2 or ks[-1] > n - 1:
+        raise ParameterError(f"k_range must lie in [2, {n - 1}], got {ks[0]}..{ks[-1]}")
     _check_method(method)
     if agreement not in _AGREEMENT:
         raise ParameterError(f"unknown agreement {agreement!r}; expected one of {tuple(_AGREEMENT)}")
@@ -387,26 +389,25 @@ def stability_select_k(
             f"subsample of {m_sub} observations is too small to represent"
         )
 
-    thetas = [p.theta for p in all_params]
     # the one sort of the call, made only when some theta weights the rank part
     order = np.argsort(panel.values, axis=1, kind="stable") if _weighted_parts(thetas)[0] else None
-    partitions = [[] for _ in all_params]  # per params, one n x len(ks) label array per run
+    partitions = [[] for _ in thetas]  # per theta, one n x len(ks) label array per run
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, run]))
         idx = np.sort(rng.choice(m, size=m_sub, replace=False))
         parts = _weighted_components(
             panel.ids, panel.values[:, idx], partial(_subsample_order, order, idx), binning,
-            thetas, norm, threads,
+            thetas, exact_spearman_norm, threads,
         )
-        for theta, runs_of_p in zip(thetas, partitions):
+        for theta, runs_of_t in zip(thetas, partitions):
             # labels lie below n, so int32 halves what the runs hold until scoring
-            runs_of_p.append(_partitions(parts.blend(theta).values, method, ks).astype(np.int32))
+            runs_of_t.append(_partitions(parts.blend(theta).values, method, ks).astype(np.int32))
 
     reports = []
-    for runs_of_p in partitions:
+    for runs_of_t in partitions:
         scores, spreads = [], []
         for col in range(len(ks)):
-            agreements = _AGREEMENT[agreement](np.stack([labels[:, col] for labels in runs_of_p]))
+            agreements = _AGREEMENT[agreement](np.stack([labels[:, col] for labels in runs_of_t]))
             scores.append(float(np.mean(agreements)))
             spreads.append(float(np.std(agreements)))
         reports.append(StabilityReport(
@@ -418,7 +419,7 @@ def stability_select_k(
             seed=seed,
             subsample_fraction=subsample_fraction,
         ))
-    return reports[0] if single else tuple(reports)
+    return tuple(reports)
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,12 @@ mass matrix in two parts:
   pairs.
 
 Neither part depends on theta. `distance_components` computes both, scaled,
-as a `DistanceComponents`, and its `blend(theta)` forms the matrix for one
-theta with an element-wise square root, so a theta sweep pays for the two
-kernels once. `distance_matrix` is that blend at a single theta.
+as a `DistanceComponents`, and its `blend(theta)`, the one place a theta
+meets the parts, forms the matrix for one theta with an element-wise square
+root, so a theta sweep pays for the two kernels once.
 
 A blend at theta weights d1^2 only when theta > 0 and d0^2 only when
-theta < 1 (`_weighted_parts`). Stability selection and the clustering fit
+theta < 1 (`_weighted_parts`). Stability selection and every CLI subcommand
 compute a panel's parts with `_weighted_components`, which builds only the
 parts their thetas weight: at theta 0 no rank matrix (and no sort), at
 theta 1 no histogram. It composes the helpers that `represent` and
@@ -67,17 +67,6 @@ from .representation import (
 )
 
 BOUND_TOL = 1e-9  # slack on the theoretical entry bound, covers sqrt rounding
-
-
-@dataclass(frozen=True)
-class DistanceParams:
-    """Blend weight theta plus the d1 normalization switch."""
-
-    theta: float = 0.5
-    exact_spearman_norm: bool = False
-
-    def __post_init__(self):
-        _check_theta(self.theta)
 
 
 def _check_theta(theta: float) -> None:
@@ -281,15 +270,3 @@ def _weighted_components(
         ids=ids, d1sq=d1sq, d0sq=d0sq, meta=_meta(x.shape[1], grid, exact_spearman_norm)
     )
 
-
-def distance_matrix(
-    rep: NonParamRepresentation,
-    params: DistanceParams = DistanceParams(),
-    threads: int = 1,
-) -> DistanceMatrix:
-    """All-pairs blended distance over a represented panel.
-
-    Entry (i, j) is d_theta of rows i and j as the module docstring defines
-    it. `threads` splits the Hellinger rows; results do not depend on it.
-    """
-    return distance_components(rep, params.exact_spearman_norm, threads).blend(params.theta)

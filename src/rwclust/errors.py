@@ -22,7 +22,7 @@ class ValidationError(RwclustError):
 
 
 class BinningRangeError(RwclustError):
-    """An observation falls outside the histogram grid."""
+    """An observation falls outside the histogram grid, or no grid can cover the pooled range."""
 
 
 class DimensionError(RwclustError):

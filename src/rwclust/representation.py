@@ -163,7 +163,8 @@ def shared_grid(values, config: BinningConfig) -> tuple[float, float, int]:
     Widths too small to advance the origin in floating point are widened to
     the smallest workable value; an fd width that would give more than
     MAX_BINS bins falls back to the count rule, and a fixed width that would
-    is a ParameterError (BinningConfig caps the bin count itself).
+    is a ParameterError (BinningConfig caps the bin count itself). A pooled
+    range whose span overflows float64 is a BinningRangeError.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
@@ -171,6 +172,8 @@ def shared_grid(values, config: BinningConfig) -> tuple[float, float, int]:
     lo = float(v.min())
     hi = float(v.max())
     span = hi - lo
+    if not np.isfinite(span):  # no grid over it could place a value in float64
+        raise BinningRangeError(f"pooled range [{lo!r}, {hi!r}] is too wide for float64")
 
     if config.rule == "count":
         width = span / config.bins if span > 0.0 else 1.0

@@ -17,7 +17,6 @@ from scipy import stats
 from rwclust import (
     BinningConfig,
     CorrelationBlock,
-    DistanceParams,
     DistributionGroup,
     IncrementPanel,
     NonParamRepresentation,
@@ -25,7 +24,6 @@ from rwclust import (
     cluster,
     cluster_summary,
     distance_components,
-    distance_matrix,
     generate_panel,
     represent,
     score_recovery,
@@ -207,7 +205,7 @@ def test_criterion_5_synthetic_recovery(reference_panel):
     rep = represent(inc, BinningConfig(bins=100))
     scores = {}
     for theta, k, target in ((1.0, 4, "dependence"), (0.0, 2, "distribution"), (0.5, 8, "product")):
-        dm = distance_matrix(rep, DistanceParams(theta=theta))
+        dm = distance_components(rep).blend(theta)
         assignment = cluster(dm, k, "average_linkage")
         scores[(theta, target)] = score_recovery(assignment, truth, target)
     elapsed = time.perf_counter() - start
@@ -225,9 +223,9 @@ def test_criterion_6_stability_selection(reference_panel):
     for theta, want in ((1.0, 4), (0.0, 2)):
         selected = []
         for seed in range(10):
-            outcome = stability_select_k(
+            [outcome] = stability_select_k(
                 inc,
-                DistanceParams(theta=theta),
+                (theta,),
                 BinningConfig(bins=100),
                 k_range=range(2, 7),
                 runs=20,
@@ -250,7 +248,7 @@ def test_criterion_7_summary_contract(reference_panel):
     ok = True
     detail = []
     for theta, k in ((1.0, 4), (0.0, 2), (0.5, 8)):
-        dm = distance_matrix(rep, DistanceParams(theta=theta))
+        dm = distance_components(rep).blend(theta)
         summary = cluster_summary(cluster(dm, k, "average_linkage"), panel)
         sizes_ok = summary.total_size == panel.n_series
         quant_ok = all(r.quantile_10 <= r.quantile_90 for r in summary.rows)

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,10 @@ import rwclust.cli
 from rwclust import (
     ClusterAssignment,
     CorrelationBlock,
-    DistanceParams,
     DistributionGroup,
     GroundTruth,
     SyntheticSpec,
-    distance_matrix,
+    distance_components,
     generate_panel,
     load_panel,
     represent,
@@ -195,6 +195,56 @@ def test_sweep_artifacts_match_single_theta_runs(synth_panel, tmp_path, capsys, 
             stem, ext = name.split(".")
             swept = sweep / f"{stem}_theta{theta}.{ext}"
             assert swept.read_bytes() == (single / name).read_bytes(), swept.name
+        # the distances subcommand's matrix, below its own provenance line
+        code, out, _ = run(["distances", "--input", str(csv_path), "--theta", theta, "--quiet"],
+                           capsys)
+        assert code == 0
+        swept = (sweep / f"distance_matrix_theta{theta}.csv").read_text()
+        assert out.split("\n", 1)[1] == swept.split("\n", 1)[1]
+
+
+# the steps that build distance parts, as (counter, module, function): the
+# grid, then each part's representation and kernel. The grid and the ranks
+# are counted both where `represent` and where the distance module call them
+_PART_STEPS = (
+    ("grid", rwclust.distance, "shared_grid"),
+    ("grid", rwclust.representation, "shared_grid"),
+    ("rank", rwclust.distance, "_ranks"),
+    ("rank", rwclust.representation, "_ranks"),
+    ("rank_kernel", rwclust.distance, "_rank_sq_sums"),
+    ("hellinger", rwclust.representation, "_bin_index"),
+    ("hellinger_kernel", rwclust.distance, "_pairwise_sq"),
+)
+
+
+def _counting(calls: dict, key: str, inner):
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return inner(*args, **kwargs)
+    return counted
+
+
+def _count_part_steps(monkeypatch, calls: dict) -> list:
+    """Count the calls of every step of _PART_STEPS into `calls`, and return
+    the list that collects the shape of every stable sort."""
+    for key, module, name in _PART_STEPS:
+        calls.setdefault(key, 0)
+        monkeypatch.setattr(module, name, _counting(calls, key, getattr(module, name)))
+    stable_sorts = []
+    np_argsort = np.argsort
+
+    def argsort(a, *args, **kwargs):
+        if kwargs.get("kind") == "stable":
+            stable_sorts.append(np.shape(a))
+        return np_argsort(a, *args, **kwargs)
+    monkeypatch.setattr(np, "argsort", argsort)
+    return stable_sorts
+
+
+def _part_calls(weighted, per_part: int) -> dict:
+    """`per_part` calls of each step of a weighted part, none of the others."""
+    return {step: per_part if step.split("_")[0] in weighted else 0
+            for step in ("rank", "rank_kernel", "hellinger", "hellinger_kernel")}
 
 
 @pytest.mark.parametrize("theta_flags, weighted", [
@@ -209,41 +259,37 @@ def test_sweep_represents_and_runs_the_kernel_once_per_run(synth_panel, tmp_path
     # for the full panel. A part no theta weights is never built: theta 0
     # does not sort or rank, theta 1 does not bin. The pass sorts the panel
     # at most once, and its runs derive their orders from that sort
-    calls = {"grid": 0, "rank": 0, "rank_kernel": 0, "hellinger": 0, "hellinger_kernel": 0,
-             "stability": 0}
-    stable_sorts = []
-
-    def count(module, name, key):
-        inner = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[key] += 1
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-
-    def argsort(a, *args, **kwargs):
-        if kwargs.get("kind") == "stable":
-            stable_sorts.append(np.shape(a))
-        return np_argsort(a, *args, **kwargs)
-
-    np_argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", argsort)
-    count(rwclust.distance, "shared_grid", "grid")
-    count(rwclust.distance, "_ranks", "rank")
-    count(rwclust.distance, "_rank_sq_sums", "rank_kernel")
-    count(rwclust.representation, "_bin_index", "hellinger")
-    count(rwclust.distance, "_pairwise_sq", "hellinger_kernel")
-    count(rwclust.cli, "stability_select_k", "stability")
+    calls = {"stability": 0}
+    stable_sorts = _count_part_steps(monkeypatch, calls)
+    monkeypatch.setattr(rwclust.cli, "stability_select_k",
+                        _counting(calls, "stability", rwclust.cli.stability_select_k))
     csv_path, _ = synth_panel
     code, _, _ = run(["pipeline", "--input", str(csv_path), *theta_flags, "--k-range", "2..3",
                       "--stability-runs", "3", "--output-dir", str(tmp_path), "--quiet"], capsys)
     assert code == 0
-    per_part = {part: 4 if part.split("_")[0] in weighted else 0
-                for part in ("rank", "rank_kernel", "hellinger", "hellinger_kernel")}
-    assert calls == {"grid": 4, **per_part, "stability": 1}
+    assert calls == {"grid": 4, **_part_calls(weighted, 4), "stability": 1}
     # each sorts the whole panel of 12 series x 300 increments: one for the
     # stability call, one for the full-panel ranks
     assert stable_sorts == [(12, 300)] * (2 if "rank" in weighted else 0)
+
+
+@pytest.mark.parametrize("theta, weighted", [
+    ("0", ("hellinger",)),
+    ("0.5", ("rank", "hellinger")),
+    ("1", ("rank",)),
+], ids=["theta0", "theta0.5", "theta1"])
+def test_distances_represents_and_runs_the_kernel_once(synth_panel, capsys, monkeypatch,
+                                                       theta, weighted):
+    # distances builds its parts as the other subcommands do: one grid, and
+    # one representation and kernel of each part its theta weights, so theta
+    # 0 does not sort or rank and theta 1 does not bin
+    calls = {}
+    stable_sorts = _count_part_steps(monkeypatch, calls)
+    csv_path, _ = synth_panel
+    code, _, _ = run(["distances", "--input", str(csv_path), "--theta", theta, "--quiet"], capsys)
+    assert code == 0
+    assert calls == {"grid": 1, **_part_calls(weighted, 1)}
+    assert stable_sorts == [(12, 300)] * ("rank" in weighted)
 
 
 def test_subcommand_config_matches_pipeline(synth_panel, tmp_path, capsys):
@@ -329,7 +375,7 @@ def test_distance_csv_matches_csv_writer_reference(tmp_path, capsys):
     code, _, _ = run(["distances", "--input", source, "--output", str(out_file), "--quiet"], capsys)
     assert code == 0
 
-    dm = distance_matrix(represent(to_increments(load_panel(source))), DistanceParams(theta=0.5))
+    dm = distance_components(represent(to_increments(load_panel(source)))).blend(0.5)
     comment, body = out_file.read_text().split("\n", 1)
     assert comment.startswith("# {")
     assert body == _reference_csv(["id", *ODD_IDS], ODD_IDS, dm.values)
@@ -633,6 +679,55 @@ def test_bad_setting_exits_3_before_io(tmp_path, capsys, argv, reason):
     assert out == "" and list(tmp_path.iterdir()) == []
     assert err.startswith("rwclust: error:") and err.count("\n") == 1
     assert reason in err
+
+
+# a pooled range whose span overflows float64: one cell at 1e308 and one at
+# -1e308, at the same time, so every stability subsample holds both or neither
+_OVERFLOW_CASES = [("represent", None), *itertools.product(
+    ("distances", "cluster", "stability", "pipeline"), ("0", "0.5", "1"))]
+
+
+@pytest.mark.parametrize("command, theta", _OVERFLOW_CASES,
+                         ids=[c if t is None else f"{c}-theta{t}" for c, t in _OVERFLOW_CASES])
+def test_overflowing_range_exits_2_at_every_theta(tmp_path, capsys, command, theta):
+    values = np.random.default_rng(3).standard_normal((40, 6))
+    values[20, 1], values[20, 4] = 1e308, -1e308
+    text = _reference_csv(["t", *(f"s{i}" for i in range(6))],
+                          [f"t{j:02d}" for j in range(40)], values)
+    argv = [*_FIXED[command], "--input", write_csv(tmp_path / "wide.csv", text),
+            "--already-increments", "--quiet"]
+    argv += [] if theta is None else ["--theta", theta]
+    argv += ["--output-dir", str(tmp_path / "out")] if command == "pipeline" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would add stderr lines
+        code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and not (tmp_path / "out").exists()
+    assert err.startswith("rwclust: error:") and err.count("\n") == 1
+    assert "too wide for float64" in err
+
+
+@pytest.mark.parametrize("k_flags", [("--k", "50"), ("--k-range", "2..20")], ids=["k", "k-range"])
+def test_k_beyond_the_panel_leaves_no_output_dir(synth_panel, tmp_path, capsys, k_flags):
+    # the 12-series panel takes K up to 12 and a K range up to 11; that is
+    # known once the panel is read, and the directory is made after the fit
+    csv_path, _ = synth_panel
+    out_dir = tmp_path / "out"
+    code, _, err = run(["pipeline", "--input", str(csv_path), *k_flags,
+                        "--output-dir", str(out_dir), "--quiet"], capsys)
+    assert code == 3
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_k_range_beyond_the_panel_names_its_bounds(synth_panel, capsys):
+    csv_path, _ = synth_panel
+    code, out, err = run(["stability", "--input", str(csv_path), "--k-range", "2..1000000",
+                          "--quiet"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "rwclust: error: k_range must lie in [2, 11], got 2..1000000\n"
+
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from rwclust import (
     DegenerateSampleError,
     DimensionError,
     DistanceMatrix,
-    DistanceParams,
     IncrementPanel,
     ParameterError,
     ValidationError,
@@ -26,7 +25,6 @@ from rwclust import (
     cluster,
     cluster_summary,
     distance_components,
-    distance_matrix,
     minimal_matching,
     represent,
     stability_select_k,
@@ -193,7 +191,7 @@ def test_members():
 
 def test_hierarchical_cuts_are_nested(rng):
     rep = represent(make_increment_panel(rng.standard_normal((10, 30))))
-    dm = distance_matrix(rep, DistanceParams(theta=0.5))
+    dm = distance_components(rep).blend(0.5)
     coarse = cluster(dm, 3, "average_linkage")
     fine = cluster(dm, 4, "average_linkage")
     # every fine cluster sits inside exactly one coarse cluster
@@ -214,7 +212,7 @@ def test_cluster_parameter_checks():
 
 def test_cluster_deterministic(rng):
     rep = represent(make_increment_panel(rng.standard_normal((8, 25))))
-    dm = distance_matrix(rep)
+    dm = distance_components(rep).blend(0.5)
     for method in ("average_linkage", "complete_linkage", "k_medoids"):
         a = cluster(dm, 3, method)
         b = cluster(dm, 3, method)
@@ -458,9 +456,9 @@ def test_stability_prefers_planted_k(rng):
     # duplicate pairs survive any observation subsample, so K=3 is always
     # recovered identically; K=2 depends on which templates look closest
     panel = duplicated_template_panel(rng)
-    report = stability_select_k(
+    [report] = stability_select_k(
         panel,
-        DistanceParams(theta=1.0),
+        (1.0,),
         BinningConfig(bins=10),
         k_range=[2, 3, 4],
         runs=8,
@@ -477,9 +475,9 @@ def test_stability_minimal_matching_agreement(rng):
     # identical partitions score 1 under either agreement metric, so the
     # planted K wins here too
     panel = duplicated_template_panel(rng)
-    report = stability_select_k(
+    [report] = stability_select_k(
         panel,
-        DistanceParams(theta=1.0),
+        (1.0,),
         BinningConfig(bins=10),
         k_range=[2, 3, 4],
         runs=6,
@@ -506,9 +504,9 @@ def test_stability_identical_subsamples_score_one(rng):
 
     seed = next(s for s in range(5000) if len(set(draws(s))) == 1)
     panel = make_increment_panel(np.random.default_rng(0).standard_normal((5, m)))
-    report = stability_select_k(
+    [report] = stability_select_k(
         panel,
-        DistanceParams(theta=0.5),
+        (0.5,),
         BinningConfig(bins=4),
         k_range=[2, 3],
         runs=2,
@@ -528,10 +526,10 @@ def test_stability_scores_follow_the_definition(method):
     gen = np.random.default_rng(17)
     values = gen.standard_normal((n, m)) * gen.uniform(0.5, 2.0, size=(n, 1))
     ids = tuple(f"s{i}" for i in range(n))
-    params, binning = DistanceParams(theta=0.5), BinningConfig(bins=8)
+    theta, binning = 0.5, BinningConfig(bins=8)
     ks = list(range(2, n))
-    report = stability_select_k(
-        IncrementPanel(ids, values), params, binning, ks,
+    [report] = stability_select_k(
+        IncrementPanel(ids, values), (theta,), binning, ks,
         runs=runs, subsample_fraction=fraction, seed=seed, method=method,
     )
     m_sub = int(np.floor(fraction * m))
@@ -539,7 +537,8 @@ def test_stability_scores_follow_the_definition(method):
     for run in range(runs):
         stream = np.random.default_rng(np.random.SeedSequence([seed, run]))
         idx = np.sort(stream.choice(m, size=m_sub, replace=False))
-        dm = distance_matrix(represent(IncrementPanel(ids, values[:, idx]), binning), params)
+        rep = represent(IncrementPanel(ids, values[:, idx]), binning)
+        dm = distance_components(rep).blend(theta)
         partitions.append([cluster(dm, k, method).labels.tolist() for k in ks])
     for col in range(len(ks)):
         aris = [pair_count_ari(a[col], b[col]) for a, b in itertools.combinations(partitions, 2)]
@@ -552,16 +551,16 @@ def test_stability_deterministic(rng):
     kwargs = dict(
         k_range=[2, 3], runs=4, subsample_fraction=0.6, seed=11, method="complete_linkage"
     )
-    a = stability_select_k(panel, DistanceParams(theta=1.0), BinningConfig(bins=8), **kwargs)
-    b = stability_select_k(panel, DistanceParams(theta=1.0), BinningConfig(bins=8), **kwargs)
+    [a] = stability_select_k(panel, (1.0,), BinningConfig(bins=8), **kwargs)
+    [b] = stability_select_k(panel, (1.0,), BinningConfig(bins=8), **kwargs)
     assert a == b
 
 
 def test_stability_works_with_k_medoids(rng):
     panel = duplicated_template_panel(rng)
-    report = stability_select_k(
+    [report] = stability_select_k(
         panel,
-        DistanceParams(theta=1.0),
+        (1.0,),
         BinningConfig(bins=8),
         k_range=[2, 3],
         runs=4,
@@ -573,29 +572,28 @@ def test_stability_works_with_k_medoids(rng):
 
 def test_stability_parameter_checks(rng):
     panel = make_increment_panel(rng.standard_normal((5, 20)))
-    params, binning = DistanceParams(), BinningConfig(bins=5)
+    thetas, binning = (0.5,), BinningConfig(bins=5)
     with pytest.raises(ParameterError):
-        stability_select_k(panel, params, binning, k_range=[2, 3], runs=1)
+        stability_select_k(panel, thetas, binning, k_range=[2, 3], runs=1)
     with pytest.raises(ParameterError):
-        stability_select_k(panel, params, binning, k_range=[2, 3], subsample_fraction=0.4)
+        stability_select_k(panel, thetas, binning, k_range=[2, 3], subsample_fraction=0.4)
     with pytest.raises(ParameterError):
-        stability_select_k(panel, params, binning, k_range=[2, 3], subsample_fraction=1.0)
+        stability_select_k(panel, thetas, binning, k_range=[2, 3], subsample_fraction=1.0)
     with pytest.raises(ParameterError):
-        stability_select_k(panel, params, binning, k_range=[])
+        stability_select_k(panel, thetas, binning, k_range=[])
     with pytest.raises(ParameterError):
-        stability_select_k(panel, params, binning, k_range=[1, 2])
+        stability_select_k(panel, thetas, binning, k_range=[1, 2])
     with pytest.raises(ParameterError):
-        stability_select_k(panel, params, binning, k_range=[2, 5])  # n-1 == 4
+        stability_select_k(panel, thetas, binning, k_range=[2, 5])  # n-1 == 4
     with pytest.raises(ParameterError):
-        stability_select_k(panel, params, binning, k_range=[2, 3], seed=-1)
+        stability_select_k(panel, thetas, binning, k_range=[2, 3], seed=-1)
     with pytest.raises(ParameterError):
-        stability_select_k(panel, params, binning, k_range=[2, 3], agreement="rand")
+        stability_select_k(panel, thetas, binning, k_range=[2, 3], agreement="rand")
     with pytest.raises(ParameterError):
-        stability_select_k(panel, params, binning, k_range=[2, 3], method="ward")
+        stability_select_k(panel, thetas, binning, k_range=[2, 3], method="ward")
     for theta in (0.0, 0.5, 1.0):  # whichever distance parts theta weights
         with pytest.raises(ParameterError, match="threads"):
-            stability_select_k(panel, DistanceParams(theta=theta), binning, k_range=[2, 3],
-                               threads=0)
+            stability_select_k(panel, (theta,), binning, k_range=[2, 3], threads=0)
 
 
 @pytest.mark.parametrize("method, agreement, exact", [
@@ -612,13 +610,15 @@ def test_stability_params_sequence_equals_single_calls(rng, method, agreement, e
     tied = rng.poisson(0.05, size=(9, 60)).astype(float)
     constant_row = rng.standard_normal((9, 60))
     constant_row[4] = -0.5
-    params = tuple(DistanceParams(theta=t, exact_spearman_norm=exact) for t in (0.0, 0.5, 1.0))
+    thetas = (0.0, 0.5, 1.0)
     binning = BinningConfig(bins=8)
-    kwargs = dict(k_range=[2, 3, 4], runs=5, seed=7, method=method, agreement=agreement)
+    kwargs = dict(k_range=[2, 3, 4], runs=5, seed=7, method=method, agreement=agreement,
+                  exact_spearman_norm=exact)
     for values in (continuous, tied, constant_row):
         panel = make_increment_panel(values)
-        reports = stability_select_k(panel, params, binning, **kwargs)
-        assert reports == tuple(stability_select_k(panel, p, binning, **kwargs) for p in params)
+        reports = stability_select_k(panel, thetas, binning, **kwargs)
+        singles = (stability_select_k(panel, (t,), binning, **kwargs)[0] for t in thetas)
+        assert reports == tuple(singles)
 
 
 def test_stability_params_sequence_checks(rng):
@@ -626,9 +626,8 @@ def test_stability_params_sequence_checks(rng):
     binning = BinningConfig(bins=5)
     with pytest.raises(ParameterError):
         stability_select_k(panel, (), binning, k_range=[2, 3])
-    mixed = (DistanceParams(theta=0.0), DistanceParams(theta=1.0, exact_spearman_norm=True))
-    with pytest.raises(ParameterError):
-        stability_select_k(panel, mixed, binning, k_range=[2, 3])
+    with pytest.raises(ParameterError, match="theta"):
+        stability_select_k(panel, (0.5, 1.5), binning, k_range=[2, 3])
 
 
 def test_stability_degenerate_subsample(rng):
@@ -636,7 +635,7 @@ def test_stability_degenerate_subsample(rng):
     panel = make_increment_panel(rng.standard_normal((5, 3)))
     with pytest.raises(DegenerateSampleError):
         stability_select_k(
-            panel, DistanceParams(), BinningConfig(bins=3), k_range=[2, 3],
+            panel, (0.5,), BinningConfig(bins=3), k_range=[2, 3],
             subsample_fraction=0.5,
         )
 

@@ -10,12 +10,10 @@ import pytest
 from rwclust import (
     BinningConfig,
     DistanceMatrix,
-    DistanceParams,
     NonParamRepresentation,
     ParameterError,
     ValidationError,
     distance_components,
-    distance_matrix,
     represent,
 )
 from rwclust import distance
@@ -196,11 +194,12 @@ def test_theta_symmetry_exact(rng):
     assert v[0, 1] == v[1, 2]
 
 
-def test_theta_validation():
+def test_theta_validation(rng):
+    parts = distance_components(represent(make_increment_panel(rng.standard_normal((2, 10)))))
     with pytest.raises(ParameterError):
-        DistanceParams(theta=-0.1)
+        parts.blend(-0.1)
     with pytest.raises(ParameterError):
-        DistanceParams(theta=1.5)
+        parts.blend(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +208,20 @@ def test_theta_validation():
 
 def test_matrix_identical_pair(rng):
     row = rng.standard_normal(20)
-    dm = distance_matrix(represent(make_increment_panel([row, row.copy()])))
+    dm = distance_components(represent(make_increment_panel([row, row.copy()]))).blend(0.5)
     assert np.array_equal(dm.values, np.zeros((2, 2)))
 
 
 def test_matrix_single_series(rng):
-    dm = distance_matrix(represent(make_increment_panel(rng.standard_normal((1, 10)))))
+    rep = represent(make_increment_panel(rng.standard_normal((1, 10))))
+    dm = distance_components(rep).blend(0.5)
     assert dm.values.shape == (1, 1)
     assert dm.values[0, 0] == 0.0
 
 
 def test_matrix_agrees_with_pairwise_calls(rng):
     rep = represent(make_increment_panel(rng.standard_normal((3, 25))))
-    params = DistanceParams(theta=0.5)
-    dm = distance_matrix(rep, params)
+    dm = distance_components(rep).blend(0.5)
     for i in range(3):
         for j in range(3):
             expected = math.sqrt(0.5 * naive_d1_sq(rep.ranks[i], rep.ranks[j])
@@ -232,30 +231,33 @@ def test_matrix_agrees_with_pairwise_calls(rng):
 
 def test_matrix_symmetry_and_diagonal(rng):
     rep = represent(make_increment_panel(rng.standard_normal((6, 30))))
-    dm = distance_matrix(rep, DistanceParams(theta=0.3))
+    dm = distance_components(rep).blend(0.3)
     assert np.array_equal(dm.values, dm.values.T)
     assert np.array_equal(np.diag(dm.values), np.zeros(6))
 
 
 def test_matrix_thread_count_does_not_change_bits(rng):
     rep = represent(make_increment_panel(rng.standard_normal((9, 40))))
-    params = DistanceParams(theta=0.5)
-    single = distance_matrix(rep, params, threads=1)
-    multi = distance_matrix(rep, params, threads=4)
+    single = distance_components(rep, threads=1).blend(0.5)
+    multi = distance_components(rep, threads=4).blend(0.5)
     assert np.array_equal(single.values, multi.values)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["default-norm", "exact-norm"])
 @pytest.mark.parametrize("threads", [1, 3])
 def test_blend_is_bit_equal_to_distance_matrix(rng, threads, exact):
+    # the bits depend neither on the thread count nor, at theta 0, which
+    # leaves the rank part unweighted, on its normalization
     rep = represent(make_increment_panel(rng.standard_normal((7, 30))))
     parts = distance_components(rep, exact_spearman_norm=exact, threads=threads)
+    serial = distance_components(rep, exact_spearman_norm=exact)
     for theta in (0.0, 0.25, 0.5, 1.0):
-        params = DistanceParams(theta=theta, exact_spearman_norm=exact)
-        dm = distance_matrix(rep, params, threads=threads)
-        blended = parts.blend(theta)
+        blended, dm = parts.blend(theta), serial.blend(theta)
         assert blended.values.tobytes() == dm.values.tobytes()
         assert (blended.ids, blended.theta, blended.meta) == (dm.ids, dm.theta, dm.meta)
+        assert blended.meta["exact_spearman_norm"] == exact
+    other_norm = distance_components(rep, exact_spearman_norm=not exact).blend(0.0)
+    assert parts.blend(0.0).values.tobytes() == other_norm.values.tobytes()
 
 
 @pytest.mark.parametrize("theta", [-0.1, 1.5, float("nan")])
@@ -283,7 +285,7 @@ def test_matrix_rank_part_is_exact_beyond_one_chunk():
     rep = NonParamRepresentation(ids=("a", "b", "c"), ranks=ranks, masses=np.ones((3, 1)),
                                  origin=0.0, width=1.0)
     sums = _rank_sq_sums(rep.ranks)
-    dm = distance_matrix(rep, DistanceParams(theta=1.0))
+    dm = distance_components(rep).blend(1.0)
     for i in range(3):
         for j in range(3):
             exact = sum(((ranks[i] - ranks[j]) ** 2).tolist())  # Python ints
@@ -300,13 +302,13 @@ def test_rank_sums_refuse_m_beyond_int64():
 def test_matrix_entry_bound(rng):
     rep = represent(make_increment_panel(rng.standard_normal((5, 15))))
     for theta in (0.0, 0.5, 1.0):
-        dm = distance_matrix(rep, DistanceParams(theta=theta))
+        dm = distance_components(rep).blend(theta)
         assert dm.values.max() <= dm.entry_bound() + 1e-9
 
 
 def test_matrix_meta_records_grid(rng):
     rep = represent(make_increment_panel(rng.standard_normal((3, 12))), BinningConfig(bins=5))
-    dm = distance_matrix(rep)
+    dm = distance_components(rep).blend(0.5)
     assert dm.meta["m"] == 12
     origin, width, count = rep.grid
     assert dm.meta["binning"] == {"origin": origin, "width": width, "bins": count}
@@ -334,7 +336,7 @@ def test_matrix_validation():
 
 def test_triangle_inequality_sampled(rng):
     rep = represent(make_increment_panel(rng.standard_normal((8, 30))))
-    dm = distance_matrix(rep, DistanceParams(theta=0.5))
+    dm = distance_components(rep).blend(0.5)
     v = dm.values
     for i in range(8):
         for j in range(8):
@@ -361,6 +363,7 @@ def test_hellinger_pool_never_exceeds_rows(monkeypatch, rng):
 
     monkeypatch.setattr(distance, "ThreadPoolExecutor", InlinePool)
     rep = represent(make_increment_panel(rng.standard_normal((5, 30))))
-    pooled = distance_matrix(rep, threads=64)
+    pooled = distance_components(rep, threads=64).blend(0.5)
     assert workers and max(workers) <= rep.n_series
-    assert pooled.values.tobytes() == distance_matrix(rep, threads=1).values.tobytes()
+    serial = distance_components(rep, threads=1).blend(0.5)
+    assert pooled.values.tobytes() == serial.values.tobytes()

@@ -16,7 +16,6 @@ from rwclust import (
     BinningConfig,
     ClusterAssignment,
     CorrelationBlock,
-    DistanceParams,
     DistributionGroup,
     GroundTruth,
     IncrementPanel,
