@@ -18,9 +18,8 @@ from .clustering import (
     stability_select_k,
 )
 from .distance import (
-    DistanceComponents,
     DistanceMatrix,
-    distance_components,
+    distance_matrices,
 )
 from .errors import (
     BinningRangeError,
@@ -65,7 +64,6 @@ __all__ = [
     "CorrelationBlock",
     "DegenerateSampleError",
     "DimensionError",
-    "DistanceComponents",
     "DistanceMatrix",
     "DistributionGroup",
     "GroundTruth",
@@ -83,7 +81,7 @@ __all__ = [
     "as_increments",
     "cluster",
     "cluster_summary",
-    "distance_components",
+    "distance_matrices",
     "generate_panel",
     "load_panel",
     "minimal_matching",

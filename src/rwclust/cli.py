@@ -32,7 +32,7 @@ from .clustering import (
     cluster_summary,
     stability_select_k,
 )
-from .distance import DistanceComponents, DistanceMatrix, _check_theta, _weighted_components
+from .distance import DistanceMatrix, _check_thetas, distance_matrices
 from .errors import (
     BinningRangeError,
     DegenerateSampleError,
@@ -107,7 +107,7 @@ class RunConfig:
     def __post_init__(self):
         """Run every check that needs no data, so that a bad setting fails before any input is read."""
         if self.theta is not None:  # the sweep's thetas are valid constants
-            _check_theta(self.theta)
+            _check_thetas((self.theta,))
         self.binning  # building it checks the grid settings
         if self.k is not None and self.k < 2:
             raise ParameterError(f"--k must be at least 2, got {self.k}")
@@ -325,6 +325,8 @@ def _load(cfg: RunConfig) -> tuple[SeriesPanel, IncrementPanel]:
     options = IngestionOptions(missing=cfg.missing.replace("-", "_"), date_format=cfg.date_format)
     panel = load_panel(cfg.input, options)
     inc = as_increments(panel) if cfg.already_increments else to_increments(panel)
+    if cfg.k is not None and cfg.k > inc.n_series:  # refused before any distance is built
+        raise ParameterError(f"k must lie in [2, {inc.n_series}], got {cfg.k}")
     return panel, inc
 
 
@@ -415,14 +417,6 @@ def _select_k(cfg: RunConfig, inc: IncrementPanel,
     return [(report.selected_k, report) for report in reports]
 
 
-def _components(cfg: RunConfig, inc: IncrementPanel,
-                thetas: tuple[float, ...]) -> DistanceComponents:
-    """The full panel's distance parts that `thetas` weight, ready to blend."""
-    x = inc.values
-    return _weighted_components(inc.ids, x, lambda: np.argsort(x, axis=1, kind="stable"),
-                                cfg.binning, thetas, cfg.exact_spearman_norm, cfg.threads)
-
-
 def _fit(cfg: RunConfig, inc: IncrementPanel, thetas: tuple[float, ...]) -> list[tuple]:
     """Select K, then cluster the full panel's distance matrix at that K, per theta.
 
@@ -430,9 +424,7 @@ def _fit(cfg: RunConfig, inc: IncrementPanel, thetas: tuple[float, ...]) -> list
     theta of `thetas`.
     """
     selected = _select_k(cfg, inc, thetas)
-    parts = _components(cfg, inc, thetas)
-    matrices = [parts.blend(theta) for theta in thetas]
-    del parts  # one or two N x N arrays, released before clustering and writing
+    matrices = distance_matrices(inc, thetas, cfg.binning, cfg.exact_spearman_norm, cfg.threads)
     return [(dm, cluster(dm, k, cfg.method), report)
             for dm, (k, report) in zip(matrices, selected)]
 
@@ -466,7 +458,7 @@ def _cmd_represent(args) -> int:
 def _cmd_distances(args) -> int:
     cfg = _config(args)
     _, inc = _load(cfg)
-    dm = _components(cfg, inc, (cfg.theta,)).blend(cfg.theta)
+    [dm] = distance_matrices(inc, (cfg.theta,), cfg.binning, cfg.exact_spearman_norm, cfg.threads)
     provenance = cfg.provenance(_DISTANCES_FIELDS)
     if args.format == "csv":
         _write(args.output, _matrix_csv, dm, provenance)

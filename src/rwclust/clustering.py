@@ -6,8 +6,9 @@ number of clusters is picked by resampling observations, reclustering each
 subsample, and keeping the K whose partitions agree most (mean pairwise
 adjusted Rand index by default, minimal-matching agreement as an option),
 ties going to the smaller K. One resampling pass scores several thetas at
-once: each subsample's theta-free distance parts are computed once, then
-blended and clustered per theta. Only the parts that some theta weights are
+once: each subsample's theta-free distance parts are computed once, by
+the core of `distance.distance_matrices`, then blended and clustered per
+theta, one blend at a time. Only the parts that some theta weights are
 computed, so a pass at theta 0 builds no ranks and one at theta 1 no
 histograms. A pass that needs ranks sorts the panel once: a subsample's
 stable order is the full order with the dropped observations filtered
@@ -28,7 +29,7 @@ from scipy.cluster.hierarchy import linkage
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
-from .distance import DistanceMatrix, _check_theta, _weighted_components, _weighted_parts
+from .distance import DistanceMatrix, _check_thetas, _distance_matrices, _weighted_parts
 from .errors import DegenerateSampleError, DimensionError, ParameterError, ValidationError
 from .ingestion import IncrementPanel
 from .representation import BinningConfig
@@ -368,11 +369,7 @@ def stability_select_k(
     the order of `thetas`; each is the report a call with that theta alone
     would give.
     """
-    thetas = tuple(thetas)
-    if not thetas:
-        raise ParameterError("thetas must hold at least one theta")
-    for theta in thetas:
-        _check_theta(theta)
+    thetas = _check_thetas(thetas)
     ks = sorted(int(k) for k in k_range)
     n, m = panel.n_series, panel.n_obs
     _check_resampling(runs, subsample_fraction, seed)
@@ -395,13 +392,14 @@ def stability_select_k(
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, run]))
         idx = np.sort(rng.choice(m, size=m_sub, replace=False))
-        parts = _weighted_components(
+        matrices = _distance_matrices(
             panel.ids, panel.values[:, idx], partial(_subsample_order, order, idx), binning,
             thetas, exact_spearman_norm, threads,
         )
-        for theta, runs_of_t in zip(thetas, partitions):
-            # labels lie below n, so int32 halves what the runs hold until scoring
-            runs_of_t.append(_partitions(parts.blend(theta).values, method, ks).astype(np.int32))
+        for runs_of_t in partitions:
+            # one blend at a time; labels lie below n, so int32 halves what
+            # the runs hold until scoring
+            runs_of_t.append(_partitions(next(matrices).values, method, ks).astype(np.int32))
 
     reports = []
     for runs_of_t in partitions:

@@ -33,32 +33,32 @@ mass matrix in two parts:
   1 - sum sqrt(px py) is not used: it loses the exact zero of identical
   pairs.
 
-Neither part depends on theta. `distance_components` computes both, scaled,
-as a `DistanceComponents`, and its `blend(theta)`, the one place a theta
-meets the parts, forms the matrix for one theta with an element-wise square
-root, so a theta sweep pays for the two kernels once.
+Neither part depends on theta. `distance_matrices(panel, thetas, binning)`
+computes the parts once and forms the matrix at each theta with an
+element-wise square root (`_blend`, the one place a theta meets the parts),
+so a theta sweep pays for the two kernels once. It is the one route from
+increments to distances: every CLI subcommand that builds distances calls
+it, and each stability resample calls its core, `_distance_matrices`, on
+the subsample.
 
 A blend at theta weights d1^2 only when theta > 0 and d0^2 only when
-theta < 1 (`_weighted_parts`). Stability selection and every CLI subcommand
-compute a panel's parts with `_weighted_components`, which builds only the
-parts their thetas weight: at theta 0 no rank matrix (and no sort), at
-theta 1 no histogram. It composes the helpers that `represent` and
-`distance_components` compose for both parts, so the parts it builds are
-the same bits.
+theta < 1 (`_weighted_parts`), and only the parts that some theta weights
+are built: at theta 0 no rank matrix (and no sort), at theta 1 no
+histogram. The core composes the helpers that `represent` composes, so the
+parts it builds come from the same bits as a representation's.
 """
 from __future__ import annotations
 
-import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ValidationError
+from .ingestion import IncrementPanel
 from .representation import (
     BinningConfig,
-    NonParamRepresentation,
     _check_masses,
     _check_ranks,
     _masses,
@@ -69,9 +69,15 @@ from .representation import (
 BOUND_TOL = 1e-9  # slack on the theoretical entry bound, covers sqrt rounding
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 <= theta <= 1.0:
-        raise ParameterError(f"theta must lie in [0, 1], got {theta}")
+def _check_thetas(thetas: Sequence[float]) -> tuple[float, ...]:
+    """`thetas` as a tuple; raises unless it is nonempty and every theta lies in [0, 1]."""
+    thetas = tuple(thetas)
+    if not thetas:
+        raise ParameterError("thetas must hold at least one theta")
+    for theta in thetas:
+        if not 0.0 <= theta <= 1.0:
+            raise ParameterError(f"theta must lie in [0, 1], got {theta}")
+    return thetas
 
 
 def _d1_factor(m: int, exact_spearman_norm: bool) -> float:
@@ -178,35 +184,14 @@ def _check_threads(threads: int) -> None:
         raise ParameterError(f"threads must be >= 1, got {threads}")
 
 
-@dataclass(frozen=True)
-class DistanceComponents:
-    """The theta-free squared parts of every pair of a panel: d1sq holds the
-    scaled rank part d1^2, d0sq the Hellinger part d0^2 (both N x N).
+def _blend(d1sq, d0sq, theta: float) -> np.ndarray:
+    """The distance values at `theta` from the squared parts.
 
-    A part is None when it was not computed; `blend` then serves every theta
-    that does not weight it.
+    A part that no theta weights enters as the scalar 0.0, which gives the
+    same bits as the computed part times the zero weight, since 0.0 * d is
+    +0.0 for every finite d >= 0.
     """
-
-    ids: tuple[str, ...]
-    d1sq: np.ndarray | None
-    d0sq: np.ndarray | None
-    meta: dict[str, Any]
-
-    def blend(self, theta: float) -> DistanceMatrix:
-        """The distance matrix at `theta` in [0, 1], with a meta dict of its own.
-
-        A missing part enters as the scalar 0.0, which gives the same bits
-        as the computed part times the zero weight, since 0.0 * d is +0.0
-        for every finite d >= 0.
-        """
-        _check_theta(theta)
-        needs_d1sq, needs_d0sq = _weighted_parts((theta,))
-        if (needs_d1sq and self.d1sq is None) or (needs_d0sq and self.d0sq is None):
-            raise ParameterError(f"theta {theta} weights a distance part that was not computed")
-        d1sq = 0.0 if self.d1sq is None else self.d1sq
-        d0sq = 0.0 if self.d0sq is None else self.d0sq
-        values = np.sqrt(theta * d1sq + (1.0 - theta) * d0sq)
-        return DistanceMatrix(ids=self.ids, values=values, theta=theta, meta=copy.deepcopy(self.meta))
+    return np.sqrt(theta * d1sq + (1.0 - theta) * d0sq)
 
 
 def _meta(m: int, grid: tuple[float, float, int], exact_spearman_norm: bool) -> dict[str, Any]:
@@ -218,35 +203,17 @@ def _meta(m: int, grid: tuple[float, float, int], exact_spearman_norm: bool) -> 
     }
 
 
-def distance_components(
-    rep: NonParamRepresentation,
-    exact_spearman_norm: bool = False,
-    threads: int = 1,
-) -> DistanceComponents:
-    """Both squared parts of every pair of the represented panel, ready to blend.
-
-    `threads` splits the Hellinger rows; results do not depend on it.
-    """
-    _check_threads(threads)
-    return DistanceComponents(
-        ids=rep.ids,
-        d1sq=_d1sq(rep.ranks, exact_spearman_norm),
-        d0sq=_d0sq(rep.masses, threads),
-        meta=_meta(rep.m, rep.grid, exact_spearman_norm),
-    )
-
-
-def _weighted_components(
+def _distance_matrices(
     ids: tuple[str, ...],
     x: np.ndarray,
     order: Callable[[], np.ndarray],
     binning: BinningConfig,
-    thetas,
+    thetas: tuple[float, ...],
     exact_spearman_norm: bool,
     threads: int,
-) -> DistanceComponents:
-    """distance_components(represent(...)) of the N x M values `x`, with only
-    the parts that blends at `thetas` weight; the other part is None.
+) -> Iterator[DistanceMatrix]:
+    """The distance matrix of the N x M values `x` at each theta of `thetas`,
+    yielded one at a time, from only the parts that those thetas weight.
 
     `order()` gives the stable argsort of x's rows and is called only for
     the rank part. The grid is built at every theta, so its errors and the
@@ -256,7 +223,7 @@ def _weighted_components(
     _check_threads(threads)
     needs_d1sq, needs_d0sq = _weighted_parts(thetas)
     grid = shared_grid(x, binning)
-    d1sq = d0sq = None
+    d1sq = d0sq = 0.0
     if needs_d1sq:
         ranks = _ranks(order())
         _check_ranks(ranks)
@@ -266,7 +233,28 @@ def _weighted_components(
         masses = _masses(x, grid)
         _check_masses(masses)
         d0sq = _d0sq(masses, threads)
-    return DistanceComponents(
-        ids=ids, d1sq=d1sq, d0sq=d0sq, meta=_meta(x.shape[1], grid, exact_spearman_norm)
-    )
+    for theta in thetas:
+        yield DistanceMatrix(ids=ids, values=_blend(d1sq, d0sq, theta), theta=theta,
+                             meta=_meta(x.shape[1], grid, exact_spearman_norm))
 
+
+def distance_matrices(
+    panel: IncrementPanel,
+    thetas: Sequence[float],
+    binning: BinningConfig,
+    exact_spearman_norm: bool = False,
+    threads: int = 1,
+) -> tuple[DistanceMatrix, ...]:
+    """The panel's distance matrix at each theta of `thetas`, in their order.
+
+    The theta-free parts are computed once for all thetas, and only those
+    that some theta weights. `exact_spearman_norm` picks the d1
+    normalization; `threads` splits the Hellinger rows, and results do not
+    depend on it.
+    """
+    thetas = _check_thetas(thetas)
+    x = panel.values
+    return tuple(_distance_matrices(
+        panel.ids, x, lambda: np.argsort(x, axis=1, kind="stable"), binning, thetas,
+        exact_spearman_norm, threads,
+    ))

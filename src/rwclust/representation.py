@@ -50,7 +50,8 @@ class BinningConfig:
     def __post_init__(self):
         if self.rule not in BIN_RULES:
             raise ParameterError(f"unknown bin rule {self.rule!r}; expected one of {BIN_RULES}")
-        if self.rule == "count" and not 1 <= self.bins <= MAX_BINS:
+        # fd falls back to the count and width records it, so every rule checks it
+        if not 1 <= self.bins <= MAX_BINS:
             raise ParameterError(f"bin count must lie in [1, {MAX_BINS}], got {self.bins}")
         if self.width is not None and self.rule != "width":
             raise ParameterError(f"a bin width is used by the width rule only, not by {self.rule!r}")

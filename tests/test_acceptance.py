@@ -19,18 +19,17 @@ from rwclust import (
     CorrelationBlock,
     DistributionGroup,
     IncrementPanel,
-    NonParamRepresentation,
     SyntheticSpec,
     cluster,
     cluster_summary,
-    distance_components,
+    distance_matrices,
     generate_panel,
-    represent,
     score_recovery,
     stability_select_k,
     to_increments,
 )
 from rwclust.cli import main as cli_main
+from rwclust.distance import _blend, _d0sq, _d1sq
 
 
 _CAPTURE = None
@@ -64,11 +63,10 @@ def random_masses(rng, bins):
     return v / v.sum()
 
 
-def matrix_representation(rank_rows, mass_rows):
-    """The shipped panel representation built straight from rank and mass rows."""
-    ids = tuple(f"s{i}" for i in range(len(rank_rows)))
-    return NonParamRepresentation(ids=ids, ranks=np.stack(rank_rows), masses=np.stack(mass_rows),
-                                  origin=0.0, width=1.0)
+def matrix_parts(rank_rows, mass_rows):
+    """The shipped kernels' squared parts (d1^2, d0^2) of the series given by
+    their rank and mass rows."""
+    return _d1sq(np.stack(rank_rows), False), _d0sq(np.stack(mass_rows), 1)
 
 
 def panel_of(rows):
@@ -108,18 +106,18 @@ def test_criterion_1_estimator_oracle():
         bins = int(rng.integers(1, 40))
         pa = random_masses(rng, bins)
         pb = random_masses(rng, bins)
-        parts = distance_components(matrix_representation([ra, rb], [pa, pb]))
+        d1sq, d0sq = matrix_parts([ra, rb], [pa, pb])
 
         naive = 0.0
         for i in range(m):
             naive += float(ra[i] - rb[i]) ** 2
         naive = math.sqrt(3.0 * naive / (m * m * (m - 1)))
-        worst_d1 = max(worst_d1, abs(math.sqrt(parts.d1sq[0, 1]) - naive))
+        worst_d1 = max(worst_d1, abs(math.sqrt(d1sq[0, 1]) - naive))
 
         acc = 0.0
         for k in range(bins):
             acc += (math.sqrt(pa[k]) - math.sqrt(pb[k])) ** 2
-        worst_d0 = max(worst_d0, abs(math.sqrt(parts.d0sq[0, 1]) - math.sqrt(0.5 * acc)))
+        worst_d0 = max(worst_d0, abs(math.sqrt(d0sq[0, 1]) - math.sqrt(0.5 * acc)))
     elapsed = time.perf_counter() - start
     ok = worst_d1 <= 1e-12 and worst_d0 <= 1e-12 and elapsed < 5.0
     report(
@@ -141,8 +139,7 @@ def test_criterion_2_metric_properties():
         # rows x, y, z, x: pair (0, 1) differences y - x, pair (1, 3) x - y,
         # and pair (0, 3) compares two separate copies of x
         rows = (x, y, z, x)
-        rep = matrix_representation([r for r, _ in rows], [p for _, p in rows])
-        v = distance_components(rep).blend(0.5).values
+        v = _blend(*matrix_parts([r for r, _ in rows], [p for _, p in rows]), 0.5)
         dxy, dyz, dxz = v[0, 1], v[1, 2], v[0, 2]
         worst_slack = max(
             worst_slack, dxy - (dxz + dyz), dxz - (dxy + dyz), dyz - (dxy + dxz)
@@ -166,7 +163,9 @@ def test_criterion_3_spearman_consistency():
         # mix in correlation so the pairs span the whole dependence range
         w = rng.uniform(-1.0, 1.0)
         y = w * x + math.sqrt(max(1.0 - w * w, 1e-12)) * rng.standard_normal(m)
-        d1sq = distance_components(represent(panel_of([x, y]))).d1sq[0, 1]
+        # the theta 1 matrix is sqrt(d1^2) bit for bit
+        [d1] = distance_matrices(panel_of([x, y]), (1.0,), BinningConfig())
+        d1sq = d1.values[0, 1] ** 2
         rho = stats.spearmanr(x, y).statistic
         worst = max(worst, abs(d1sq - (1.0 - rho) / 2.0))
     ok = worst <= 1e-2
@@ -180,18 +179,19 @@ def test_criterion_4_monotone_invariance():
     affine_exact = True
     for _ in range(50):
         values = rng.standard_normal((5, 60))
-        before = distance_components(represent(panel_of(values), binning))
+        # the theta 1 matrix holds the rank part alone, theta 0 the histogram part
+        d1_before, d0_before = distance_matrices(panel_of(values), (1.0, 0.0), binning)
 
         # strictly increasing map on one series leaves every rank distance alone
         bumped = values.copy()
         bumped[2] = np.exp(bumped[2])
-        after = distance_components(represent(panel_of(bumped), binning))
-        exp_exact &= np.array_equal(before.d1sq, after.d1sq)
+        [d1_after] = distance_matrices(panel_of(bumped), (1.0,), binning)
+        exp_exact &= np.array_equal(d1_before.values, d1_after.values)
 
         # affine map of the data, represented on the grid its own pooled
         # values give, leaves every histogram distance alone
-        mapped = distance_components(represent(panel_of(3.0 * values + 7.0), binning))
-        affine_exact &= np.array_equal(before.d0sq, mapped.d0sq)
+        [d0_mapped] = distance_matrices(panel_of(3.0 * values + 7.0), (0.0,), binning)
+        affine_exact &= np.array_equal(d0_before.values, d0_mapped.values)
     ok = exp_exact and affine_exact
     report(
         4, "monotone maps leave the matched component unchanged",
@@ -202,10 +202,10 @@ def test_criterion_4_monotone_invariance():
 def test_criterion_5_synthetic_recovery(reference_panel):
     panel, truth, inc = reference_panel
     start = time.perf_counter()
-    rep = represent(inc, BinningConfig(bins=100))
+    targets = ((1.0, 4, "dependence"), (0.0, 2, "distribution"), (0.5, 8, "product"))
+    matrices = distance_matrices(inc, [theta for theta, _, _ in targets], BinningConfig(bins=100))
     scores = {}
-    for theta, k, target in ((1.0, 4, "dependence"), (0.0, 2, "distribution"), (0.5, 8, "product")):
-        dm = distance_components(rep).blend(theta)
+    for (theta, k, target), dm in zip(targets, matrices):
         assignment = cluster(dm, k, "average_linkage")
         scores[(theta, target)] = score_recovery(assignment, truth, target)
     elapsed = time.perf_counter() - start
@@ -244,11 +244,11 @@ def test_criterion_6_stability_selection(reference_panel):
 
 def test_criterion_7_summary_contract(reference_panel):
     panel, _, inc = reference_panel
-    rep = represent(inc, BinningConfig(bins=100))
+    fits = ((1.0, 4), (0.0, 2), (0.5, 8))
+    matrices = distance_matrices(inc, [theta for theta, _ in fits], BinningConfig(bins=100))
     ok = True
     detail = []
-    for theta, k in ((1.0, 4), (0.0, 2), (0.5, 8)):
-        dm = distance_components(rep).blend(theta)
+    for (theta, k), dm in zip(fits, matrices):
         summary = cluster_summary(cluster(dm, k, "average_linkage"), panel)
         sizes_ok = summary.total_size == panel.n_series
         quant_ok = all(r.quantile_10 <= r.quantile_90 for r in summary.rows)

@@ -20,15 +20,15 @@ from hypothesis import strategies as st
 import rwclust
 import rwclust.cli
 from rwclust import (
+    BinningConfig,
     ClusterAssignment,
     CorrelationBlock,
     DistributionGroup,
     GroundTruth,
     SyntheticSpec,
-    distance_components,
+    distance_matrices,
     generate_panel,
     load_panel,
-    represent,
     score_recovery,
     to_increments,
 )
@@ -363,7 +363,9 @@ def _read_back(text: str):
     return rows[0], [r[0] for r in rows[1:]], np.array([[float(v) for v in r[1:]] for r in rows[1:]])
 
 
-def test_distance_csv_matches_csv_writer_reference(tmp_path, capsys):
+@pytest.mark.parametrize("theta", ["0", "0.5", "1"], ids=["theta0", "theta0.5", "theta1"])
+def test_distance_csv_matches_csv_writer_reference(tmp_path, capsys, theta):
+    # the CLI writes the bytes of the library route the README shows
     spec = SyntheticSpec(
         n_series=4, m_obs=60, blocks=(CorrelationBlock(size=4, rho=0.5),),
         groups=(DistributionGroup(family="gaussian"),), seed=2,
@@ -372,10 +374,11 @@ def test_distance_csv_matches_csv_writer_reference(tmp_path, capsys):
     text = _reference_csv(["t", *ODD_IDS], panel.index, panel.values.T)
     source = write_csv(tmp_path / "odd.csv", text)
     out_file = tmp_path / "dm.csv"
-    code, _, _ = run(["distances", "--input", source, "--output", str(out_file), "--quiet"], capsys)
+    code, _, _ = run(["distances", "--input", source, "--theta", theta, "--output", str(out_file),
+                      "--quiet"], capsys)
     assert code == 0
 
-    dm = distance_components(represent(to_increments(load_panel(source)))).blend(0.5)
+    [dm] = distance_matrices(to_increments(load_panel(source)), (float(theta),), BinningConfig())
     comment, body = out_file.read_text().split("\n", 1)
     assert comment.startswith("# {")
     assert body == _reference_csv(["id", *ODD_IDS], ODD_IDS, dm.values)
@@ -653,6 +656,11 @@ _SELECTING = {c: [c, "--k-range", "2..3"] for c in ("cluster", "stability", "pip
 _BAD_SETTINGS = [
     *((f"theta-{c}", [*_FIXED[c], "--theta", "2"], "theta") for c in list(_FIXED)[1:]),
     *((f"bins-{c}", [*argv, "--bins", "0"], "bin count") for c, argv in _FIXED.items()),
+    # fd falls back to the bin count and width records it, so both check it too
+    *((f"bins-fd-{c}", [*argv, "--bin-rule", "fd", "--bins", "0"], "bin count")
+      for c, argv in _FIXED.items()),
+    *((f"bins-width-{c}", [*argv, "--bin-width", "0.5", "--bins", "-5"], "bin count")
+      for c, argv in _FIXED.items()),
     *((f"bin-width-{c}", [*argv, "--bin-rule", "count", "--bin-width", "0.1"], "width rule only")
       for c, argv in _FIXED.items()),
     ("no-k-cluster", ["cluster"], "--k-range"),
@@ -707,17 +715,26 @@ def test_overflowing_range_exits_2_at_every_theta(tmp_path, capsys, command, the
     assert "too wide for float64" in err
 
 
-@pytest.mark.parametrize("k_flags", [("--k", "50"), ("--k-range", "2..20")], ids=["k", "k-range"])
-def test_k_beyond_the_panel_leaves_no_output_dir(synth_panel, tmp_path, capsys, k_flags):
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--k", "50"], ["pipeline", "--k-range", "2..20"], ["cluster", "--k", "50"],
+], ids=["k", "k-range", "cluster-k"])
+def test_k_beyond_the_panel_leaves_no_output_dir(synth_panel, tmp_path, capsys, monkeypatch,
+                                                 argv):
     # the 12-series panel takes K up to 12 and a K range up to 11; that is
-    # known once the panel is read, and the directory is made after the fit
+    # known once the panel is read, so it is refused before any grid, sort or
+    # distance part is built, and the directory is made after the fit
+    calls = {}
+    stable_sorts = _count_part_steps(monkeypatch, calls)
     csv_path, _ = synth_panel
-    out_dir = tmp_path / "out"
-    code, _, err = run(["pipeline", "--input", str(csv_path), *k_flags,
-                        "--output-dir", str(out_dir), "--quiet"], capsys)
+    out = tmp_path / "out"
+    where = ["--output-dir", str(out)] if argv[0] == "pipeline" else ["--output", str(out)]
+    code, _, err = run([*argv, "--input", str(csv_path), *where, "--quiet"], capsys)
     assert code == 3
     assert err.count("\n") == 1
-    assert not out_dir.exists()
+    if "--k" in argv:
+        assert err == "rwclust: error: k must lie in [2, 12], got 50\n"
+    assert not out.exists()
+    assert calls == dict.fromkeys(calls, 0) and stable_sorts == []
 
 
 def test_k_range_beyond_the_panel_names_its_bounds(synth_panel, capsys):

@@ -24,13 +24,13 @@ from rwclust import (
     adjusted_rand,
     cluster,
     cluster_summary,
-    distance_components,
+    distance_matrices,
     minimal_matching,
     represent,
     stability_select_k,
 )
 from rwclust.clustering import _pairwise_ari, _partitions, _subsample_order
-from rwclust.distance import _weighted_components
+from rwclust.distance import _distance_matrices
 from rwclust.representation import _ranks
 
 from conftest import make_increment_panel, make_level_panel
@@ -190,8 +190,8 @@ def test_members():
 
 
 def test_hierarchical_cuts_are_nested(rng):
-    rep = represent(make_increment_panel(rng.standard_normal((10, 30))))
-    dm = distance_components(rep).blend(0.5)
+    [dm] = distance_matrices(make_increment_panel(rng.standard_normal((10, 30))), (0.5,),
+                             BinningConfig())
     coarse = cluster(dm, 3, "average_linkage")
     fine = cluster(dm, 4, "average_linkage")
     # every fine cluster sits inside exactly one coarse cluster
@@ -211,8 +211,8 @@ def test_cluster_parameter_checks():
 
 
 def test_cluster_deterministic(rng):
-    rep = represent(make_increment_panel(rng.standard_normal((8, 25))))
-    dm = distance_components(rep).blend(0.5)
+    [dm] = distance_matrices(make_increment_panel(rng.standard_normal((8, 25))), (0.5,),
+                             BinningConfig())
     for method in ("average_linkage", "complete_linkage", "k_medoids"):
         a = cluster(dm, 3, method)
         b = cluster(dm, 3, method)
@@ -273,18 +273,17 @@ def test_subsample_representation_equals_represent_of_the_subsample(kind):
     binning = BinningConfig(bins=20)
     for _ in range(20):
         idx = np.sort(rng.choice(400, size=280, replace=False))
-        want = represent(make_increment_panel(values[:, idx]), binning)
+        subsample = make_increment_panel(values[:, idx])
+        want = represent(subsample, binning)
         assert np.array_equal(_ranks(_subsample_order(order, idx)), want.ranks)
-        # the parts a subsample gets equal those of its full representation,
-        # whichever of them its thetas weight
-        both = distance_components(want)
-        for thetas, d1sq, d0sq in (((0.0,), None, both.d0sq), ((1.0,), both.d1sq, None),
-                                   ((0.0, 1.0), both.d1sq, both.d0sq)):
-            got = _weighted_components(panel.ids, values[:, idx], partial(_subsample_order, order, idx),
-                                       binning, thetas, False, 1)
-            assert got.ids == both.ids and got.meta == both.meta
-            for part, expected in ((got.d1sq, d1sq), (got.d0sq, d0sq)):
-                assert part is None if expected is None else np.array_equal(part, expected)
+        # the matrices a subsample gets from the filtered order equal those of
+        # the subsample panel, whichever parts its thetas weight
+        for thetas in ((0.0,), (1.0,), (0.0, 0.5, 1.0)):
+            got = _distance_matrices(panel.ids, values[:, idx], partial(_subsample_order, order, idx),
+                                     binning, thetas, False, 1)
+            for a, b in zip(got, distance_matrices(subsample, thetas, binning), strict=True):
+                assert (a.ids, a.theta, a.meta) == (b.ids, b.theta, b.meta)
+                assert a.values.tobytes() == b.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +536,7 @@ def test_stability_scores_follow_the_definition(method):
     for run in range(runs):
         stream = np.random.default_rng(np.random.SeedSequence([seed, run]))
         idx = np.sort(stream.choice(m, size=m_sub, replace=False))
-        rep = represent(IncrementPanel(ids, values[:, idx]), binning)
-        dm = distance_components(rep).blend(theta)
+        [dm] = distance_matrices(IncrementPanel(ids, values[:, idx]), (theta,), binning)
         partitions.append([cluster(dm, k, method).labels.tolist() for k in ks])
     for col in range(len(ks)):
         aris = [pair_count_ari(a[col], b[col]) for a, b in itertools.combinations(partitions, 2)]
