@@ -35,7 +35,6 @@ from .clustering import (
 from .distance import DistanceMatrix, _check_thetas, distance_matrices
 from .errors import (
     BinningRangeError,
-    DegenerateSampleError,
     PanelFormatError,
     ParameterError,
     RwclustError,
@@ -69,7 +68,6 @@ _INPUT_ERRORS = (
     PanelFormatError,
     ValidationError,
     BinningRangeError,
-    DegenerateSampleError,
 )
 
 _METHOD_BY_FLAG = {

@@ -26,10 +26,15 @@ from typing import Sequence
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
-from .distance import DistanceMatrix, _check_thetas, _distance_matrices, _weighted_parts
+from .distance import (
+    DistanceMatrix,
+    _check_thetas,
+    _check_threads,
+    _distance_matrices,
+    _weighted_parts,
+)
 from .errors import DegenerateSampleError, DimensionError, ParameterError, ValidationError
 from .ingestion import IncrementPanel
 from .representation import BinningConfig
@@ -265,6 +270,8 @@ def minimal_matching(labels_a, labels_b) -> float:
     distance is the uncovered fraction. 0 iff the partitions agree up to
     relabeling. Unlike the adjusted Rand index it is not chance-corrected.
     """
+    from scipy.optimize import linear_sum_assignment  # loaded on first use, not by import rwclust
+
     table = _contingency(labels_a, labels_b)
     rows, cols = linear_sum_assignment(table, maximize=True)
     matched = int(table[rows, cols].sum())
@@ -373,6 +380,7 @@ def stability_select_k(
     ks = sorted(int(k) for k in k_range)
     n, m = panel.n_series, panel.n_obs
     _check_resampling(runs, subsample_fraction, seed)
+    _check_threads(threads)
     if not ks:
         raise ParameterError("k_range must not be empty")
     if ks[0] < 2 or ks[-1] > n - 1:

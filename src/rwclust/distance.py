@@ -45,7 +45,10 @@ A blend at theta weights d1^2 only when theta > 0 and d0^2 only when
 theta < 1 (`_weighted_parts`), and only the parts that some theta weights
 are built: at theta 0 no rank matrix (and no sort), at theta 1 no
 histogram. The core composes the helpers that `represent` composes, so the
-parts it builds come from the same bits as a representation's.
+parts it builds come from the same bits as a representation's. It checks
+none of them, since they are a permutation and a histogram per row by
+construction; `distance_matrices` and `stability_select_k` check their
+settings, `threads` included, once per call before anything is built.
 """
 from __future__ import annotations
 
@@ -57,14 +60,7 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError
 from .ingestion import IncrementPanel
-from .representation import (
-    BinningConfig,
-    _check_masses,
-    _check_ranks,
-    _masses,
-    _ranks,
-    shared_grid,
-)
+from .representation import BinningConfig, _masses, _ranks, shared_grid
 
 BOUND_TOL = 1e-9  # slack on the theoretical entry bound, covers sqrt rounding
 
@@ -217,22 +213,18 @@ def _distance_matrices(
 
     `order()` gives the stable argsort of x's rows and is called only for
     the rank part. The grid is built at every theta, so its errors and the
-    meta do not depend on which parts are computed, and every part built
-    passes the check NonParamRepresentation runs on it.
+    meta do not depend on which parts are computed. The callers check
+    `thetas` and `threads`.
     """
-    _check_threads(threads)
     needs_d1sq, needs_d0sq = _weighted_parts(thetas)
     grid = shared_grid(x, binning)
     d1sq = d0sq = 0.0
     if needs_d1sq:
         ranks = _ranks(order())
-        _check_ranks(ranks)
         d1sq = _d1sq(ranks, exact_spearman_norm)
         del ranks  # freed before the histogram's N x M temporaries
     if needs_d0sq:
-        masses = _masses(x, grid)
-        _check_masses(masses)
-        d0sq = _d0sq(masses, threads)
+        d0sq = _d0sq(_masses(x, grid), threads)
     for theta in thetas:
         yield DistanceMatrix(ids=ids, values=_blend(d1sq, d0sq, theta), theta=theta,
                              meta=_meta(x.shape[1], grid, exact_spearman_norm))
@@ -253,6 +245,7 @@ def distance_matrices(
     depend on it.
     """
     thetas = _check_thetas(thetas)
+    _check_threads(threads)
     x = panel.values
     return tuple(_distance_matrices(
         panel.ids, x, lambda: np.argsort(x, axis=1, kind="stable"), binning, thetas,

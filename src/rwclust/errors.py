@@ -33,5 +33,6 @@ class ParameterError(RwclustError):
     """A parameter or configuration value is out of its allowed range."""
 
 
-class DegenerateSampleError(RwclustError):
-    """A resampled subsample is too small to be represented."""
+class DegenerateSampleError(ParameterError):
+    """A resampled subsample is too small to be represented: a subsample
+    fraction that the panel's length cannot take."""

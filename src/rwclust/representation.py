@@ -82,12 +82,27 @@ class NonParamRepresentation:
         n = len(self.ids)
         if n == 0 or r.ndim != 2 or p.ndim != 2 or r.shape[0] != n or p.shape[0] != n:
             raise ValidationError("ids, rank rows, and mass rows must have equal nonzero length")
-        _check_ranks(r)
+        m = r.shape[1]
+        if m < 2:
+            raise ValidationError("every rank row must have at least 2 entries")
+        # with every entry in 1..M, a row is a permutation iff no value repeats;
+        # offsetting each row by i*M counts all rows in one bincount
+        if r.min() < 1 or r.max() > m or (
+            np.bincount((r - 1 + m * np.arange(n)[:, None]).ravel(), minlength=n * m) != 1
+        ).any():
+            raise ValidationError("every rank row must be a permutation of 1..M")
         if not np.isfinite(self.origin):
             raise ValidationError("grid origin must be finite")
         if not self.width > 0:
             raise ValidationError(f"bin width must be > 0, got {self.width}")
-        _check_masses(p)
+        if p.shape[1] < 1:
+            raise ValidationError("masses must have at least one bin")
+        if (p < 0).any():
+            raise ValidationError("masses must be nonnegative")
+        sums = p.sum(axis=1)
+        bad = sums[np.abs(sums - 1.0) > MASS_TOL]
+        if bad.size:
+            raise ValidationError(f"masses must sum to 1 within {MASS_TOL}, got {bad[0]!r}")
         r.setflags(write=False)
         p.setflags(write=False)
 
@@ -102,32 +117,6 @@ class NonParamRepresentation:
     @property
     def grid(self) -> tuple[float, float, int]:
         return (self.origin, self.width, self.masses.shape[1])
-
-
-def _check_ranks(r: np.ndarray) -> None:
-    """Raise unless every row of the N x M int64 matrix `r` is a permutation of 1..M, M >= 2."""
-    n, m = r.shape
-    if m < 2:
-        raise ValidationError("every rank row must have at least 2 entries")
-    # with every entry in 1..M, a row is a permutation iff no value repeats;
-    # offsetting each row by i*M counts all rows in one bincount
-    if r.min() < 1 or r.max() > m or (
-        np.bincount((r - 1 + m * np.arange(n)[:, None]).ravel(), minlength=n * m) != 1
-    ).any():
-        raise ValidationError("every rank row must be a permutation of 1..M")
-
-
-def _check_masses(p: np.ndarray) -> None:
-    """Raise unless every row of the N x B float matrix `p` is a histogram: B >= 1
-    nonnegative masses that sum to 1 within MASS_TOL."""
-    if p.shape[1] < 1:
-        raise ValidationError("masses must have at least one bin")
-    if (p < 0).any():
-        raise ValidationError("masses must be nonnegative")
-    sums = p.sum(axis=1)
-    bad = sums[np.abs(sums - 1.0) > MASS_TOL]
-    if bad.size:
-        raise ValidationError(f"masses must sum to 1 within {MASS_TOL}, got {bad[0]!r}")
 
 
 def _bin_index(x: np.ndarray, origin: float, width: float, bin_count: int) -> np.ndarray:
@@ -146,9 +135,9 @@ def _bin_index(x: np.ndarray, origin: float, width: float, bin_count: int) -> np
     if not inside.all():
         bad = x[~inside][0]
         raise BinningRangeError(f"observation {bad!r} outside grid [{origin!r}, {hi!r})")
-    q = (x - origin) / width
+    q = (x - origin) / width  # >= 0: every x passed the range test and width > 0
     idx = np.floor(q)
-    snap = (1.0 - (q - idx)) <= EDGE_TOL * np.maximum(np.abs(q), 1.0)
+    snap = (1.0 - (q - idx)) <= EDGE_TOL * np.maximum(q, 1.0)
     idx = idx.astype(np.int64) + snap
     # the snap (or the division itself) can nudge an in-range value onto the
     # right edge of the padded grid

@@ -72,7 +72,7 @@ class DistributionGroup:
 
     family: str
     scale: float = 1.0
-    df: float | None = None  # student_t only; needs df > 2 for finite variance
+    df: float | None = None  # student_t only; needs a finite df > 2 for finite variance
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -80,8 +80,9 @@ class DistributionGroup:
         if not 0 < self.scale < np.inf:
             raise ValidationError(f"scale must be > 0 and finite, got {self.scale}")
         if self.family == "student_t":
-            if self.df is None or not self.df > 2:
-                raise ValidationError(f"student_t needs df > 2, got {self.df}")
+            # the unit-variance factor sqrt((df - 2) / df) is NaN at df = inf
+            if self.df is None or not 2 < self.df < np.inf:
+                raise ValidationError(f"student_t needs a finite df > 2, got {self.df}")
         elif self.df is not None:
             raise ValidationError(f"family {self.family!r} takes no df")
 

@@ -31,3 +31,17 @@ def make_level_panel(values, ids=None, index=None) -> SeriesPanel:
 def write_csv(path, text: str) -> str:
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def count_stable_sorts(monkeypatch) -> list:
+    """Patch np.argsort to record the shape of every stable sort, and return
+    the list that collects them."""
+    stable_sorts = []
+    np_argsort = np.argsort
+
+    def argsort(a, *args, **kwargs):
+        if kwargs.get("kind") == "stable":
+            stable_sorts.append(np.shape(a))
+        return np_argsort(a, *args, **kwargs)
+    monkeypatch.setattr(np, "argsort", argsort)
+    return stable_sorts

@@ -34,7 +34,7 @@ from rwclust import (
 )
 from rwclust.cli import _panel_csv, main
 
-from conftest import write_csv
+from conftest import count_stable_sorts, write_csv
 
 
 def run(argv, capsys):
@@ -164,17 +164,25 @@ def test_sweep_crosstab_counts_series_by_label_pair(synth_panel, tmp_path, capsy
 
 def test_pipeline_byte_idempotent_across_threads(synth_panel, tmp_path, capsys):
     csv_path, _ = synth_panel
-    outs = []
-    for name, threads in (("a", "1"), ("b", "8")):
-        out_dir = tmp_path / name
-        code, _, _ = run([
-            "pipeline", "--input", str(csv_path), "--theta", "0.5", "--k", "3",
-            "--threads", threads, "--output-dir", str(out_dir), "--quiet",
-        ], capsys)
-        assert code == 0
-        outs.append(out_dir)
-    for name in ("distance_matrix.csv", "assignment.json", "summary.csv", "observations.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # a fixed K, and a sweep whose stability runs split their Hellinger rows too
+    for case, flags in (("k", ("--theta", "0.5", "--k", "3")),
+                        ("sweep", ("--theta-sweep", "--k-range", "2..4", "--stability-runs", "3"))):
+        outs = []
+        for threads in ("1", "8"):
+            out_dir = tmp_path / case / threads
+            code, _, _ = run([
+                "pipeline", "--input", str(csv_path), *flags,
+                "--threads", threads, "--output-dir", str(out_dir), "--quiet",
+            ], capsys)
+            assert code == 0
+            outs.append(out_dir)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        if case == "sweep":
+            assert {"crosstab.json", "stability_theta0.json", "stability_theta0.5.json",
+                    "stability_theta1.json"} <= set(names)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("k_flags", [("--k", "3"), ("--k-range", "2..4", "--stability-runs", "3")],
@@ -230,15 +238,7 @@ def _count_part_steps(monkeypatch, calls: dict) -> list:
     for key, module, name in _PART_STEPS:
         calls.setdefault(key, 0)
         monkeypatch.setattr(module, name, _counting(calls, key, getattr(module, name)))
-    stable_sorts = []
-    np_argsort = np.argsort
-
-    def argsort(a, *args, **kwargs):
-        if kwargs.get("kind") == "stable":
-            stable_sorts.append(np.shape(a))
-        return np_argsort(a, *args, **kwargs)
-    monkeypatch.setattr(np, "argsort", argsort)
-    return stable_sorts
+    return count_stable_sorts(monkeypatch)
 
 
 def _part_calls(weighted, per_part: int) -> dict:
@@ -735,6 +735,21 @@ def test_k_beyond_the_panel_leaves_no_output_dir(synth_panel, tmp_path, capsys, 
         assert err == "rwclust: error: k must lie in [2, 12], got 50\n"
     assert not out.exists()
     assert calls == dict.fromkeys(calls, 0) and stable_sorts == []
+
+
+@pytest.mark.parametrize("command", ["stability", "pipeline"])
+def test_subsample_too_small_for_the_panel_exits_3(tmp_path, capsys, command):
+    # 3 levels give 2 increments, and half of them is 1 observation
+    csv_path = tmp_path / "three.csv"
+    csv_path.write_text("t,a,b,c\n1,1,2,3\n2,2,3,5\n3,4,4,4\n")
+    out = tmp_path / "out"
+    where = ["--output-dir", str(out)] if command == "pipeline" else ["--output", str(out)]
+    code, stdout, err = run([command, "--input", str(csv_path), "--k-range", "2..2",
+                             "--subsample", "0.5", *where, "--quiet"], capsys)
+    assert code == 3
+    assert stdout == ""
+    assert err == "rwclust: error: subsample of 1 observations is too small to represent\n"
+    assert not out.exists()
 
 
 def test_k_range_beyond_the_panel_names_its_bounds(synth_panel, capsys):

@@ -33,7 +33,7 @@ from rwclust.clustering import _pairwise_ari, _partitions, _subsample_order
 from rwclust.distance import _distance_matrices
 from rwclust.representation import _ranks
 
-from conftest import make_increment_panel, make_level_panel
+from conftest import count_stable_sorts, make_increment_panel, make_level_panel
 
 
 def matrix_from_points(points, ids=None):
@@ -568,7 +568,7 @@ def test_stability_works_with_k_medoids(rng):
     assert report.selected_k in (2, 3)
 
 
-def test_stability_parameter_checks(rng):
+def test_stability_parameter_checks(rng, monkeypatch):
     panel = make_increment_panel(rng.standard_normal((5, 20)))
     thetas, binning = (0.5,), BinningConfig(bins=5)
     with pytest.raises(ParameterError):
@@ -589,9 +589,12 @@ def test_stability_parameter_checks(rng):
         stability_select_k(panel, thetas, binning, k_range=[2, 3], agreement="rand")
     with pytest.raises(ParameterError):
         stability_select_k(panel, thetas, binning, k_range=[2, 3], method="ward")
-    for theta in (0.0, 0.5, 1.0):  # whichever distance parts theta weights
+    # refused before the call's stable sort, whichever distance parts theta weights
+    stable_sorts = count_stable_sorts(monkeypatch)
+    for theta in (0.0, 0.5, 1.0):
         with pytest.raises(ParameterError, match="threads"):
             stability_select_k(panel, (theta,), binning, k_range=[2, 3], threads=0)
+    assert stable_sorts == []
 
 
 @pytest.mark.parametrize("method, agreement, exact", [

@@ -71,6 +71,8 @@ def test_family_validation():
         DistributionGroup("student_t")  # df required
     with pytest.raises(ValidationError):
         DistributionGroup("student_t", df=2.0)  # variance would be infinite
+    with pytest.raises(ValidationError, match="df"):
+        DistributionGroup("student_t", df=float("inf"))  # the unit-variance factor is NaN
     with pytest.raises(ValidationError):
         DistributionGroup("gaussian", df=5.0)  # df is meaningless here
     for scale in (0.0, np.inf, np.nan):
@@ -323,11 +325,12 @@ def test_import_leaves_scipy_stats_unloaded():
     src = str(Path(rwclust.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, rwclust; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, rwclust; print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 # ---------------------------------------------------------------------------
