@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_binning_flags(p)
     _add_theta_flags(p)
     _add_cluster_flags(p)
-    p.add_argument("--summary", action="store_true", help="include per-cluster pooled statistics")
+    p.add_argument("--summary", action="store_true",
+                   help="include per-cluster statistics of the pooled increments")
     p.add_argument("--output", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_cluster)
 
@@ -323,8 +324,11 @@ def _load(cfg: RunConfig) -> tuple[SeriesPanel, IncrementPanel]:
     options = IngestionOptions(missing=cfg.missing.replace("-", "_"), date_format=cfg.date_format)
     panel = load_panel(cfg.input, options)
     inc = as_increments(panel) if cfg.already_increments else to_increments(panel)
-    if cfg.k is not None and cfg.k > inc.n_series:  # refused before any distance is built
-        raise ParameterError(f"k must lie in [2, {inc.n_series}], got {cfg.k}")
+    n = inc.n_series  # K limits are checked before a distance is built or a K range listed
+    if cfg.k is not None and cfg.k > n:
+        raise ParameterError(f"k must lie in [2, {n}], got {cfg.k}")
+    if cfg.k_range is not None and cfg.k_range[1] > n - 1:
+        raise ParameterError("k_range must lie in [2, {}], got {}..{}".format(n - 1, *cfg.k_range))
     return panel, inc
 
 
@@ -467,9 +471,9 @@ def _cmd_distances(args) -> int:
 
 def _cmd_cluster(args) -> int:
     cfg = _config(args)
-    panel, inc = _load(cfg)
+    _, inc = _load(cfg)
     [(_, assignment, report)] = _fit(cfg, inc, (cfg.theta,))
-    summary = cluster_summary(assignment, panel) if args.summary else None
+    summary = cluster_summary(assignment, inc) if args.summary else None
     payload = cfg.provenance(_CLUSTER_FIELDS)
     payload.update(_assignment_payload(assignment, summary, report))
     _write(args.output, _json, payload)
@@ -621,11 +625,11 @@ def _summary_csv(f, summary: ClusterSummary, provenance: dict) -> None:
 
 
 def _write_theta(cfg: RunConfig, theta: float, fit: tuple, panel: SeriesPanel,
-                 out_dir: Path, suffix: str) -> None:
-    """Write the artifacts of one theta's `_fit` result into out_dir."""
+                 inc: IncrementPanel, out_dir: Path, suffix: str) -> None:
+    """Write one theta's `_fit` result into out_dir, summarising the increments `inc`."""
     provenance = cfg.provenance(_CLUSTER_FIELDS, theta=theta)
     dm, assignment, report = fit
-    summary = cluster_summary(assignment, panel)
+    summary = cluster_summary(assignment, inc)
 
     _write(out_dir / f"distance_matrix{suffix}.csv", _matrix_csv, dm, provenance)
     _write(out_dir / f"assignment{suffix}.json", _json,
@@ -648,7 +652,7 @@ def run_pipeline(cfg: RunConfig, output_dir: str | Path) -> int:
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for theta, fit in zip(thetas, fits):
-        _write_theta(cfg, theta, fit, panel, out_dir, f"_theta{theta:g}" if sweep else "")
+        _write_theta(cfg, theta, fit, panel, inc, out_dir, f"_theta{theta:g}" if sweep else "")
     if not sweep:
         return EXIT_OK
 

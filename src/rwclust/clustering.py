@@ -6,17 +6,17 @@ number of clusters is picked by resampling observations, reclustering each
 subsample, and keeping the K whose partitions agree most (mean pairwise
 adjusted Rand index by default, minimal-matching agreement as an option),
 ties going to the smaller K. One resampling pass scores several thetas at
-once: each subsample's theta-free distance parts are computed once, by
-the core of `distance.distance_matrices`, then blended and clustered per
-theta, one blend at a time. Only the parts that some theta weights are
-computed, so a pass at theta 0 builds no ranks and one at theta 1 no
+once: each subsample's theta-free distance parts come from one call of
+`distance._parts`, and each theta's blend of them is clustered as a plain
+array, with no `DistanceMatrix`. Only the parts that some theta weights
+are computed, so a pass at theta 0 builds no ranks and one at theta 1 no
 histograms. A pass that needs ranks sorts the panel once: a subsample's
 stable order is the full order with the dropped observations filtered
-out. Trees are cut with a union-find that merges in
-scipy's `cut_tree` order, so equal merge heights resolve as `cut_tree`
-resolves them. Each K's adjusted Rand indices for all run pairs come from
-one vectorised pass per run, over the pairs it opens; `adjusted_rand` is
-that pass applied to two partitions.
+out. Trees are cut with a union-find that merges in scipy's `cut_tree`
+order, so equal merge heights resolve as `cut_tree` resolves them. Each
+K's adjusted Rand indices for all run pairs come from one vectorised pass
+per run, over the pairs it opens; `adjusted_rand` is that pass applied to
+two partitions.
 """
 from __future__ import annotations
 
@@ -30,9 +30,10 @@ from scipy.spatial.distance import squareform
 
 from .distance import (
     DistanceMatrix,
+    _blend,
     _check_thetas,
     _check_threads,
-    _distance_matrices,
+    _parts,
     _weighted_parts,
 )
 from .errors import DegenerateSampleError, DimensionError, ParameterError, ValidationError
@@ -400,14 +401,14 @@ def stability_select_k(
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, run]))
         idx = np.sort(rng.choice(m, size=m_sub, replace=False))
-        matrices = _distance_matrices(
-            panel.ids, panel.values[:, idx], partial(_subsample_order, order, idx), binning,
+        _, d1sq, d0sq = _parts(
+            panel.values[:, idx], partial(_subsample_order, order, idx), binning,
             thetas, exact_spearman_norm, threads,
         )
-        for runs_of_t in partitions:
+        for theta, runs_of_t in zip(thetas, partitions):
             # one blend at a time; labels lie below n, so int32 halves what
             # the runs hold until scoring
-            runs_of_t.append(_partitions(next(matrices).values, method, ks).astype(np.int32))
+            runs_of_t.append(_partitions(_blend(d1sq, d0sq, theta), method, ks).astype(np.int32))
 
     reports = []
     for runs_of_t in partitions:

@@ -33,18 +33,19 @@ mass matrix in two parts:
   1 - sum sqrt(px py) is not used: it loses the exact zero of identical
   pairs.
 
-Neither part depends on theta. `distance_matrices(panel, thetas, binning)`
-computes the parts once and forms the matrix at each theta with an
-element-wise square root (`_blend`, the one place a theta meets the parts),
-so a theta sweep pays for the two kernels once. It is the one route from
-increments to distances: every CLI subcommand that builds distances calls
-it, and each stability resample calls its core, `_distance_matrices`, on
-the subsample.
+Neither part depends on theta. `_parts` computes the grid and both squared
+parts of an N x M value matrix once, and `_blend`, the one place a theta
+meets the parts, takes an element-wise square root per theta. Only
+`distance_matrices(panel, thetas, binning)`, the route of every CLI
+subcommand, wraps its blends in a `DistanceMatrix`. A stability resample
+clusters `_blend` of its subsample's `_parts` as a plain array: the exact
+integer Gram sums and the mirrored Hellinger rows make every blend
+symmetric with a zero diagonal, nonnegative and within the entry bound.
 
 A blend at theta weights d1^2 only when theta > 0 and d0^2 only when
 theta < 1 (`_weighted_parts`), and only the parts that some theta weights
 are built: at theta 0 no rank matrix (and no sort), at theta 1 no
-histogram. The core composes the helpers that `represent` composes, so the
+histogram. `_parts` composes the helpers that `represent` composes, so the
 parts it builds come from the same bits as a representation's. It checks
 none of them, since they are a permutation and a histogram per row by
 construction; `distance_matrices` and `stability_select_k` check their
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -74,12 +75,6 @@ def _check_thetas(thetas: Sequence[float]) -> tuple[float, ...]:
         if not 0.0 <= theta <= 1.0:
             raise ParameterError(f"theta must lie in [0, 1], got {theta}")
     return thetas
-
-
-def _d1_factor(m: int, exact_spearman_norm: bool) -> float:
-    if exact_spearman_norm:
-        return 3.0 / (m * (m * m - 1))
-    return 3.0 / (m * m * (m - 1))
 
 
 @dataclass(frozen=True)
@@ -129,19 +124,6 @@ def _pairwise_sq_rows(a: np.ndarray, out: np.ndarray, rows: range) -> None:
             out[i, i + 1 :] = (d * d).sum(axis=1)
 
 
-def _pairwise_sq(a: np.ndarray, threads: int) -> np.ndarray:
-    n = a.shape[0]
-    out = np.zeros((n, n))
-    threads = min(threads, n)  # more workers than rows would only get empty chunks
-    if threads <= 1 or n < 4:
-        _pairwise_sq_rows(a, out, range(n))
-    else:
-        chunks = [range(i, n, threads) for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda r: _pairwise_sq_rows(a, out, r), chunks))
-    return out + out.T
-
-
 def _rank_sq_sums(ranks: np.ndarray) -> np.ndarray:
     """Exact sum_i (r_a[i] - r_b[i])^2 for every pair of rows of an N x M permutation matrix."""
     m = ranks.shape[1]
@@ -167,12 +149,24 @@ def _weighted_parts(thetas) -> tuple[bool, bool]:
 
 def _d1sq(ranks: np.ndarray, exact_spearman_norm: bool) -> np.ndarray:
     """The scaled rank part d1^2 of every pair of rows of an N x M permutation matrix."""
-    return _rank_sq_sums(ranks) * _d1_factor(ranks.shape[1], exact_spearman_norm)
+    m = ranks.shape[1]
+    factor = 3.0 / (m * (m * m - 1)) if exact_spearman_norm else 3.0 / (m * m * (m - 1))
+    return _rank_sq_sums(ranks) * factor
 
 
 def _d0sq(masses: np.ndarray, threads: int) -> np.ndarray:
     """The Hellinger part d0^2 of every pair of rows of an N x B mass matrix."""
-    return _pairwise_sq(np.sqrt(masses), threads) * 0.5
+    a = np.sqrt(masses)
+    n = a.shape[0]
+    out = np.zeros((n, n))
+    threads = min(threads, n)  # more workers than rows would only get empty chunks
+    if threads <= 1 or n < 4:
+        _pairwise_sq_rows(a, out, range(n))
+    else:
+        chunks = [range(i, n, threads) for i in range(threads)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda r: _pairwise_sq_rows(a, out, r), chunks))
+    return (out + out.T) * 0.5
 
 
 def _check_threads(threads: int) -> None:
@@ -190,31 +184,22 @@ def _blend(d1sq, d0sq, theta: float) -> np.ndarray:
     return np.sqrt(theta * d1sq + (1.0 - theta) * d0sq)
 
 
-def _meta(m: int, grid: tuple[float, float, int], exact_spearman_norm: bool) -> dict[str, Any]:
-    origin, width, nbins = grid
-    return {
-        "m": m,
-        "binning": {"origin": origin, "width": width, "bins": nbins},
-        "exact_spearman_norm": exact_spearman_norm,
-    }
-
-
-def _distance_matrices(
-    ids: tuple[str, ...],
+def _parts(
     x: np.ndarray,
     order: Callable[[], np.ndarray],
     binning: BinningConfig,
     thetas: tuple[float, ...],
     exact_spearman_norm: bool,
     threads: int,
-) -> Iterator[DistanceMatrix]:
-    """The distance matrix of the N x M values `x` at each theta of `thetas`,
-    yielded one at a time, from only the parts that those thetas weight.
+) -> tuple[tuple[float, float, int], Any, Any]:
+    """The grid and the squared parts (d1^2, d0^2) of the N x M values `x`,
+    computing only the parts that `thetas` weight; a part no theta weights
+    is the scalar 0.0, which `_blend` takes as it takes an array.
 
     `order()` gives the stable argsort of x's rows and is called only for
-    the rank part. The grid is built at every theta, so its errors and the
-    meta do not depend on which parts are computed. The callers check
-    `thetas` and `threads`.
+    the rank part. The grid is built at every theta, so its errors do not
+    depend on which parts are computed. The callers check `thetas` and
+    `threads`.
     """
     needs_d1sq, needs_d0sq = _weighted_parts(thetas)
     grid = shared_grid(x, binning)
@@ -225,9 +210,7 @@ def _distance_matrices(
         del ranks  # freed before the histogram's N x M temporaries
     if needs_d0sq:
         d0sq = _d0sq(_masses(x, grid), threads)
-    for theta in thetas:
-        yield DistanceMatrix(ids=ids, values=_blend(d1sq, d0sq, theta), theta=theta,
-                             meta=_meta(x.shape[1], grid, exact_spearman_norm))
+    return grid, d1sq, d0sq
 
 
 def distance_matrices(
@@ -247,7 +230,16 @@ def distance_matrices(
     thetas = _check_thetas(thetas)
     _check_threads(threads)
     x = panel.values
-    return tuple(_distance_matrices(
-        panel.ids, x, lambda: np.argsort(x, axis=1, kind="stable"), binning, thetas,
+    (origin, width, nbins), d1sq, d0sq = _parts(
+        x, lambda: np.argsort(x, axis=1, kind="stable"), binning, thetas,
         exact_spearman_norm, threads,
-    ))
+    )
+    # each matrix gets its own meta dict, so editing one leaves the others alone
+    return tuple(
+        DistanceMatrix(ids=panel.ids, values=_blend(d1sq, d0sq, theta), theta=theta, meta={
+            "m": x.shape[1],
+            "binning": {"origin": origin, "width": width, "bins": nbins},
+            "exact_spearman_norm": exact_spearman_norm,
+        })
+        for theta in thetas
+    )

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from rwclust import (
     DistributionGroup,
     GroundTruth,
     SyntheticSpec,
+    cluster_summary,
     distance_matrices,
     generate_panel,
     load_panel,
@@ -111,6 +113,37 @@ def test_pipeline_summaries_partition_n(synth_panel, tmp_path, capsys):
         payload = json.loads((out_dir / "assignment.json").read_text())
         sizes[theta] = sum(row["size"] for row in payload["summary"])
     assert sizes == {"0": 12, "1": 12}
+
+
+def test_summaries_pool_the_clustered_increments(synth_panel, tmp_path, capsys):
+    # a levels file and its differenced twin under --already-increments are
+    # clustered alike, and their summaries describe those same increments
+    csv_path, _ = synth_panel
+    inc = to_increments(load_panel(str(csv_path)))
+    inc_path = write_csv(tmp_path / "increments.csv", _reference_csv(
+        ["t", *inc.ids], [f"t{j:04d}" for j in range(inc.n_obs)], inc.values.T))
+    results = {}
+    for name, path, flags in (("levels", str(csv_path), ()),
+                              ("increments", inc_path, ("--already-increments",))):
+        out_dir = tmp_path / name
+        code, _, _ = run(["pipeline", "--input", path, *flags, "--k-range", "2..4",
+                          "--stability-runs", "3", "--output-dir", str(out_dir), "--quiet"],
+                         capsys)
+        assert code == 0
+        code, out, _ = run(["cluster", "--input", path, *flags, "--k", "3", "--summary",
+                            "--quiet"], capsys)
+        assert code == 0
+        payload = json.loads((out_dir / "assignment.json").read_text())
+        results[name] = (
+            (out_dir / "summary.csv").read_text().split("\n", 1)[1],
+            {key: payload[key] for key in ("labels", "stability", "summary")},
+            json.loads(out)["summary"],
+        )
+    assert results["levels"] == results["increments"]
+    _, payload, _ = results["levels"]
+    labels = payload["labels"]
+    assignment = ClusterAssignment.from_labels(inc.ids, [labels[sid] for sid in inc.ids])
+    assert payload["summary"] == [asdict(row) for row in cluster_summary(assignment, inc).rows]
 
 
 def test_pipeline_stability_artifact(synth_panel, tmp_path, capsys):
@@ -221,7 +254,7 @@ _PART_STEPS = (
     ("rank", rwclust.representation, "_ranks"),
     ("rank_kernel", rwclust.distance, "_rank_sq_sums"),
     ("hellinger", rwclust.representation, "_bin_index"),
-    ("hellinger_kernel", rwclust.distance, "_pairwise_sq"),
+    ("hellinger_kernel", rwclust.distance, "_d0sq"),
 )
 
 
@@ -759,6 +792,26 @@ def test_k_range_beyond_the_panel_names_its_bounds(synth_panel, capsys):
     assert code == 3
     assert out == ""
     assert err == "rwclust: error: k_range must lie in [2, 11], got 2..1000000\n"
+
+
+@pytest.mark.parametrize("command", ["stability", "cluster", "pipeline"])
+def test_huge_k_range_is_refused_right_after_loading(synth_panel, tmp_path, capsys, monkeypatch,
+                                                     command):
+    # the range's end is checked against the panel before stability selection
+    # would spell the range out, so even 10^10 candidates end in one line
+    def no_selection(*args, **kwargs):
+        raise AssertionError("stability selection got a K range the panel cannot take")
+
+    monkeypatch.setattr(rwclust.cli, "stability_select_k", no_selection)
+    csv_path, _ = synth_panel
+    out = tmp_path / "out"
+    where = ["--output-dir", str(out)] if command == "pipeline" else ["--output", str(out)]
+    code, stdout, err = run([command, "--input", str(csv_path), "--k-range", "2..10000000000",
+                             *where, "--quiet"], capsys)
+    assert code == 3
+    assert stdout == ""
+    assert err == "rwclust: error: k_range must lie in [2, 11], got 2..10000000000\n"
+    assert not out.exists()
 
 
 

@@ -30,7 +30,7 @@ from rwclust import (
     stability_select_k,
 )
 from rwclust.clustering import _pairwise_ari, _partitions, _subsample_order
-from rwclust.distance import _distance_matrices
+from rwclust.distance import _blend, _parts
 from rwclust.representation import _ranks
 
 from conftest import count_stable_sorts, make_increment_panel, make_level_panel
@@ -268,7 +268,6 @@ def test_subsample_representation_equals_represent_of_the_subsample(kind):
         values = rng.standard_normal((8, 400))
         if kind == "constant_row":
             values[2] = 1.5
-    panel = make_increment_panel(values)
     order = np.argsort(values, axis=1, kind="stable")
     binning = BinningConfig(bins=20)
     for _ in range(20):
@@ -276,14 +275,17 @@ def test_subsample_representation_equals_represent_of_the_subsample(kind):
         subsample = make_increment_panel(values[:, idx])
         want = represent(subsample, binning)
         assert np.array_equal(_ranks(_subsample_order(order, idx)), want.ranks)
-        # the matrices a subsample gets from the filtered order equal those of
-        # the subsample panel, whichever parts its thetas weight
+        # the blends a run clusters from the filtered order equal the matrices
+        # of the subsample panel, whichever parts its thetas weight
         for thetas in ((0.0,), (1.0,), (0.0, 0.5, 1.0)):
-            got = _distance_matrices(panel.ids, values[:, idx], partial(_subsample_order, order, idx),
-                                     binning, thetas, False, 1)
-            for a, b in zip(got, distance_matrices(subsample, thetas, binning), strict=True):
-                assert (a.ids, a.theta, a.meta) == (b.ids, b.theta, b.meta)
-                assert a.values.tobytes() == b.values.tobytes()
+            (origin, width, bins), d1sq, d0sq = _parts(
+                values[:, idx], partial(_subsample_order, order, idx), binning, thetas, False, 1,
+            )
+            matrices = distance_matrices(subsample, thetas, binning)
+            assert [dm.theta for dm in matrices] == list(thetas)
+            for theta, dm in zip(thetas, matrices):
+                assert dm.meta["binning"] == {"origin": origin, "width": width, "bins": bins}
+                assert _blend(d1sq, d0sq, theta).tobytes() == dm.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +631,26 @@ def test_stability_params_sequence_checks(rng):
         stability_select_k(panel, (), binning, k_range=[2, 3])
     with pytest.raises(ParameterError, match="theta"):
         stability_select_k(panel, (0.5, 1.5), binning, k_range=[2, 3])
+
+
+def test_stability_builds_no_distance_matrix(rng, monkeypatch):
+    # a run clusters the blends of its parts as arrays; only distance_matrices
+    # wraps a blend in a DistanceMatrix, one per theta
+    built = []
+    post_init = DistanceMatrix.__post_init__
+
+    def counted(self):
+        built.append(self.theta)
+        post_init(self)
+
+    monkeypatch.setattr(DistanceMatrix, "__post_init__", counted)
+    panel = make_increment_panel(rng.standard_normal((9, 60)))
+    thetas = (0.0, 0.5, 1.0)
+    binning = BinningConfig(bins=8)
+    stability_select_k(panel, thetas, binning, k_range=[2, 3, 4], runs=5)
+    assert built == []
+    distance_matrices(panel, thetas, binning)
+    assert built == list(thetas)
 
 
 def test_stability_degenerate_subsample(rng):

@@ -15,7 +15,7 @@ from rwclust import (
     represent,
 )
 from rwclust import distance
-from rwclust.distance import _blend, _d0sq, _d1_factor, _d1sq, _rank_sq_sums
+from rwclust.distance import _blend, _d0sq, _d1sq, _rank_sq_sums
 
 from conftest import make_increment_panel
 
@@ -293,7 +293,7 @@ def test_matrix_rank_part_is_exact_beyond_one_chunk():
         for j in range(3):
             exact = sum(((ranks[i] - ranks[j]) ** 2).tolist())  # Python ints
             assert int(sums[i, j]) == exact
-            assert dm.values[i, j] == math.sqrt(_d1_factor(m, False) * float(exact))
+            assert dm.values[i, j] == math.sqrt(3.0 / (m * m * (m - 1)) * float(exact))
 
 
 def test_rank_sums_refuse_m_beyond_int64():
