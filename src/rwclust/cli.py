@@ -319,8 +319,8 @@ def _setup_logging(args) -> None:
     root.setLevel(logging.ERROR if getattr(args, "quiet", False) else logging.INFO)
 
 
-def _load(cfg: RunConfig) -> tuple[SeriesPanel, IncrementPanel]:
-    """Read the panel named by `cfg` and turn its rows into the increments that get clustered."""
+def _load(cfg: RunConfig) -> IncrementPanel:
+    """Read the panel named by `cfg` and return the increments that get clustered, not its levels."""
     options = IngestionOptions(missing=cfg.missing.replace("-", "_"), date_format=cfg.date_format)
     panel = load_panel(cfg.input, options)
     inc = as_increments(panel) if cfg.already_increments else to_increments(panel)
@@ -329,7 +329,7 @@ def _load(cfg: RunConfig) -> tuple[SeriesPanel, IncrementPanel]:
         raise ParameterError(f"k must lie in [2, {n}], got {cfg.k}")
     if cfg.k_range is not None and cfg.k_range[1] > n - 1:
         raise ParameterError("k_range must lie in [2, {}], got {}..{}".format(n - 1, *cfg.k_range))
-    return panel, inc
+    return inc
 
 
 def _write(path: str | Path | None, write, *args) -> None:
@@ -437,7 +437,7 @@ def _fit(cfg: RunConfig, inc: IncrementPanel, thetas: tuple[float, ...]) -> list
 
 def _cmd_represent(args) -> int:
     cfg = _config(args)
-    _, inc = _load(cfg)
+    inc = _load(cfg)
     rep = represent(inc, cfg.binning)
     origin, width, _ = rep.grid
     payload = cfg.provenance(_REPRESENT_FIELDS)
@@ -459,7 +459,7 @@ def _cmd_represent(args) -> int:
 
 def _cmd_distances(args) -> int:
     cfg = _config(args)
-    _, inc = _load(cfg)
+    inc = _load(cfg)
     [dm] = distance_matrices(inc, (cfg.theta,), cfg.binning, cfg.exact_spearman_norm, cfg.threads)
     provenance = cfg.provenance(_DISTANCES_FIELDS)
     if args.format == "csv":
@@ -471,7 +471,7 @@ def _cmd_distances(args) -> int:
 
 def _cmd_cluster(args) -> int:
     cfg = _config(args)
-    _, inc = _load(cfg)
+    inc = _load(cfg)
     [(_, assignment, report)] = _fit(cfg, inc, (cfg.theta,))
     summary = cluster_summary(assignment, inc) if args.summary else None
     payload = cfg.provenance(_CLUSTER_FIELDS)
@@ -482,7 +482,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_stability(args) -> int:
     cfg = _config(args)
-    _, inc = _load(cfg)
+    inc = _load(cfg)
     [(_, report)] = _select_k(cfg, inc, (cfg.theta,))
     payload = cfg.provenance(_STABILITY_FIELDS)
     payload["stability"] = asdict(report)
@@ -606,14 +606,12 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _observations_csv(f, assignment: ClusterAssignment, panel: SeriesPanel) -> None:
-    """One row per series, in panel order: its id, its cluster label, and its
-    number of values in the input file (levels, or increments under
-    --already-increments)."""
+def _observations_csv(f, assignment: ClusterAssignment, n_obs: int) -> None:
+    """One row per series, in panel order: its id, its cluster label, and
+    `n_obs`, its number of values in the input file."""
     writer = csv.writer(f, lineterminator="\n")
     writer.writerow(["series_id", "cluster", "n_obs"])
-    label_of = dict(zip(assignment.ids, assignment.labels.tolist()))
-    writer.writerows([sid, label_of[sid], panel.n_obs] for sid in panel.ids)
+    writer.writerows([sid, label, n_obs] for sid, label in zip(assignment.ids, assignment.labels.tolist()))
 
 
 def _summary_csv(f, summary: ClusterSummary, provenance: dict) -> None:
@@ -624,8 +622,8 @@ def _summary_csv(f, summary: ClusterSummary, provenance: dict) -> None:
         writer.writerow([r.cluster, _fmt(r.mean), _fmt(r.quantile_10), _fmt(r.quantile_90), r.size])
 
 
-def _write_theta(cfg: RunConfig, theta: float, fit: tuple, panel: SeriesPanel,
-                 inc: IncrementPanel, out_dir: Path, suffix: str) -> None:
+def _write_theta(cfg: RunConfig, theta: float, fit: tuple, inc: IncrementPanel,
+                 out_dir: Path, suffix: str) -> None:
     """Write one theta's `_fit` result into out_dir, summarising the increments `inc`."""
     provenance = cfg.provenance(_CLUSTER_FIELDS, theta=theta)
     dm, assignment, report = fit
@@ -635,24 +633,26 @@ def _write_theta(cfg: RunConfig, theta: float, fit: tuple, panel: SeriesPanel,
     _write(out_dir / f"assignment{suffix}.json", _json,
            {**provenance, **_assignment_payload(assignment, summary, report)})
     _write(out_dir / f"summary{suffix}.csv", _summary_csv, summary, provenance)
-    _write(out_dir / f"observations{suffix}.csv", _observations_csv, assignment, panel)
+    # a levels file has one row more than its increments
+    _write(out_dir / f"observations{suffix}.csv", _observations_csv, assignment,
+           inc.n_obs + (not cfg.already_increments))
     if report is not None:
         _write(out_dir / f"stability{suffix}.json", _json,
                {**provenance, "stability": asdict(report)})
     log.info("theta=%g: k=%d, artifacts in %s", theta, assignment.k, out_dir)
 
 
-def run_pipeline(cfg: RunConfig, output_dir: str | Path) -> int:
-    """Execute the full pipeline per config and write every artifact into output_dir."""
-    panel, inc = _load(cfg)
+def _cmd_pipeline(args) -> int:
+    cfg = _config(args)
+    inc = _load(cfg)
     sweep = cfg.theta is None
     thetas = SWEEP_THETAS if sweep else (cfg.theta,)
     fits = _fit(cfg, inc, thetas)
     # made only once the fit succeeds, so a K the panel cannot take leaves no directory
-    out_dir = Path(output_dir)
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for theta, fit in zip(thetas, fits):
-        _write_theta(cfg, theta, fit, panel, inc, out_dir, f"_theta{theta:g}" if sweep else "")
+        _write_theta(cfg, theta, fit, inc, out_dir, f"_theta{theta:g}" if sweep else "")
     if not sweep:
         return EXIT_OK
 
@@ -665,10 +665,6 @@ def run_pipeline(cfg: RunConfig, output_dir: str | Path) -> int:
     }
     _write(out_dir / "crosstab.json", _json, payload)
     return EXIT_OK
-
-
-def _cmd_pipeline(args) -> int:
-    return run_pipeline(_config(args), args.output_dir)
 
 
 # ---------------------------------------------------------------------------

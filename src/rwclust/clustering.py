@@ -20,6 +20,7 @@ two partitions.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -123,6 +124,14 @@ def _kmedoids_labels(d: np.ndarray, k: int) -> np.ndarray:
     return labels
 
 
+def _integer(k, what: str) -> int:
+    """`k` as an int, read with operator.index so that 2.5, 3.0 or '3' is refused."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {k!r}") from None
+
+
 def _check_method(method: str) -> None:
     if method not in CLUSTER_METHODS:
         raise ParameterError(f"unknown method {method!r}; expected one of {CLUSTER_METHODS}")
@@ -181,13 +190,15 @@ def cluster(
     k: int,
     method: str = "average_linkage",
 ) -> ClusterAssignment:
-    """Partition the panel into k clusters from its distance matrix.
+    """Partition the panel into k clusters from its distance matrix; k is an
+    integer in [2, N].
 
     Every method is deterministic given its inputs; the k-medoids build step
     needs no randomness.
     """
     _check_method(method)
     n = matrix.n_series
+    k = _integer(k, "k")
     if not 2 <= k <= n:
         raise ParameterError(f"k must lie in [2, {n}], got {k}")
     return ClusterAssignment(
@@ -280,6 +291,22 @@ def minimal_matching(labels_a, labels_b) -> float:
     return float((n - matched) / n)
 
 
+def _read_k_range(k_range, n: int) -> list[int]:
+    """The K values of `k_range`, sorted; each is checked as it is read, so
+    a range is refused at its first K outside [2, n - 1] without being listed."""
+    ks = set()
+    for k in k_range:
+        k = _integer(k, "a K of k_range")
+        if not 2 <= k <= n - 1:
+            raise ParameterError(f"k_range must lie in [2, {n - 1}], got {k}")
+        if k in ks:
+            raise ParameterError(f"k_range lists {k} twice")
+        ks.add(k)
+    if not ks:
+        raise ParameterError("k_range must not be empty")
+    return sorted(ks)
+
+
 def _smallest_maximizer(ks, scores) -> int:
     """The smallest K among those whose score is the highest."""
     best = max(scores)
@@ -358,6 +385,7 @@ def stability_select_k(
 ) -> tuple[StabilityReport, ...]:
     """Pick the cluster count whose partitions replicate best under resampling.
 
+    `k_range` holds the candidate K values, distinct integers in [2, N - 1].
     Draws `runs` observation subsamples (over the time axis, the series set
     stays fixed). Each subsample's theta-free distance parts are computed
     once, under the d1 normalization `exact_spearman_norm` picks; for every
@@ -378,14 +406,10 @@ def stability_select_k(
     would give.
     """
     thetas = _check_thetas(thetas)
-    ks = sorted(int(k) for k in k_range)
     n, m = panel.n_series, panel.n_obs
     _check_resampling(runs, subsample_fraction, seed)
     _check_threads(threads)
-    if not ks:
-        raise ParameterError("k_range must not be empty")
-    if ks[0] < 2 or ks[-1] > n - 1:
-        raise ParameterError(f"k_range must lie in [2, {n - 1}], got {ks[0]}..{ks[-1]}")
+    ks = _read_k_range(k_range, n)
     _check_method(method)
     if agreement not in _AGREEMENT:
         raise ParameterError(f"unknown agreement {agreement!r}; expected one of {tuple(_AGREEMENT)}")

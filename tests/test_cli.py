@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -376,6 +378,58 @@ def test_observations_one_row_per_series(synth_panel, tmp_path, capsys):
     for path in written:
         suffix = path.stem[len("observations"):]
         _check_observations(path, sweep / f"assignment{suffix}.json", n_obs)
+
+    # the differenced twin under --already-increments: n_obs counts its rows
+    inc = to_increments(load_panel(str(csv_path)))
+    twin = write_csv(tmp_path / "increments.csv", _reference_csv(
+        ["t", *inc.ids], [f"t{j:04d}" for j in range(inc.n_obs)], inc.values.T))
+    code, _, _ = run(["pipeline", "--input", twin, "--already-increments", "--k", "3",
+                      "--output-dir", str(tmp_path / "twin"), "--quiet"], capsys)
+    assert code == 0
+    _check_observations(tmp_path / "twin" / "observations.csv",
+                        tmp_path / "twin" / "assignment.json", n_obs - 1)
+
+    # one gappy series dropped: only the kept series, each with the levels' row count
+    header, *rows = csv_path.read_text().splitlines()
+    rows[7] = rows[7].rsplit(",", 1)[0] + ","  # a gap in the last series
+    gappy = write_csv(tmp_path / "gappy.csv", "\n".join([header, *rows]) + "\n")
+    code, _, _ = run(["pipeline", "--input", gappy, "--missing", "drop-series", "--k", "3",
+                      "--output-dir", str(tmp_path / "dropped"), "--quiet"], capsys)
+    assert code == 0
+    _check_observations(tmp_path / "dropped" / "observations.csv",
+                        tmp_path / "dropped" / "assignment.json", n_obs)
+    listed = (tmp_path / "dropped" / "observations.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in listed] == header.split(",")[1:-1]
+
+
+@pytest.mark.parametrize("flags", [
+    ["distances"],
+    ["cluster", "--k", "3"],
+    ["pipeline", "--k", "3"],
+    ["pipeline", "--theta-sweep", "--k-range", "2..3", "--stability-runs", "2"],
+], ids=["distances", "cluster", "pipeline", "sweep"])
+def test_levels_are_freed_before_distances(synth_panel, tmp_path, capsys, monkeypatch, flags):
+    # the subcommands keep the increments they cluster, not the levels they
+    # were differenced from: no level panel is alive while distances are built
+    levels = []
+    loaded, built = rwclust.cli.load_panel, rwclust.cli.distance_matrices
+
+    def load_panel_watched(*args, **kwargs):
+        panel = loaded(*args, **kwargs)
+        levels.extend([weakref.ref(panel), weakref.ref(panel.values)])
+        return panel
+
+    def distance_matrices_checked(*args, **kwargs):
+        gc.collect()
+        assert levels and all(ref() is None for ref in levels), "the levels are still alive"
+        return built(*args, **kwargs)
+
+    monkeypatch.setattr(rwclust.cli, "load_panel", load_panel_watched)
+    monkeypatch.setattr(rwclust.cli, "distance_matrices", distance_matrices_checked)
+    csv_path, _ = synth_panel
+    where = ["--output-dir", str(tmp_path)] if flags[0] == "pipeline" else []
+    code, _, err = run([*flags, "--input", str(csv_path), *where, "--quiet"], capsys)
+    assert (code, err) == (0, "")
 
 
 # ids that csv.writer has to quote, plus one with a space it leaves alone

@@ -208,6 +208,13 @@ def test_cluster_parameter_checks():
         cluster(dm, 4, "average_linkage")
     with pytest.raises(ParameterError):
         cluster(dm, 2, "spectral")
+    # K is an integer: 2.5 and 3.0 are refused with a ParameterError, not a
+    # TypeError from the tree cut or the medoid build; numpy integers pass
+    for method in ("average_linkage", "k_medoids"):
+        for k in (2.5, 3.0, "3"):
+            with pytest.raises(ParameterError, match="k must be an integer"):
+                cluster(dm, k, method)
+        assert cluster(dm, np.int64(2), method).k == 2
 
 
 def test_cluster_deterministic(rng):
@@ -585,6 +592,21 @@ def test_stability_parameter_checks(rng, monkeypatch):
         stability_select_k(panel, thetas, binning, k_range=[1, 2])
     with pytest.raises(ParameterError):
         stability_select_k(panel, thetas, binning, k_range=[2, 5])  # n-1 == 4
+    # each K is an integer, listed once
+    for k_range in ([2.7, 3], ["2", "3"]):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            stability_select_k(panel, thetas, binning, k_range=k_range)
+    with pytest.raises(ParameterError, match="lists 3 twice"):
+        stability_select_k(panel, thetas, binning, k_range=[3, 2, 3])
+
+    # a range is refused at its first K past n-1, without being read to its end
+    def huge_range():
+        for k in range(2, 10**10):
+            assert k <= 5, "k_range was read past its first K out of bounds"
+            yield k
+
+    with pytest.raises(ParameterError, match=r"must lie in \[2, 4\], got 5"):
+        stability_select_k(panel, thetas, binning, k_range=huge_range())
     with pytest.raises(ParameterError):
         stability_select_k(panel, thetas, binning, k_range=[2, 3], seed=-1)
     with pytest.raises(ParameterError):
