@@ -14,6 +14,7 @@ from .clustering import (
     adjusted_rand,
     cluster,
     cluster_summary,
+    fit,
     minimal_matching,
     stability_select_k,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "cluster",
     "cluster_summary",
     "distance_matrices",
+    "fit",
     "generate_panel",
     "load_panel",
     "minimal_matching",

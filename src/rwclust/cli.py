@@ -28,8 +28,8 @@ from .clustering import (
     StabilityReport,
     _check_resampling,
     _contingency,
-    cluster,
     cluster_summary,
+    fit,
     stability_select_k,
 )
 from .distance import DistanceMatrix, _check_thetas, distance_matrices
@@ -119,6 +119,14 @@ class RunConfig:
     @property
     def binning(self) -> BinningConfig:
         return BinningConfig(rule=self.bin_rule, bins=self.bins, width=self.bin_width)
+
+    @property
+    def selection(self) -> dict:
+        """The keywords of `stability_select_k`, which `fit` also takes."""
+        return dict(k_range=self.k_range and range(self.k_range[0], self.k_range[1] + 1),
+                    runs=self.stability_runs, subsample_fraction=self.subsample, seed=self.seed,
+                    method=self.method, threads=self.threads,
+                    exact_spearman_norm=self.exact_spearman_norm)
 
     def provenance(self, keys: tuple[str, ...], theta: float | str | None = None) -> dict:
         """The version and the config restricted to `keys`; `theta` overrides its value."""
@@ -324,9 +332,7 @@ def _load(cfg: RunConfig) -> IncrementPanel:
     options = IngestionOptions(missing=cfg.missing.replace("-", "_"), date_format=cfg.date_format)
     panel = load_panel(cfg.input, options)
     inc = as_increments(panel) if cfg.already_increments else to_increments(panel)
-    n = inc.n_series  # K limits are checked before a distance is built or a K range listed
-    if cfg.k is not None and cfg.k > n:
-        raise ParameterError(f"k must lie in [2, {n}], got {cfg.k}")
+    n = inc.n_series  # the range is refused by its bounds before the library lists it
     if cfg.k_range is not None and cfg.k_range[1] > n - 1:
         raise ParameterError("k_range must lie in [2, {}], got {}..{}".format(n - 1, *cfg.k_range))
     return inc
@@ -399,38 +405,6 @@ def _assignment_payload(assignment: ClusterAssignment,
     }
 
 
-def _select_k(cfg: RunConfig, inc: IncrementPanel,
-              thetas: tuple[float, ...]) -> list[tuple[int, StabilityReport | None]]:
-    """Per theta of `thetas`, the fixed K, or the K that stability selection
-    picks and its report; one resampling pass serves every theta."""
-    if cfg.k is not None:
-        return [(cfg.k, None)] * len(thetas)
-    lo, hi = cfg.k_range
-    reports = stability_select_k(
-        inc, thetas, cfg.binning,
-        k_range=range(lo, hi + 1),
-        runs=cfg.stability_runs,
-        subsample_fraction=cfg.subsample,
-        seed=cfg.seed,
-        method=cfg.method,
-        threads=cfg.threads,
-        exact_spearman_norm=cfg.exact_spearman_norm,
-    )
-    return [(report.selected_k, report) for report in reports]
-
-
-def _fit(cfg: RunConfig, inc: IncrementPanel, thetas: tuple[float, ...]) -> list[tuple]:
-    """Select K, then cluster the full panel's distance matrix at that K, per theta.
-
-    Returns one (distance matrix, assignment, stability report or None) per
-    theta of `thetas`.
-    """
-    selected = _select_k(cfg, inc, thetas)
-    matrices = distance_matrices(inc, thetas, cfg.binning, cfg.exact_spearman_norm, cfg.threads)
-    return [(dm, cluster(dm, k, cfg.method), report)
-            for dm, (k, report) in zip(matrices, selected)]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -472,7 +446,7 @@ def _cmd_distances(args) -> int:
 def _cmd_cluster(args) -> int:
     cfg = _config(args)
     inc = _load(cfg)
-    [(_, assignment, report)] = _fit(cfg, inc, (cfg.theta,))
+    [(_, assignment, report)] = fit(inc, (cfg.theta,), cfg.binning, cfg.k, **cfg.selection)
     summary = cluster_summary(assignment, inc) if args.summary else None
     payload = cfg.provenance(_CLUSTER_FIELDS)
     payload.update(_assignment_payload(assignment, summary, report))
@@ -483,7 +457,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_stability(args) -> int:
     cfg = _config(args)
     inc = _load(cfg)
-    [(_, report)] = _select_k(cfg, inc, (cfg.theta,))
+    [report] = stability_select_k(inc, (cfg.theta,), cfg.binning, **cfg.selection)
     payload = cfg.provenance(_STABILITY_FIELDS)
     payload["stability"] = asdict(report)
     _write(args.output, _json, payload)
@@ -622,11 +596,11 @@ def _summary_csv(f, summary: ClusterSummary, provenance: dict) -> None:
         writer.writerow([r.cluster, _fmt(r.mean), _fmt(r.quantile_10), _fmt(r.quantile_90), r.size])
 
 
-def _write_theta(cfg: RunConfig, theta: float, fit: tuple, inc: IncrementPanel,
+def _write_theta(cfg: RunConfig, theta: float, result: tuple, inc: IncrementPanel,
                  out_dir: Path, suffix: str) -> None:
-    """Write one theta's `_fit` result into out_dir, summarising the increments `inc`."""
+    """Write one theta's `fit` result into out_dir, summarising the increments `inc`."""
     provenance = cfg.provenance(_CLUSTER_FIELDS, theta=theta)
-    dm, assignment, report = fit
+    dm, assignment, report = result
     summary = cluster_summary(assignment, inc)
 
     _write(out_dir / f"distance_matrix{suffix}.csv", _matrix_csv, dm, provenance)
@@ -647,12 +621,12 @@ def _cmd_pipeline(args) -> int:
     inc = _load(cfg)
     sweep = cfg.theta is None
     thetas = SWEEP_THETAS if sweep else (cfg.theta,)
-    fits = _fit(cfg, inc, thetas)
+    fits = fit(inc, thetas, cfg.binning, cfg.k, **cfg.selection)
     # made only once the fit succeeds, so a K the panel cannot take leaves no directory
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for theta, fit in zip(thetas, fits):
-        _write_theta(cfg, theta, fit, inc, out_dir, f"_theta{theta:g}" if sweep else "")
+    for theta, result in zip(thetas, fits):
+        _write_theta(cfg, theta, result, inc, out_dir, f"_theta{theta:g}" if sweep else "")
     if not sweep:
         return EXIT_OK
 

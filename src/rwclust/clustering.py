@@ -12,17 +12,19 @@ array, with no `DistanceMatrix`. Only the parts that some theta weights
 are computed, so a pass at theta 0 builds no ranks and one at theta 1 no
 histograms. A pass that needs ranks sorts the panel once: a subsample's
 stable order is the full order with the dropped observations filtered
-out. Trees are cut with a union-find that merges in scipy's `cut_tree`
-order, so equal merge heights resolve as `cut_tree` resolves them. Each
-K's adjusted Rand indices for all run pairs come from one vectorised pass
-per run, over the pairs it opens; `adjusted_rand` is that pass applied to
-two partitions.
+out. `fit` selects K by that pass, or takes a fixed K, and clusters the
+full panel per theta; the pass hands its sort to the full panel's ranks,
+so a fit sorts the panel at most once. Trees are cut with a union-find
+that merges in scipy's `cut_tree` order, so equal merge heights resolve as
+`cut_tree` resolves them. Each K's adjusted Rand indices for all run pairs
+come from one vectorised pass per run, over the pairs it opens;
+`adjusted_rand` is that pass applied to two partitions.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import partial
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -34,10 +36,13 @@ from .distance import (
     _blend,
     _check_thetas,
     _check_threads,
+    _matrices,
     _parts,
     _weighted_parts,
 )
-from .errors import DegenerateSampleError, DimensionError, ParameterError, ValidationError
+from .errors import (
+    DegenerateSampleError, DimensionError, ParameterError, ValidationError, _integer,
+)
 from .ingestion import IncrementPanel
 from .representation import BinningConfig
 
@@ -124,12 +129,12 @@ def _kmedoids_labels(d: np.ndarray, k: int) -> np.ndarray:
     return labels
 
 
-def _integer(k, what: str) -> int:
-    """`k` as an int, read with operator.index so that 2.5, 3.0 or '3' is refused."""
-    try:
-        return operator.index(k)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {k!r}") from None
+def _check_k(k, n: int) -> int:
+    """`k` as an int; raises unless it is an integer in [2, n]."""
+    k = _integer(k, "k")
+    if not 2 <= k <= n:
+        raise ParameterError(f"k must lie in [2, {n}], got {k}")
+    return k
 
 
 def _check_method(method: str) -> None:
@@ -197,10 +202,7 @@ def cluster(
     needs no randomness.
     """
     _check_method(method)
-    n = matrix.n_series
-    k = _integer(k, "k")
-    if not 2 <= k <= n:
-        raise ParameterError(f"k must lie in [2, {n}], got {k}")
+    k = _check_k(k, matrix.n_series)
     return ClusterAssignment(
         ids=matrix.ids,
         labels=_canonical_labels(matrix.ids, _partitions(matrix.values, method, [k])[:, 0]),
@@ -326,14 +328,17 @@ def _subsample_order(order: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return place[order[keep[order]].reshape(order.shape[0], idx.size)]
 
 
-def _check_resampling(runs: int, subsample_fraction: float, seed: int) -> None:
-    """Raise unless stability_select_k's resampling settings are in range."""
+def _check_resampling(runs: int, subsample_fraction: float, seed: int) -> tuple[int, int]:
+    """`runs` and `seed` as ints; raises unless stability_select_k's
+    resampling settings are in range."""
+    runs, seed = _integer(runs, "runs"), _integer(seed, "seed")
     if runs < 2:
         raise ParameterError(f"runs must be >= 2, got {runs}")
-    if not 0.5 <= subsample_fraction < 1.0:
+    if not (isinstance(subsample_fraction, Real) and 0.5 <= subsample_fraction < 1.0):
         raise ParameterError(f"subsample fraction must lie in [0.5, 1), got {subsample_fraction}")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
+    return runs, seed
 
 
 def _pairwise_matching(labels: np.ndarray) -> np.ndarray:
@@ -405,10 +410,19 @@ def stability_select_k(
     the order of `thetas`; each is the report a call with that theta alone
     would give.
     """
+    return _stability_pass(panel, thetas, binning, k_range, runs, subsample_fraction, seed,
+                           method, threads, agreement, exact_spearman_norm)[0]
+
+
+def _stability_pass(panel, thetas, binning, k_range, runs, subsample_fraction, seed, method,
+                    threads, agreement, exact_spearman_norm):
+    """`stability_select_k`'s reports, and a one-item list that holds the
+    stable order of the whole panel (None when no theta weights ranks), so
+    that a caller can pop it and leave the list the order's only owner."""
     thetas = _check_thetas(thetas)
     n, m = panel.n_series, panel.n_obs
-    _check_resampling(runs, subsample_fraction, seed)
-    _check_threads(threads)
+    runs, seed = _check_resampling(runs, subsample_fraction, seed)
+    threads = _check_threads(threads)
     ks = _read_k_range(k_range, n)
     _check_method(method)
     if agreement not in _AGREEMENT:
@@ -450,7 +464,43 @@ def stability_select_k(
             seed=seed,
             subsample_fraction=subsample_fraction,
         ))
-    return tuple(reports)
+    return tuple(reports), [order]
+
+
+def fit(panel: IncrementPanel, thetas: Sequence[float], binning: BinningConfig, k=None,
+        k_range=None, runs: int = 20, subsample_fraction: float = 0.7, seed: int = 0,
+        method: str = "average_linkage", threads: int = 1, agreement: str = "ari",
+        exact_spearman_norm: bool = False,
+        ) -> tuple[tuple[DistanceMatrix, ClusterAssignment, StabilityReport | None], ...]:
+    """Cluster the panel at a fixed K, or at the K stability selection picks, per theta.
+
+    Takes exactly one of `k`, an integer in [2, N], and `k_range`; the other
+    keywords are `stability_select_k`'s, and a fixed `k` leaves `runs`,
+    `subsample_fraction`, `seed` and `agreement` unused. Returns, per theta
+    of `thetas`, the distance matrix, its partition into the K and the
+    stability report (None for a fixed K): what `distance_matrices`,
+    `stability_select_k` and `cluster` give when called in turn. Every
+    setting, K included, is checked before the panel is sorted, and it is
+    sorted at most once: the stability pass hands its order to the full
+    panel's ranks.
+    """
+    if (k is None) == (k_range is None):
+        raise ParameterError("fit takes exactly one of k and k_range")
+    thetas = _check_thetas(thetas)
+    if k_range is None:
+        threads = _check_threads(threads)
+        _check_method(method)
+        ks = (_check_k(k, panel.n_series),) * len(thetas)
+        reports, order = (None,) * len(thetas), None
+    else:
+        reports, orders = _stability_pass(panel, thetas, binning, k_range, runs,
+                                          subsample_fraction, seed, method, threads,
+                                          agreement, exact_spearman_norm)
+        ks = tuple(report.selected_k for report in reports)
+        order = orders.pop  # the order dies in the full panel's _ranks
+    matrices = _matrices(panel, thetas, binning, exact_spearman_norm, threads, order)
+    return tuple((matrix, cluster(matrix, k, method), report)
+                 for matrix, k, report in zip(matrices, ks, reports))
 
 
 @dataclass(frozen=True)

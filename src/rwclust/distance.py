@@ -36,8 +36,9 @@ mass matrix in two parts:
 Neither part depends on theta. `_parts` computes the grid and both squared
 parts of an N x M value matrix once, and `_blend`, the one place a theta
 meets the parts, takes an element-wise square root per theta. Only
-`distance_matrices(panel, thetas, binning)`, the route of every CLI
-subcommand, wraps its blends in a `DistanceMatrix`. A stability resample
+`_matrices`, behind `distance_matrices(panel, thetas, binning)` and
+`clustering.fit`, wraps its blends in a `DistanceMatrix`; `fit` hands it
+the stability pass's sort of the panel. A stability resample
 clusters `_blend` of its subsample's `_parts` as a plain array: the exact
 integer Gram sums and the mirrored Hellinger rows make every blend
 symmetric with a zero diagonal, nonnegative and within the entry bound.
@@ -48,18 +49,20 @@ are built: at theta 0 no rank matrix (and no sort), at theta 1 no
 histogram. `_parts` composes the helpers that `represent` composes, so the
 parts it builds come from the same bits as a representation's. It checks
 none of them, since they are a permutation and a histogram per row by
-construction; `distance_matrices` and `stability_select_k` check their
-settings, `threads` included, once per call before anything is built.
+construction; `distance_matrices`, `stability_select_k` and `fit` check
+their settings, `threads` included, once per call before anything is built.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, _integer
 from .ingestion import IncrementPanel
 from .representation import BinningConfig, _masses, _ranks, shared_grid
 
@@ -67,11 +70,16 @@ BOUND_TOL = 1e-9  # slack on the theoretical entry bound, covers sqrt rounding
 
 
 def _check_thetas(thetas: Sequence[float]) -> tuple[float, ...]:
-    """`thetas` as a tuple; raises unless it is nonempty and every theta lies in [0, 1]."""
+    """`thetas` as a tuple; raises unless it is a nonempty sequence of real
+    numbers, each in [0, 1]."""
+    if not isinstance(thetas, Iterable):
+        raise ParameterError(f"thetas must be a sequence of numbers, got {thetas!r}")
     thetas = tuple(thetas)
     if not thetas:
         raise ParameterError("thetas must hold at least one theta")
     for theta in thetas:
+        if not isinstance(theta, Real):
+            raise ParameterError(f"theta must be a real number, got {theta!r}")
         if not 0.0 <= theta <= 1.0:
             raise ParameterError(f"theta must lie in [0, 1], got {theta}")
     return thetas
@@ -169,9 +177,12 @@ def _d0sq(masses: np.ndarray, threads: int) -> np.ndarray:
     return (out + out.T) * 0.5
 
 
-def _check_threads(threads: int) -> None:
+def _check_threads(threads: int) -> int:
+    """`threads` as an int; raises unless it is an integer >= 1."""
+    threads = _integer(threads, "threads")
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 def _blend(d1sq, d0sq, theta: float) -> np.ndarray:
@@ -228,10 +239,15 @@ def distance_matrices(
     depend on it.
     """
     thetas = _check_thetas(thetas)
-    _check_threads(threads)
+    threads = _check_threads(threads)
+    return _matrices(panel, thetas, binning, exact_spearman_norm, threads)
+
+
+def _matrices(panel, thetas, binning, exact_spearman_norm, threads, order=None):
+    """`distance_matrices` past its checks; `order` replaces the panel's own sort in `_parts`."""
     x = panel.values
     (origin, width, nbins), d1sq, d0sq = _parts(
-        x, lambda: np.argsort(x, axis=1, kind="stable"), binning, thetas,
+        x, order or (lambda: np.argsort(x, axis=1, kind="stable")), binning, thetas,
         exact_spearman_norm, threads,
     )
     # each matrix gets its own meta dict, so editing one leaves the others alone

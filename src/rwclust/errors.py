@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer reading that raises one."""
+
+import operator
 
 
 class RwclustError(Exception):
@@ -36,3 +38,11 @@ class ParameterError(RwclustError):
 class DegenerateSampleError(ParameterError):
     """A resampled subsample is too small to be represented: a subsample
     fraction that the panel's length cannot take."""
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int, read with operator.index so that 2.5, 3.0 or '3' is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None

@@ -15,10 +15,11 @@ of {1,...,M}. `_bin_index` states which bin a value falls in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import BinningRangeError, ParameterError, ValidationError
+from .errors import BinningRangeError, ParameterError, ValidationError, _integer
 from .ingestion import IncrementPanel
 
 MASS_TOL = 1e-12  # allowed deviation of histogram masses from sum 1
@@ -51,11 +52,12 @@ class BinningConfig:
         if self.rule not in BIN_RULES:
             raise ParameterError(f"unknown bin rule {self.rule!r}; expected one of {BIN_RULES}")
         # fd falls back to the count and width records it, so every rule checks it
+        object.__setattr__(self, "bins", _integer(self.bins, "bin count"))
         if not 1 <= self.bins <= MAX_BINS:
             raise ParameterError(f"bin count must lie in [1, {MAX_BINS}], got {self.bins}")
         if self.width is not None and self.rule != "width":
             raise ParameterError(f"a bin width is used by the width rule only, not by {self.rule!r}")
-        if self.rule == "width" and not (self.width is not None and 0 < self.width < np.inf):
+        if self.rule == "width" and not (isinstance(self.width, Real) and 0 < self.width < np.inf):
             raise ParameterError(f"bin width must be finite and > 0, got {self.width}")
 
 

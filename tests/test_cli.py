@@ -293,19 +293,20 @@ def test_sweep_represents_and_runs_the_kernel_once_per_run(synth_panel, tmp_path
     # weighted part's representation and kernel, per resample run, plus one
     # for the full panel. A part no theta weights is never built: theta 0
     # does not sort or rank, theta 1 does not bin. The pass sorts the panel
-    # at most once, and its runs derive their orders from that sort
+    # at most once, its runs derive their orders from that sort, and fit
+    # hands the same order to the full panel's ranks
     calls = {"stability": 0}
     stable_sorts = _count_part_steps(monkeypatch, calls)
-    monkeypatch.setattr(rwclust.cli, "stability_select_k",
-                        _counting(calls, "stability", rwclust.cli.stability_select_k))
+    monkeypatch.setattr(rwclust.clustering, "_stability_pass",
+                        _counting(calls, "stability", rwclust.clustering._stability_pass))
     csv_path, _ = synth_panel
     code, _, _ = run(["pipeline", "--input", str(csv_path), *theta_flags, "--k-range", "2..3",
                       "--stability-runs", "3", "--output-dir", str(tmp_path), "--quiet"], capsys)
     assert code == 0
     assert calls == {"grid": 4, **_part_calls(weighted, 4), "stability": 1}
-    # each sorts the whole panel of 12 series x 300 increments: one for the
-    # stability call, one for the full-panel ranks
-    assert stable_sorts == [(12, 300)] * (2 if "rank" in weighted else 0)
+    # one sort of the whole panel of 12 series x 300 increments serves the
+    # stability pass and the full-panel ranks
+    assert stable_sorts == [(12, 300)] * ("rank" in weighted)
 
 
 @pytest.mark.parametrize("theta, weighted", [
@@ -410,26 +411,34 @@ def test_observations_one_row_per_series(synth_panel, tmp_path, capsys):
 ], ids=["distances", "cluster", "pipeline", "sweep"])
 def test_levels_are_freed_before_distances(synth_panel, tmp_path, capsys, monkeypatch, flags):
     # the subcommands keep the increments they cluster, not the levels they
-    # were differenced from: no level panel is alive while distances are built
-    levels = []
-    loaded, built = rwclust.cli.load_panel, rwclust.cli.distance_matrices
+    # were differenced from: no level panel is alive while distances are
+    # built, by distance_matrices or by fit
+    levels, checked = [], []
+    loaded = rwclust.cli.load_panel
 
     def load_panel_watched(*args, **kwargs):
         panel = loaded(*args, **kwargs)
         levels.extend([weakref.ref(panel), weakref.ref(panel.values)])
         return panel
 
-    def distance_matrices_checked(*args, **kwargs):
-        gc.collect()
-        assert levels and all(ref() is None for ref in levels), "the levels are still alive"
-        return built(*args, **kwargs)
+    def freed_first(name):
+        inner = getattr(rwclust.cli, name)
+
+        def checked_call(*args, **kwargs):
+            gc.collect()
+            assert levels and all(ref() is None for ref in levels), "the levels are still alive"
+            checked.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(rwclust.cli, name, checked_call)
 
     monkeypatch.setattr(rwclust.cli, "load_panel", load_panel_watched)
-    monkeypatch.setattr(rwclust.cli, "distance_matrices", distance_matrices_checked)
+    freed_first("distance_matrices")
+    freed_first("fit")
     csv_path, _ = synth_panel
     where = ["--output-dir", str(tmp_path)] if flags[0] == "pipeline" else []
     code, _, err = run([*flags, "--input", str(csv_path), *where, "--quiet"], capsys)
     assert (code, err) == (0, "")
+    assert checked == ["distance_matrices" if flags[0] == "distances" else "fit"]
 
 
 # ids that csv.writer has to quote, plus one with a space it leaves alone
@@ -852,11 +861,16 @@ def test_k_range_beyond_the_panel_names_its_bounds(synth_panel, capsys):
 def test_huge_k_range_is_refused_right_after_loading(synth_panel, tmp_path, capsys, monkeypatch,
                                                      command):
     # the range's end is checked against the panel before stability selection
-    # would spell the range out, so even 10^10 candidates end in one line
+    # (stability_select_k, or fit for cluster and pipeline) would spell the
+    # range out, so even 10^10 candidates end in one line
+    selected = []
+
     def no_selection(*args, **kwargs):
-        raise AssertionError("stability selection got a K range the panel cannot take")
+        selected.append(kwargs["k_range"])
+        raise AssertionError("stability selection got a K range")
 
     monkeypatch.setattr(rwclust.cli, "stability_select_k", no_selection)
+    monkeypatch.setattr(rwclust.cli, "fit", no_selection)
     csv_path, _ = synth_panel
     out = tmp_path / "out"
     where = ["--output-dir", str(out)] if command == "pipeline" else ["--output", str(out)]
@@ -866,6 +880,11 @@ def test_huge_k_range_is_refused_right_after_loading(synth_panel, tmp_path, caps
     assert stdout == ""
     assert err == "rwclust: error: k_range must lie in [2, 11], got 2..10000000000\n"
     assert not out.exists()
+    assert selected == []
+    # the guard sits on the command's route: a range the panel takes reaches it
+    with pytest.raises(AssertionError, match="got a K range"):
+        main([command, "--input", str(csv_path), "--k-range", "2..11", *where, "--quiet"])
+    assert selected == [range(2, 12)]
 
 
 

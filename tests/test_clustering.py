@@ -10,6 +10,7 @@ import pytest
 from scipy.cluster.hierarchy import cut_tree, linkage
 from scipy.spatial.distance import squareform
 
+import rwclust
 from rwclust import (
     BinningConfig,
     ClusterAssignment,
@@ -25,6 +26,7 @@ from rwclust import (
     cluster,
     cluster_summary,
     distance_matrices,
+    fit,
     minimal_matching,
     represent,
     stability_select_k,
@@ -584,8 +586,9 @@ def test_stability_parameter_checks(rng, monkeypatch):
         stability_select_k(panel, thetas, binning, k_range=[2, 3], runs=1)
     with pytest.raises(ParameterError):
         stability_select_k(panel, thetas, binning, k_range=[2, 3], subsample_fraction=0.4)
-    with pytest.raises(ParameterError):
-        stability_select_k(panel, thetas, binning, k_range=[2, 3], subsample_fraction=1.0)
+    for fraction in (1.0, "0.7"):
+        with pytest.raises(ParameterError, match="subsample fraction"):
+            stability_select_k(panel, thetas, binning, k_range=[2, 3], subsample_fraction=fraction)
     with pytest.raises(ParameterError):
         stability_select_k(panel, thetas, binning, k_range=[])
     with pytest.raises(ParameterError):
@@ -609,6 +612,13 @@ def test_stability_parameter_checks(rng, monkeypatch):
         stability_select_k(panel, thetas, binning, k_range=huge_range())
     with pytest.raises(ParameterError):
         stability_select_k(panel, thetas, binning, k_range=[2, 3], seed=-1)
+    # runs, seed and threads are integers
+    for setting in ("runs", "seed", "threads"):
+        with pytest.raises(ParameterError, match=f"{setting} must be an integer"):
+            stability_select_k(panel, thetas, binning, k_range=[2, 3], **{setting: 2.5})
+    [report] = stability_select_k(panel, thetas, binning, k_range=[2, 3], runs=np.int64(2),
+                                  seed=np.int64(1), threads=np.int64(2))
+    assert (type(report.runs), type(report.seed)) == (int, int)
     with pytest.raises(ParameterError):
         stability_select_k(panel, thetas, binning, k_range=[2, 3], agreement="rand")
     with pytest.raises(ParameterError):
@@ -700,6 +710,85 @@ def test_stability_report_validation():
                 seed=0,
                 subsample_fraction=0.7,
             )
+
+
+# ---------------------------------------------------------------------------
+# fit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("exact", [False, True], ids=["plain-norm", "exact-norm"])
+@pytest.mark.parametrize("fixed_k", [True, False], ids=["k3", "k_range"])
+@pytest.mark.parametrize("thetas", [(0.5,), (0.0, 0.5, 1.0), (1.0,)],
+                         ids=["theta0.5", "sweep", "theta1"])
+@pytest.mark.parametrize("method", ["average_linkage", "complete_linkage", "k_medoids"])
+def test_fit_equals_the_three_calls(method, thetas, fixed_k, exact):
+    values = np.random.default_rng(21).standard_normal((9, 60))
+    values[:3] += np.random.default_rng(22).standard_normal(60)  # one dependence block
+    panel = make_increment_panel(values)
+    binning = BinningConfig(bins=8)
+    selection = dict(runs=5, subsample_fraction=0.6, seed=4, method=method,
+                     exact_spearman_norm=exact)
+    k = dict(k=3) if fixed_k else dict(k_range=range(2, 5))
+    fitted = fit(panel, thetas, binning, **k, **selection)
+
+    matrices = distance_matrices(panel, thetas, binning, exact_spearman_norm=exact)
+    if fixed_k:
+        reports = (None,) * len(thetas)
+    else:
+        reports = stability_select_k(panel, thetas, binning, k["k_range"], **selection)
+    assert len(fitted) == len(thetas)
+    for (dm, assignment, report), want_dm, want_report in zip(fitted, matrices, reports):
+        assert dm.values.tobytes() == want_dm.values.tobytes()
+        assert (dm.ids, dm.theta, dm.meta) == (want_dm.ids, want_dm.theta, want_dm.meta)
+        assert report == want_report
+        want = cluster(want_dm, 3 if fixed_k else want_report.selected_k, method)
+        assert assignment.labels.tobytes() == want.labels.tobytes()
+        assert (assignment.ids, assignment.k, assignment.method, assignment.theta) == \
+            (want.ids, want.k, want.method, want.theta)
+
+
+def _count_parts(monkeypatch) -> list:
+    """Count the calls of `_parts` by the stability pass and by fit's full panel."""
+    calls = []
+    for module in (rwclust.clustering, rwclust.distance):
+        def counted(*args, inner=module._parts, **kwargs):
+            calls.append(args[0].shape)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, "_parts", counted)
+    return calls
+
+
+def test_fit_checks_first_and_sorts_at_most_once(rng, monkeypatch):
+    panel = make_increment_panel(rng.standard_normal((5, 20)))  # N = 5
+    short = make_increment_panel(rng.standard_normal((5, 3)))  # 1 observation at 0.5
+    binning = BinningConfig(bins=5)
+    stable_sorts = count_stable_sorts(monkeypatch)
+    parts = _count_parts(monkeypatch)
+    refused = [
+        (panel, {}), (panel, dict(k=3, k_range=[2, 3])),
+        (panel, dict(k=1)), (panel, dict(k=6)), (panel, dict(k=2.5)),
+        (panel, dict(k_range=range(2, 6))),  # past N - 1
+        (panel, dict(k_range=[2, 3], runs=1)),
+        (panel, dict(k_range=[2, 3], subsample_fraction=0.4)),
+        (short, dict(k_range=[2, 3], subsample_fraction=0.5)),
+    ]
+    for k in (dict(k=3), dict(k_range=[2, 3])):
+        refused += [(panel, dict(k, method="ward")), (panel, dict(k, thetas=(0.5, 1.5))),
+                    (panel, dict(k, threads=0))]
+    for which, kwargs in refused:
+        thetas = kwargs.pop("thetas", (0.0, 0.5, 1.0))
+        with pytest.raises(ParameterError):
+            fit(which, thetas, binning, **kwargs)
+    assert (stable_sorts, parts) == ([], [])
+
+    # one sort serves the stability pass and the full panel; theta 0 never sorts
+    for thetas, sorts in (((0.0, 0.5, 1.0), 1), ((1.0,), 1), ((0.0,), 0)):
+        for k in (dict(k=3), dict(k_range=[2, 3])):
+            stable_sorts.clear()
+            parts.clear()
+            fit(panel, thetas, binning, **k, runs=3)
+            assert stable_sorts == [(5, 20)] * sorts, (thetas, k)
+            assert parts[-1] == (5, 20) and len(parts) == (1 if "k" in k else 4)
 
 
 # ---------------------------------------------------------------------------

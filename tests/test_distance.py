@@ -199,6 +199,15 @@ def test_theta_validation(rng):
     for thetas in ((-0.1,), (1.5,), (0.5, 1.5), ()):
         with pytest.raises(ParameterError):
             distance_matrices(panel, thetas, BinningConfig())
+    # thetas is a sequence of real numbers, and threads an integer
+    with pytest.raises(ParameterError, match="thetas must be a sequence"):
+        distance_matrices(panel, 0.5, BinningConfig())
+    for thetas in (("0.5",), "0.5", (0.5, None)):
+        with pytest.raises(ParameterError, match="theta must be a real number"):
+            distance_matrices(panel, thetas, BinningConfig())
+    for threads in (2.5, "2"):
+        with pytest.raises(ParameterError, match="threads must be an integer"):
+            distance_matrices(panel, (0.5,), BinningConfig(), threads=threads)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,13 @@ def test_binning_config_validation():
     for rule in ("count", "fd"):  # a width the rule would ignore
         with pytest.raises(ParameterError, match="width rule only"):
             BinningConfig(rule=rule, width=0.1)
+    # the bin count is an integer, read as operator.index reads it and stored as an int
+    for bins in (2.5, np.float64(4.0), "4"):
+        with pytest.raises(ParameterError, match="bin count must be an integer"):
+            BinningConfig(bins=bins)
+    assert type(BinningConfig(bins=np.int64(4)).bins) is int
+    with pytest.raises(ParameterError, match="bin width must be"):
+        BinningConfig(rule="width", width="0.1")
 
 
 # ---------------------------------------------------------------------------
