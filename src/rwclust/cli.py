@@ -57,7 +57,8 @@ from .synthetic import (
     generate_panel,
 )
 
-log = logging.getLogger(__name__)
+# named, not __name__: run as python -m rwclust.cli, the module is __main__
+log = logging.getLogger("rwclust.cli")
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1

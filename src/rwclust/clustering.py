@@ -22,14 +22,12 @@ come from one vectorised pass per run, over the pairs it opens;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from numbers import Real
 from typing import Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import squareform
 
 from .distance import (
     DistanceMatrix,
@@ -55,48 +53,33 @@ _LINKAGE_NAME = {"average_linkage": "average", "complete_linkage": "complete"}
 class ClusterAssignment:
     """A partition of the panel's series into k nonempty clusters.
 
-    Labels are canonical: clusters are numbered by decreasing size, ties
-    broken by the smallest member id, so equal partitions always carry
-    identical label arrays.
+    Any labels, one per id, are stored canonically: clusters are numbered by
+    decreasing size, ties broken by the smallest member id, so equal
+    partitions always carry identical label arrays; k is their count.
     """
 
     ids: tuple[str, ...]
     labels: np.ndarray
-    k: int
-    method: str
-    theta: float
+    k: int = field(init=False)
+    method: str = "external"
+    theta: float = 0.5
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", lab)
-        if lab.shape != (len(self.ids),):
+        if np.shape(self.labels) != (len(self.ids),):
             raise ValidationError("labels must align with ids")
-        present = np.unique(lab)
-        if not np.array_equal(present, np.arange(self.k)):
-            raise ValidationError(f"labels must cover 0..{self.k - 1} with no empty cluster")
-        if not np.array_equal(lab, _canonical_labels(self.ids, lab)):
-            raise ValidationError("labels are not in canonical order")
-        lab.setflags(write=False)
-
-    @classmethod
-    def from_labels(cls, ids, labels, method: str = "external", theta: float = 0.5) -> "ClusterAssignment":
-        """Build an assignment from arbitrary labels, canonicalizing them first."""
-        canon = _canonical_labels(tuple(ids), np.asarray(labels))
-        return cls(ids=tuple(ids), labels=canon, k=int(canon.max()) + 1, method=method, theta=theta)
+        groups: dict = {}
+        for i, lab in enumerate(np.asarray(self.labels).tolist()):
+            groups.setdefault(lab, []).append(i)
+        ordered = sorted(groups.values(), key=lambda m: (-len(m), min(self.ids[i] for i in m)))
+        labels = np.empty(len(self.ids), dtype=np.int64)
+        for new, members in enumerate(ordered):
+            labels[members] = new
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "k", len(groups))
 
     def members(self, label: int) -> tuple[str, ...]:
         return tuple(i for i, l in zip(self.ids, self.labels) if l == label)
-
-
-def _canonical_labels(ids, raw_labels) -> np.ndarray:
-    groups: dict = {}
-    for i, lab in enumerate(np.asarray(raw_labels).tolist()):
-        groups.setdefault(lab, []).append(i)
-    ordered = sorted(groups.values(), key=lambda m: (-len(m), min(ids[i] for i in m)))
-    labels = np.empty(len(ids), dtype=np.int64)
-    for new, members in enumerate(ordered):
-        labels[members] = new
-    return labels
 
 
 def _kmedoids_labels(d: np.ndarray, k: int) -> np.ndarray:
@@ -187,6 +170,10 @@ def _partitions(values: np.ndarray, method: str, ks) -> np.ndarray:
     them)."""
     if method == "k_medoids":
         return np.column_stack([_kmedoids_labels(values, k) for k in ks])
+    # loaded on first use, not by import rwclust: synth, represent and distances cut no tree
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import squareform
+
     return _cut(linkage(squareform(values, checks=False), method=_LINKAGE_NAME[method]), ks)
 
 
@@ -205,8 +192,7 @@ def cluster(
     k = _check_k(k, matrix.n_series)
     return ClusterAssignment(
         ids=matrix.ids,
-        labels=_canonical_labels(matrix.ids, _partitions(matrix.values, method, [k])[:, 0]),
-        k=k,
+        labels=_partitions(matrix.values, method, [k])[:, 0],
         method=method,
         theta=matrix.theta,
     )
@@ -309,12 +295,6 @@ def _read_k_range(k_range, n: int) -> list[int]:
     return sorted(ks)
 
 
-def _smallest_maximizer(ks, scores) -> int:
-    """The smallest K among those whose score is the highest."""
-    best = max(scores)
-    return min(k for k, s in zip(ks, scores) if s == best)
-
-
 def _subsample_order(order: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The stable row order of the panel's observations at the sorted indices
     `idx`, given `order`, the stable argsort of every row of the whole panel.
@@ -358,12 +338,12 @@ _AGREEMENT = {
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Per-K agreement scores from resampled clustering, with the selected K."""
+    """Per-K agreement scores from resampled clustering; selected_k is the smallest top-scoring K."""
 
     k_range: tuple[int, ...]
     scores: tuple[float, ...]
     dispersion: tuple[float, ...]
-    selected_k: int
+    selected_k: int = field(init=False)
     runs: int
     seed: int
     subsample_fraction: float
@@ -371,8 +351,9 @@ class StabilityReport:
     def __post_init__(self):
         if not (len(self.k_range) == len(self.scores) == len(self.dispersion)):
             raise ValidationError("k_range, scores, and dispersion must align")
-        if self.selected_k != _smallest_maximizer(self.k_range, self.scores):
-            raise ValidationError("selected_k must be the smallest maximizer of the scores")
+        best = max(self.scores)
+        object.__setattr__(self, "selected_k",
+                           min(k for k, s in zip(self.k_range, self.scores) if s == best))
 
 
 def stability_select_k(
@@ -459,7 +440,6 @@ def _stability_pass(panel, thetas, binning, k_range, runs, subsample_fraction, s
             k_range=tuple(ks),
             scores=tuple(scores),
             dispersion=tuple(spreads),
-            selected_k=_smallest_maximizer(ks, scores),
             runs=runs,
             seed=seed,
             subsample_fraction=subsample_fraction,
@@ -514,7 +494,7 @@ class ClusterSummaryRow:
 
 @dataclass(frozen=True)
 class ClusterSummary:
-    """Per-cluster pooled-observation statistics, rows ordered by decreasing mean."""
+    """Per-cluster pooled-observation statistics, rows sorted by (-mean, cluster)."""
 
     rows: tuple[ClusterSummaryRow, ...]
 
@@ -522,9 +502,7 @@ class ClusterSummary:
         for row in self.rows:
             if row.quantile_10 > row.quantile_90:
                 raise ValidationError(f"cluster {row.cluster}: quantile_10 > quantile_90")
-        means = [row.mean for row in self.rows]
-        if any(means[i] < means[i + 1] for i in range(len(means) - 1)):
-            raise ValidationError("summary rows must be ordered by decreasing mean")
+        object.__setattr__(self, "rows", tuple(sorted(self.rows, key=lambda r: (-r.mean, r.cluster))))
 
     @property
     def total_size(self) -> int:
@@ -555,5 +533,4 @@ def cluster_summary(assignment: ClusterAssignment, panel) -> ClusterSummary:
                 size=len(members),
             )
         )
-    rows.sort(key=lambda r: (-r.mean, r.cluster))
-    return ClusterSummary(rows=tuple(rows))
+    return ClusterSummary(rows=rows)

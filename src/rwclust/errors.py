@@ -41,8 +41,11 @@ class DegenerateSampleError(ParameterError):
 
 
 def _integer(value, what: str) -> int:
-    """`value` as an int, read with operator.index so that 2.5, 3.0 or '3' is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+    """`value` as an int, read with operator.index so that 2.5, 3.0 or '3' is
+    refused; a bool is refused too, though operator.index reads it as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")

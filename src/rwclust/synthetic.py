@@ -15,7 +15,7 @@ histogram-based clustering only the families.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -129,20 +129,25 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Planted labels: block membership, family membership, and their product."""
+    """Planted labels: block membership, family membership, and their product,
+    the distinct (dependence, distribution) pairs numbered lexicographically."""
 
     ids: tuple[str, ...]
     dependence_labels: np.ndarray
     distribution_labels: np.ndarray
-    product_labels: np.ndarray
+    product_labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("dependence_labels", "distribution_labels", "product_labels"):
+        for name in ("dependence_labels", "distribution_labels"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             if arr.shape != (len(self.ids),):
                 raise ValidationError(f"{name} must align with ids")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        pairs = np.stack([self.dependence_labels, self.distribution_labels])
+        product = np.unique(pairs, axis=1, return_inverse=True)[1].reshape(-1)
+        product.setflags(write=False)
+        object.__setattr__(self, "product_labels", product)
 
 
 def _swap_margin(z: np.ndarray, group: DistributionGroup) -> np.ndarray:
@@ -181,7 +186,6 @@ def generate_panel(spec: SyntheticSpec) -> tuple[SeriesPanel, GroundTruth]:
     n, m = spec.n_series, spec.m_obs
     dep = np.repeat(np.arange(len(spec.blocks)), [b.size for b in spec.blocks])
     dist = _assign_groups(spec)
-    _, product = np.unique(dep * len(spec.groups) + dist, return_inverse=True)
 
     rng = np.random.default_rng(spec.seed)
     factors = rng.standard_normal((len(spec.blocks), m))
@@ -199,8 +203,7 @@ def generate_panel(spec: SyntheticSpec) -> tuple[SeriesPanel, GroundTruth]:
     ids = tuple(f"s{i:0{id_width}d}" for i in range(n))
     index = tuple(f"t{j:0{t_width}d}" for j in range(m + 1))
     panel = SeriesPanel(ids=ids, index=index, values=levels)
-    truth = GroundTruth(ids=ids, dependence_labels=dep, distribution_labels=dist,
-                        product_labels=product)
+    truth = GroundTruth(ids=ids, dependence_labels=dep, distribution_labels=dist)
     return panel, truth
 
 

@@ -65,7 +65,6 @@ def load_truth(path):
         ids=tuple(raw["ids"]),
         dependence_labels=np.array(raw["dependence_labels"]),
         distribution_labels=np.array(raw["distribution_labels"]),
-        product_labels=np.array(raw["product_labels"]),
     )
 
 
@@ -93,7 +92,7 @@ def test_pipeline_recovers_planted_blocks(synth_panel, tmp_path, capsys):
     assert code == 0
     payload = json.loads((out_dir / "assignment.json").read_text())
     truth = load_truth(truth_path)
-    assignment = ClusterAssignment.from_labels(
+    assignment = ClusterAssignment(
         tuple(payload["labels"]), [payload["labels"][sid] for sid in payload["labels"]]
     )
     assert score_recovery(assignment, truth, "dependence") == 1.0
@@ -144,7 +143,7 @@ def test_summaries_pool_the_clustered_increments(synth_panel, tmp_path, capsys):
     assert results["levels"] == results["increments"]
     _, payload, _ = results["levels"]
     labels = payload["labels"]
-    assignment = ClusterAssignment.from_labels(inc.ids, [labels[sid] for sid in inc.ids])
+    assignment = ClusterAssignment(inc.ids, [labels[sid] for sid in inc.ids])
     assert payload["summary"] == [asdict(row) for row in cluster_summary(assignment, inc).rows]
 
 
@@ -1030,6 +1029,27 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "rwclust" in proc.stdout
+
+
+def test_module_run_logs_like_main(synth_panel, tmp_path):
+    # run as python -m rwclust.cli, the module is __main__; its log lines
+    # still come from the rwclust.cli logger that --json-logs configures
+    src = str(Path(rwclust.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    csv_path, _ = synth_panel
+    errs = {}
+    for case, flags in (("plain", ()), ("json", ("--json-logs",))):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rwclust.cli", "pipeline", "--input", str(csv_path),
+             "--k", "4", "--output-dir", str(tmp_path / case), *flags],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        errs[case] = proc.stderr.splitlines()
+    assert [line.split(":")[0] for line in errs["plain"]] == ["INFO rwclust.cli"]
+    assert errs["plain"][0].startswith("INFO rwclust.cli: theta=0.5: k=4, ")
+    [line] = errs["json"]
+    assert json.loads(line)["logger"] == "rwclust.cli"
 
 
 def test_date_format_flag(tmp_path, capsys):

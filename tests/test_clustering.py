@@ -164,29 +164,26 @@ def test_labels_are_canonical():
     assert out.labels.tolist() == [1, 1, 0, 0]
 
 
-def test_from_labels_canonicalizes():
-    out = ClusterAssignment.from_labels(("a", "b", "c", "d"), [7, 7, 7, 2])
+def test_assignment_canonicalizes_labels():
+    out = ClusterAssignment(("a", "b", "c", "d"), [7, 7, 7, 2])
     assert out.labels.tolist() == [0, 0, 0, 1]
     assert out.k == 2
+    assert (out.method, out.theta) == ("external", 0.5)
 
 
-def test_assignment_rejects_non_canonical():
-    with pytest.raises(ValidationError):
-        ClusterAssignment(
-            ids=("a", "b", "c"),
-            labels=np.array([1, 1, 0]),  # larger cluster must be labeled 0
-            k=2,
-            method="external",
-            theta=0.5,
-        )
-    with pytest.raises(ValidationError):
-        ClusterAssignment(
-            ids=("a", "b"), labels=np.array([0, 2]), k=3, method="external", theta=0.5
-        )
+def test_assignment_stores_canonical_labels():
+    # the larger cluster is labeled 0, and a gap in the labels is closed
+    out = ClusterAssignment(ids=("a", "b", "c"), labels=np.array([1, 1, 0]), method="m", theta=1.0)
+    assert (out.labels.tolist(), out.k) == ([0, 0, 1], 2)
+    out = ClusterAssignment(ids=("a", "b"), labels=np.array([0, 2]))
+    assert (out.labels.tolist(), out.k) == ([0, 1], 2)
+    assert not out.labels.flags.writeable
+    with pytest.raises(ValidationError, match="labels must align with ids"):
+        ClusterAssignment(ids=("a", "b"), labels=np.array([0, 1, 1]))
 
 
 def test_members():
-    out = ClusterAssignment.from_labels(("a", "b", "c"), [0, 1, 0])
+    out = ClusterAssignment(("a", "b", "c"), [0, 1, 0])
     assert out.members(0) == ("a", "c")
     assert out.members(1) == ("b",)
 
@@ -213,10 +210,24 @@ def test_cluster_parameter_checks():
     # K is an integer: 2.5 and 3.0 are refused with a ParameterError, not a
     # TypeError from the tree cut or the medoid build; numpy integers pass
     for method in ("average_linkage", "k_medoids"):
-        for k in (2.5, 3.0, "3"):
+        for k in (2.5, 3.0, "3", True):
             with pytest.raises(ParameterError, match="k must be an integer"):
                 cluster(dm, k, method)
         assert cluster(dm, np.int64(2), method).k == 2
+
+
+def test_cluster_returns_the_k_it_was_asked_for(rng):
+    # duplicate series sit at distance 0, so merge heights tie and K past
+    # the distinct series splits equal points
+    values = rng.standard_normal((4, 40))
+    [dm] = distance_matrices(make_increment_panel(np.vstack([values, values, values[:2]])),
+                             (0.5,), BinningConfig())
+    assert not np.diag(dm.values[:4, 4:8]).any()
+    for method in ("average_linkage", "complete_linkage", "k_medoids"):
+        for k in range(2, dm.n_series + 1):
+            out = cluster(dm, k, method)
+            assert out.k == k
+            assert sorted(set(out.labels.tolist())) == list(range(k))
 
 
 def test_cluster_deterministic(rng):
@@ -596,7 +607,7 @@ def test_stability_parameter_checks(rng, monkeypatch):
     with pytest.raises(ParameterError):
         stability_select_k(panel, thetas, binning, k_range=[2, 5])  # n-1 == 4
     # each K is an integer, listed once
-    for k_range in ([2.7, 3], ["2", "3"]):
+    for k_range in ([2.7, 3], ["2", "3"], [True, 3]):
         with pytest.raises(ParameterError, match="must be an integer"):
             stability_select_k(panel, thetas, binning, k_range=k_range)
     with pytest.raises(ParameterError, match="lists 3 twice"):
@@ -612,10 +623,11 @@ def test_stability_parameter_checks(rng, monkeypatch):
         stability_select_k(panel, thetas, binning, k_range=huge_range())
     with pytest.raises(ParameterError):
         stability_select_k(panel, thetas, binning, k_range=[2, 3], seed=-1)
-    # runs, seed and threads are integers
+    # runs, seed and threads are integers, and a bool is not one
     for setting in ("runs", "seed", "threads"):
-        with pytest.raises(ParameterError, match=f"{setting} must be an integer"):
-            stability_select_k(panel, thetas, binning, k_range=[2, 3], **{setting: 2.5})
+        for value in (2.5, True):
+            with pytest.raises(ParameterError, match=f"{setting} must be an integer"):
+                stability_select_k(panel, thetas, binning, k_range=[2, 3], **{setting: value})
     [report] = stability_select_k(panel, thetas, binning, k_range=[2, 3], runs=np.int64(2),
                                   seed=np.int64(1), threads=np.int64(2))
     assert (type(report.runs), type(report.seed)) == (int, int)
@@ -698,18 +710,15 @@ def test_stability_degenerate_subsample(rng):
 def test_stability_report_validation():
     from rwclust import StabilityReport
 
-    # must be 3, the maximizer; then 2, the smaller of two tied maximizers
-    for scores, selected_k in (((0.5, 0.9), 2), ((0.9, 0.9), 3)):
-        with pytest.raises(ValidationError):
-            StabilityReport(
-                k_range=(2, 3),
-                scores=scores,
-                dispersion=(0.0, 0.0),
-                selected_k=selected_k,
-                runs=4,
-                seed=0,
-                subsample_fraction=0.7,
-            )
+    # 3, the maximizer; then 2, the smaller of two tied maximizers
+    for k_range, scores, selected_k in (((2, 3), (0.5, 0.9), 3), ((2, 3), (0.9, 0.9), 2),
+                                        ((4, 2, 3), (0.9, 0.1, 0.9), 3)):
+        report = StabilityReport(k_range=k_range, scores=scores, dispersion=(0.0,) * len(scores),
+                                 runs=4, seed=0, subsample_fraction=0.7)
+        assert report.selected_k == selected_k
+    with pytest.raises(ValidationError, match="must align"):
+        StabilityReport(k_range=(2, 3), scores=(0.5,), dispersion=(0.0, 0.0),
+                        runs=4, seed=0, subsample_fraction=0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +806,7 @@ def test_fit_checks_first_and_sorts_at_most_once(rng, monkeypatch):
 
 def test_summary_single_constant_series():
     panel = make_level_panel([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]], ids=("a", "b"))
-    assignment = ClusterAssignment.from_labels(("a", "b"), [0, 1])
+    assignment = ClusterAssignment(("a", "b"), [0, 1])
     summary = cluster_summary(assignment, panel)
     row = next(r for r in summary.rows if r.size == 1 and r.mean == 5.0)
     assert (row.quantile_10, row.quantile_90) == (5.0, 5.0)
@@ -805,7 +814,7 @@ def test_summary_single_constant_series():
 
 def test_summary_sizes_partition_the_panel(rng):
     panel = make_level_panel(rng.standard_normal((4, 6)))
-    assignment = ClusterAssignment.from_labels(panel.ids, [0, 0, 1, 1])
+    assignment = ClusterAssignment(panel.ids, [0, 0, 1, 1])
     summary = cluster_summary(assignment, panel)
     assert summary.total_size == 4
     assert sorted(r.size for r in summary.rows) == [2, 2]
@@ -813,7 +822,7 @@ def test_summary_sizes_partition_the_panel(rng):
 
 def test_summary_rows_sorted_by_decreasing_mean(rng):
     panel = make_level_panel(rng.standard_normal((6, 10)) + np.arange(6)[:, None] * 3.0)
-    assignment = ClusterAssignment.from_labels(panel.ids, [0, 0, 1, 1, 2, 2])
+    assignment = ClusterAssignment(panel.ids, [0, 0, 1, 1, 2, 2])
     summary = cluster_summary(assignment, panel)
     means = [r.mean for r in summary.rows]
     assert means == sorted(means, reverse=True)
@@ -823,7 +832,7 @@ def test_summary_rows_sorted_by_decreasing_mean(rng):
 
 def test_summary_statistics_match_pooled_oracle(rng):
     panel = make_level_panel(rng.standard_normal((4, 8)))
-    assignment = ClusterAssignment.from_labels(panel.ids, [0, 1, 0, 1])
+    assignment = ClusterAssignment(panel.ids, [0, 1, 0, 1])
     summary = cluster_summary(assignment, panel)
     for label in range(2):
         members = [i for i, sid in enumerate(panel.ids) if sid in assignment.members(label)]
@@ -838,18 +847,19 @@ def test_summary_statistics_match_pooled_oracle(rng):
 
 def test_summary_rejects_unknown_ids(rng):
     panel = make_level_panel(rng.standard_normal((2, 4)), ids=("a", "b"))
-    assignment = ClusterAssignment.from_labels(("a", "zz"), [0, 1])
+    assignment = ClusterAssignment(("a", "zz"), [0, 1])
     with pytest.raises(ValidationError):
         cluster_summary(assignment, panel)
 
 
 def test_summary_row_order_enforced():
+    # rows come out by decreasing mean, equal means by cluster
     rows = (
-        ClusterSummaryRow(cluster=0, mean=1.0, quantile_10=0.0, quantile_90=2.0, size=2),
-        ClusterSummaryRow(cluster=1, mean=3.0, quantile_10=2.0, quantile_90=4.0, size=2),
+        ClusterSummaryRow(cluster=2, mean=1.0, quantile_10=0.0, quantile_90=2.0, size=2),
+        ClusterSummaryRow(cluster=0, mean=3.0, quantile_10=2.0, quantile_90=4.0, size=2),
+        ClusterSummaryRow(cluster=1, mean=1.0, quantile_10=0.0, quantile_90=2.0, size=1),
     )
-    with pytest.raises(ValidationError):
-        ClusterSummary(rows=rows)
+    assert [row.cluster for row in ClusterSummary(rows=rows).rows] == [0, 1, 2]
     with pytest.raises(ValidationError):
         ClusterSummary(
             rows=(

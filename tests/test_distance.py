@@ -205,7 +205,7 @@ def test_theta_validation(rng):
     for thetas in (("0.5",), "0.5", (0.5, None)):
         with pytest.raises(ParameterError, match="theta must be a real number"):
             distance_matrices(panel, thetas, BinningConfig())
-    for threads in (2.5, "2"):
+    for threads in (2.5, "2", True):
         with pytest.raises(ParameterError, match="threads must be an integer"):
             distance_matrices(panel, (0.5,), BinningConfig(), threads=threads)
 

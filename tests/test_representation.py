@@ -264,7 +264,7 @@ def test_binning_config_validation():
         with pytest.raises(ParameterError, match="width rule only"):
             BinningConfig(rule=rule, width=0.1)
     # the bin count is an integer, read as operator.index reads it and stored as an int
-    for bins in (2.5, np.float64(4.0), "4"):
+    for bins in (2.5, np.float64(4.0), "4", True):
         with pytest.raises(ParameterError, match="bin count must be an integer"):
             BinningConfig(bins=bins)
     assert type(BinningConfig(bins=np.int64(4)).bins) is int

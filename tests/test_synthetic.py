@@ -219,6 +219,11 @@ def test_product_labels_refine_both():
         members = truth.product_labels == p
         assert len(np.unique(truth.dependence_labels[members])) == 1
         assert len(np.unique(truth.distribution_labels[members])) == 1
+    # the distinct (dependence, distribution) pairs, numbered in lexicographic order
+    truth = GroundTruth(ids=("a", "b", "c", "d", "e"), dependence_labels=[1, 0, 1, 0, 1],
+                        distribution_labels=[0, 2, 2, 0, 0])
+    assert truth.product_labels.tolist() == [2, 1, 3, 0, 2]
+    assert not truth.product_labels.flags.writeable
 
 
 def test_default_group_assignment_splits_blocks():
@@ -326,11 +331,12 @@ def test_import_leaves_scipy_stats_unloaded():
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, rwclust; print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"],
+         "import sys, rwclust; print(*(name in sys.modules for name in "
+         "('scipy.stats', 'scipy.optimize', 'scipy.cluster', 'scipy.spatial')))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "False False False False"
 
 
 # ---------------------------------------------------------------------------
@@ -344,27 +350,26 @@ def make_truth(n, dep):
         ids=ids,
         dependence_labels=dep,
         distribution_labels=np.zeros(n, dtype=np.int64),
-        product_labels=dep.copy(),
     )
 
 
 def test_perfect_recovery_scores_one():
     truth = make_truth(4, [0, 0, 1, 1])
-    assignment = ClusterAssignment.from_labels(truth.ids, [5, 5, 9, 9])
+    assignment = ClusterAssignment(truth.ids, [5, 5, 9, 9])
     assert score_recovery(assignment, truth, "dependence") == 1.0
 
 
 def test_recovery_aligns_by_id():
     truth = make_truth(4, [0, 0, 1, 1])
     # same partition, ids presented in reverse order
-    assignment = ClusterAssignment.from_labels(("s3", "s2", "s1", "s0"), [0, 0, 1, 1])
+    assignment = ClusterAssignment(("s3", "s2", "s1", "s0"), [0, 0, 1, 1])
     assert score_recovery(assignment, truth, "dependence") == 1.0
 
 
 def test_random_labels_score_near_zero():
     rng = np.random.default_rng(21)
     truth = make_truth(100, rng.integers(0, 4, size=100))
-    assignment = ClusterAssignment.from_labels(truth.ids, rng.integers(0, 4, size=100))
+    assignment = ClusterAssignment(truth.ids, rng.integers(0, 4, size=100))
     assert abs(score_recovery(assignment, truth, "dependence")) < 0.1
 
 
@@ -376,17 +381,17 @@ def test_distribution_vs_product_is_coarser():
         groups=(DistributionGroup("gaussian"), DistributionGroup("laplace")),
     )
     _, truth = generate_panel(spec)
-    assignment = ClusterAssignment.from_labels(truth.ids, truth.distribution_labels)
+    assignment = ClusterAssignment(truth.ids, truth.distribution_labels)
     assert score_recovery(assignment, truth, "distribution") == 1.0
     assert score_recovery(assignment, truth, "product") < 1.0
 
 
 def test_recovery_target_validation():
     truth = make_truth(4, [0, 0, 1, 1])
-    assignment = ClusterAssignment.from_labels(truth.ids, [0, 0, 1, 1])
+    assignment = ClusterAssignment(truth.ids, [0, 0, 1, 1])
     with pytest.raises(ParameterError):
         score_recovery(assignment, truth, "color")
     with pytest.raises(ValidationError):
         score_recovery(
-            ClusterAssignment.from_labels(("s0", "zz"), [0, 1]), truth, "dependence"
+            ClusterAssignment(("s0", "zz"), [0, 1]), truth, "dependence"
         )
