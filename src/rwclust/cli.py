@@ -365,23 +365,41 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _write_float_rows(f, labels, matrix: np.ndarray) -> None:
-    """Write one CSV row per matrix row: its label, then each value as repr(float).
+def _write_rows(f, labels, rows) -> None:
+    """Write one CSV row per label: the label, then the strings of its row of `rows`.
 
-    Bytes equal csv.writer's with _fmt per cell. A row is formatted only after
-    the previous one is written, so one row's strings exist at a time.
+    Bytes equal csv.writer's when no string of `rows` needs quoting, as the
+    repr of a float never does. Each row is drawn from `rows` only after the
+    previous one is written.
     """
-    for label, row in zip(labels, matrix):
+    for label, row in zip(labels, rows):
         f.write(_csv_field(label))
         f.write(",")
-        f.write(",".join(map(repr, row.tolist())))
+        f.write(",".join(row))
         f.write("\n")
+
+
+def _mirrored_repr_rows(v: np.ndarray):
+    """The repr strings of each row of `v`, which must be bitwise symmetric.
+
+    Row i formats only v[i, i:]; its left part is column i's strings from the
+    rows above, held until row i takes them, so each off-diagonal pair is
+    formatted once and at most N²/4 strings are held at a time.
+    """
+    above: list[list[str] | None] = [[] for _ in range(len(v))]  # column j's strings from rows < j
+    for i, row in enumerate(v):
+        upper = list(map(repr, row[i:].tolist()))
+        left, above[i] = above[i], None
+        for column, text in zip(above[i + 1:], upper[1:]):
+            column.append(text)
+        left += upper
+        yield left
 
 
 def _matrix_csv(f, dm: DistanceMatrix, provenance: dict) -> None:
     f.write(f"# {json.dumps(provenance, sort_keys=True)}\n")
     csv.writer(f, lineterminator="\n").writerow(["id", *dm.ids])
-    _write_float_rows(f, dm.ids, dm.values)
+    _write_rows(f, dm.ids, _mirrored_repr_rows(dm.values))
 
 
 def _matrix_payload(dm: DistanceMatrix) -> dict:
@@ -557,7 +575,7 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
 
 def _panel_csv(f, panel: SeriesPanel) -> None:
     csv.writer(f, lineterminator="\n").writerow(["t", *panel.ids])
-    _write_float_rows(f, panel.index, panel.values.T)
+    _write_rows(f, panel.index, (map(repr, row.tolist()) for row in panel.values.T))
 
 
 def _cmd_synth(args) -> int:

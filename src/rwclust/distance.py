@@ -100,11 +100,12 @@ class DistanceMatrix:
         n = len(self.ids)
         if v.shape != (n, n):
             raise ValidationError(f"expected a {n}x{n} matrix, got {v.shape}")
-        if not np.array_equal(v, v.T):
+        bits = v.view(np.int64)  # bitwise: +0.0 opposite -0.0 would print differently
+        if not np.array_equal(bits, bits.T):
             raise ValidationError("distance matrix must be exactly symmetric")
         if (np.diag(v) != 0.0).any():
             raise ValidationError("distance matrix diagonal must be exactly zero")
-        if (v < 0).any():
+        if not (v >= 0).all():  # NaN too
             raise ValidationError("distances must be nonnegative")
         bound = self.entry_bound()
         if bound is not None and float(v.max(initial=0.0)) > bound + BOUND_TOL:

@@ -6,6 +6,7 @@ separators. Panels are immutable once built and safe to share across threads.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from datetime import datetime
@@ -143,13 +144,104 @@ def _check_time_order(labels: list[str], lines: list[int], date_format: str | No
             )
 
 
+def _unclean(line: str) -> bool:
+    """True for a line csv.reader might split other than at its commas (a quote,
+    a carriage return), or refuse: a NUL (before Python 3.11), a field over
+    csv.field_size_limit()."""
+    return '"' in line or "\r" in line or "\0" in line or len(line) > csv.field_size_limit()
+
+
+def _clean_lines(lines, n: int, labels: list[str]):
+    """Yield each line, appending its stripped time label to `labels`; raise
+    ValueError at an unclean line or one without exactly n + 1 cells."""
+    for line in lines:
+        if line.count(",") != n or _unclean(line):
+            raise ValueError("not a clean line")
+        labels.append(line[:line.index(",")].strip())
+        yield line
+
+
+def _header_ids(header: list[str]) -> list[str]:
+    if len(header) < 2:
+        raise PanelFormatError("header must name a time column and at least one series", line=1)
+    ids = [c.strip() for c in header[1:]]
+    _check_ids(ids)
+    return ids
+
+
+def _read_clean(fh):
+    """(ids, labels, line numbers, time x series values) read by numpy's C
+    reader, or None when the file is not clean or numpy refuses a cell."""
+    header = fh.readline()
+    if not header or _unclean(header):
+        return None
+    ids = _header_ids(header.rstrip("\n").split(","))
+    n = len(ids)
+    labels: list[str] = []
+    try:
+        lines = iter(fh)
+        first = next(lines, None)
+        if first is None:  # loadtxt warns on a file without data
+            return None
+        by_time = np.loadtxt(_clean_lines(itertools.chain([first], lines), n, labels), delimiter=",",
+                             comments=None, usecols=range(1, n + 1), dtype=float, ndmin=2)
+    except ValueError:  # an unclean line, a cell numpy refuses, bytes that are not UTF-8
+        return None
+    if by_time.shape != (len(labels), n):
+        return None
+    return ids, labels, list(range(2, len(labels) + 2)), by_time
+
+
+def _read_rows(fh):
+    """(ids, labels, line numbers, time x series values) read by csv.reader
+    and float(), with the line and column of the first cell that cannot be read."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelFormatError("empty file", line=1) from None
+    ids = _header_ids(header)
+    n = len(ids)
+
+    labels: list[str] = []
+    lines: list[int] = []
+    rows: list[list[float]] = []
+    for row in reader:
+        line = reader.line_num
+        if not row:
+            raise PanelFormatError("blank line inside data", line=line)
+        if len(row) > n + 1:
+            raise PanelFormatError(
+                f"row has {len(row)} cells, expected {n + 1}", line=line, column=n + 2
+            )
+        labels.append(row[0].strip())
+        lines.append(line)
+        try:
+            vals = list(map(float, row[1:])) if len(row) == n + 1 else None
+        except ValueError:
+            vals = None
+        if vals is None:  # a short row or a cell float() rejects
+            vals = [
+                _parse_cell(row[j + 1] if j + 1 < len(row) else "", line, column=j + 2)
+                for j in range(n)
+            ]
+        rows.append(vals)
+    return ids, labels, lines, np.array(rows, dtype=float).reshape(len(rows), n)
+
+
 def load_panel(path: str | Path, options: IngestionOptions = IngestionOptions()) -> SeriesPanel:
     """Load and validate a CSV level panel.
 
-    Each data row is parsed whole, by one float() call per cell over the row.
-    Only a row where that raises, or a short row, goes through the per-cell
-    parser, which reads an empty cell as a gap and reports the line and column
-    of the first unparseable one. Gaps (empty, nan and inf cells) are the
+    A clean file is read by numpy's C reader: no quote in the header, at least
+    one data line, and every data line with one cell per header cell, no quote,
+    no carriage return and no more characters than csv.field_size_limit().
+    Any other file, or one where numpy refuses a cell, is read again from the
+    start by the row parser: csv.reader, then float() over each row, and a
+    per-cell parser for a short row or a row float() refuses, which reads an
+    empty cell as a gap and reports the line and column of the first
+    unparseable one. Both readers convert text to the same float (numpy reads
+    a cell as float() does, or refuses it), so the result and every error do
+    not depend on the reader. Gaps (empty, nan and inf cells) are the
     non-finite entries of the assembled array.
 
     Row order of the returned panel matches the file's column order. Raises
@@ -160,48 +252,18 @@ def load_panel(path: str | Path, options: IngestionOptions = IngestionOptions())
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise PanelFormatError("empty file", line=1) from None
-            if len(header) < 2:
-                raise PanelFormatError("header must name a time column and at least one series", line=1)
-            ids = [c.strip() for c in header[1:]]
-            _check_ids(ids)
-            n = len(ids)
-
-            labels: list[str] = []
-            lines: list[int] = []
-            rows: list[list[float]] = []
-            for row in reader:
-                line = reader.line_num
-                if not row:
-                    raise PanelFormatError("blank line inside data", line=line)
-                if len(row) > n + 1:
-                    raise PanelFormatError(
-                        f"row has {len(row)} cells, expected {n + 1}", line=line, column=n + 2
-                    )
-                labels.append(row[0].strip())
-                lines.append(line)
-                try:
-                    vals = list(map(float, row[1:])) if len(row) == n + 1 else None
-                except ValueError:
-                    vals = None
-                if vals is None:  # a short row or a cell float() rejects
-                    vals = [
-                        _parse_cell(row[j + 1] if j + 1 < len(row) else "", line, column=j + 2)
-                        for j in range(n)
-                    ]
-                rows.append(vals)
+            parsed = _read_clean(fh)
+            if parsed is None:
+                fh.seek(0)
+                parsed = _read_rows(fh)
     except (UnicodeDecodeError, csv.Error) as e:  # bytes that are not UTF-8, an oversized field
         raise PanelFormatError(f"cannot read {path} as UTF-8 CSV: {e}") from None
+    ids, labels, lines, by_time = parsed
 
     _check_time_order(labels, lines, options.date_format)
 
-    by_time = np.array(rows, dtype=float).reshape(len(rows), n)
     gappy = (~np.isfinite(by_time)).any(axis=0)
-    keep = np.arange(n)
+    keep = np.arange(len(ids))
     if gappy.any():
         missing = sorted(ids[j] for j in np.flatnonzero(gappy))
         if options.missing == "reject":

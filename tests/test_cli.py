@@ -482,6 +482,26 @@ def test_distance_csv_matches_csv_writer_reference(tmp_path, capsys, theta):
     assert np.array_equal(values, dm.values)
 
 
+@pytest.mark.parametrize("theta", ["0", "0.5", "1"], ids=["theta0", "theta0.5", "theta1"])
+def test_mirrored_distance_csv_matches_reference(tmp_path, capsys, theta):
+    # each row past the first takes its left part from the rows above
+    spec = SyntheticSpec(
+        n_series=60, m_obs=80, blocks=(CorrelationBlock(size=20, rho=0.6),) * 3,
+        groups=(DistributionGroup(family="gaussian"), DistributionGroup(family="student_t", df=3.0)),
+        seed=5,
+    )
+    panel, _ = generate_panel(spec)
+    source = tmp_path / "p.csv"
+    with open(source, "w", encoding="utf-8") as f:
+        _panel_csv(f, panel)
+    out_file = tmp_path / "dm.csv"
+    code, _, _ = run(["distances", "--input", str(source), "--theta", theta, "--output", str(out_file),
+                      "--quiet"], capsys)
+    assert code == 0
+    [dm] = distance_matrices(to_increments(load_panel(source)), (float(theta),), BinningConfig())
+    assert out_file.read_text().split("\n", 1)[1] == _reference_csv(["id", *dm.ids], dm.ids, dm.values)
+
+
 def test_synth_csv_matches_csv_writer_reference(tmp_path, capsys):
     spec = SyntheticSpec(
         n_series=4, m_obs=40, blocks=(CorrelationBlock(size=2, rho=0.3),) * 2,

@@ -344,6 +344,11 @@ def test_matrix_validation():
             theta=0.5,
             meta={},
         )
+    # symmetric as numbers but not as bits: the two entries print differently
+    with pytest.raises(ValidationError, match="symmetric"):
+        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, 0.0], [-0.0, 0.0]]), theta=0.5)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, np.nan], [np.nan, 0.0]]), theta=0.5)
 
 
 def test_triangle_inequality_sampled(rng):

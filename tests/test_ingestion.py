@@ -5,12 +5,15 @@ import csv
 import io
 import logging
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rwclust.ingestion as ingestion
 from rwclust import (
     IngestionOptions,
     PanelFormatError,
@@ -283,3 +286,104 @@ def test_load_panel_matches_per_cell_reference(tmp_path_factory, missing, text):
         return panel.ids, [[v.hex() for v in row] for row in panel.values.tolist()]
 
     assert _outcome(load) == _outcome(lambda: _reference_load(text, missing))
+
+
+# ---------------------------------------------------------------------------
+# numpy's C reader against the row parser
+# ---------------------------------------------------------------------------
+
+def _count_row_parses(monkeypatch) -> list:
+    """Patch the row parser to record each call, and return the list that collects them."""
+    calls = []
+    read_rows = ingestion._read_rows
+
+    def counted(fh):
+        calls.append(1)
+        return read_rows(fh)
+    monkeypatch.setattr(ingestion, "_read_rows", counted)
+    return calls
+
+
+_ROWS = "t1,0,1\nt2,1,3\nt3,3,2\n"
+_WIDE_ROW = "," + ",".join(["0.5"] * 400)
+_NOT_UTF8 = (  # the bad byte lies past the first 8 KiB, which the header line's read decodes
+    ("t," + ",".join(f"s{j}" for j in range(400)) + "\n").encode()
+    + "".join(f"t{i:02d}{_WIDE_ROW}\n" for i in range(9)).encode()
+    + b"t99\xff" + _WIDE_ROW.encode() + b"\n"
+)
+_EDGE_FILES = {  # name: (file bytes, the reader that reads it)
+    "clean": (("t,A,B\n" + _ROWS).encode(), "numpy"),
+    "crlf": (("t,A,B\n" + _ROWS).replace("\n", "\r\n").encode(), "rows"),
+    "bare-cr": (("t,A,B\n" + _ROWS).replace("\n", "\r").encode(), "rows"),
+    "bom": (("\ufefft,A,B\n" + _ROWS).encode(), "numpy"),
+    "no-final-newline": (("t,A,B\n" + _ROWS).rstrip("\n").encode(), "numpy"),
+    "single-row": (b"t,A,B\nt1,0,1\n", "numpy"),
+    "header-only": (b"t,A,B\n", "rows"),
+    "quoted-header": (('t,"A",B\n' + _ROWS).encode(), "rows"),
+    "padded": (b"t,A,B\n t1 , 0\t,1 \nt2,\t1 , 3\nt3,3,2\n", "numpy"),
+    "unicode-spaces": ("t,A,B\nt1,0,1\nt2,\u30001\x1c,3\nt3,3,2\n".encode(), "numpy"),  # float() alone refuses \x1c
+    "nan": (b"t,A,B\nt1,0,1\nt2,nan,3\nt3,3,2\n", "numpy"),
+    "inf": (b"t,A,B\nt1,0,1\nt2,1,-inf\nt3,3,2\n", "numpy"),
+    "1e400": (b"t,A,B\nt1,0,1\nt2,1e400,3\nt3,3,2\n", "numpy"),
+    "underscore": (b"t,A,B\nt1,0,1\nt2,1_0,3\nt3,3,2\n", "rows"),
+    "quoted-cell": (b't,A,B\nt1,0,1\nt2,"1",3\nt3,3,2\n', "rows"),
+    "nul": (b"t,A,B\nt1,0,1\nt2,1\x00,3\nt3,3,2\n", "rows"),
+    "blank-line": (b"t,A,B\nt1,0,1\n\nt2,1,3\nt3,3,2\n", "rows"),
+    "extra-cell": (b"t,A,B\nt1,0,1\nt2,1,3,9\nt3,3,2\n", "rows"),
+    "short-row": (b"t,A,B\nt1,0,1\nt2,1\nt3,3,2\n", "rows"),
+    "empty-cell": (b"t,A,B\nt1,0,1\nt2,,3\nt3,3,2\n", "rows"),
+    "not-utf8": (_NOT_UTF8, "rows"),
+    "oversized-field": (b"t,A,B\nt1,0,1\nt2,1," + b"1" * 200_000 + b"\nt3,3,2\n", "rows"),
+}
+
+
+def _panel_or_error(path, missing):
+    try:
+        panel = load_panel(path, IngestionOptions(missing=missing))
+    except (PanelFormatError, ValidationError) as e:
+        return type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "column", None)
+    return panel.ids, panel.index, [[v.hex() for v in row] for row in panel.values.tolist()]
+
+
+@pytest.mark.parametrize("missing", ["reject", "drop_series"])
+@pytest.mark.parametrize("name", _EDGE_FILES)
+def test_readers_agree_on_edge_files(tmp_path, monkeypatch, missing, name):
+    content, reader = _EDGE_FILES[name]
+    path = tmp_path / "p.csv"
+    path.write_bytes(content)
+    row_parses = _count_row_parses(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a file without data
+        loaded = _panel_or_error(path, missing)
+        assert ("rows" if row_parses else "numpy") == reader
+        monkeypatch.setattr(ingestion, "_read_clean", lambda fh: None)
+        assert loaded == _panel_or_error(path, missing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), rows=st.lists(st.lists(st.one_of(_NUMBERS, _PADDED), min_size=3, max_size=3),
+                                          min_size=1, max_size=6))
+def test_full_width_numbers_take_numpy_reader(tmp_path_factory, n, rows):
+    text = "t," + ",".join("ABC"[:n]) + "\n" + "".join(
+        f"t{t},{','.join(cells[:n])}\n" for t, cells in enumerate(rows))
+    path = write_csv(tmp_path_factory.getbasetemp() / "full_width.csv", text)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        row_parses = _count_row_parses(monkeypatch)
+        _outcome(lambda: load_panel(path))
+    assert row_parses == []
+
+
+def test_numpy_reader_holds_no_per_cell_objects(tmp_path, rng):
+    # lists of Python floats, or the whole file as one string, would take several times the array
+    levels = rng.standard_normal((500, 200)).cumsum(axis=0)
+    text = "t," + ",".join(f"s{j}" for j in range(200)) + "\n" + "".join(
+        f"t{i:03d},{','.join(map(repr, row))}\n" for i, row in enumerate(levels.tolist()))
+    path = write_csv(tmp_path / "p.csv", text)
+    tracemalloc.start()
+    try:
+        panel = load_panel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(panel.values, levels.T)
+    assert peak < 3 * panel.values.nbytes
