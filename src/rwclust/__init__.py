@@ -35,7 +35,6 @@ from .ingestion import (
     IncrementPanel,
     IngestionOptions,
     SeriesPanel,
-    as_increments,
     load_panel,
     to_increments,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "SyntheticSpec",
     "ValidationError",
     "adjusted_rand",
-    "as_increments",
     "cluster",
     "cluster_summary",
     "distance_matrices",

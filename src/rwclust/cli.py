@@ -44,7 +44,6 @@ from .ingestion import (
     IncrementPanel,
     IngestionOptions,
     SeriesPanel,
-    as_increments,
     load_panel,
     to_increments,
 )
@@ -332,7 +331,7 @@ def _load(cfg: RunConfig) -> IncrementPanel:
     """Read the panel named by `cfg` and return the increments that get clustered, not its levels."""
     options = IngestionOptions(missing=cfg.missing.replace("-", "_"), date_format=cfg.date_format)
     panel = load_panel(cfg.input, options)
-    inc = as_increments(panel) if cfg.already_increments else to_increments(panel)
+    inc = IncrementPanel(panel.ids, panel.values) if cfg.already_increments else to_increments(panel)
     n = inc.n_series  # the range is refused by its bounds before the library lists it
     if cfg.k_range is not None and cfg.k_range[1] > n - 1:
         raise ParameterError("k_range must lie in [2, {}], got {}..{}".format(n - 1, *cfg.k_range))

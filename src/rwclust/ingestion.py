@@ -145,19 +145,24 @@ def _check_time_order(labels: list[str], lines: list[int], date_format: str | No
 
 
 def _unclean(line: str) -> bool:
-    """True for a line csv.reader might split other than at its commas (a quote,
-    a carriage return), or refuse: a NUL (before Python 3.11), a field over
-    csv.field_size_limit()."""
-    return '"' in line or "\r" in line or "\0" in line or len(line) > csv.field_size_limit()
+    """True for a line csv.reader might split other than at its commas (a quote)
+    or refuse: a NUL (before Python 3.11), a field over csv.field_size_limit().
+    A line may end in CR, LF or CRLF: numpy ends it there as csv does."""
+    limit = csv.field_size_limit()
+    return '"' in line or "\0" in line or (
+        len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit)
 
 
 def _clean_lines(lines, n: int, labels: list[str]):
-    """Yield each line, appending its stripped time label to `labels`; raise
+    """Yield each line, with "nan" in its empty cells (the gap the row parser
+    reads there), appending its stripped time label to `labels`; raise
     ValueError at an unclean line or one without exactly n + 1 cells."""
     for line in lines:
         if line.count(",") != n or _unclean(line):
             raise ValueError("not a clean line")
         labels.append(line[:line.index(",")].strip())
+        if ",," in line or line.endswith((",", ",\n", ",\r\n", ",\r")):
+            line = ",".join(cell or "nan" for cell in line.rstrip("\r\n").split(","))
         yield line
 
 
@@ -175,7 +180,7 @@ def _read_clean(fh):
     header = fh.readline()
     if not header or _unclean(header):
         return None
-    ids = _header_ids(header.rstrip("\n").split(","))
+    ids = _header_ids(header.rstrip("\r\n").split(","))
     n = len(ids)
     labels: list[str] = []
     try:
@@ -185,7 +190,7 @@ def _read_clean(fh):
             return None
         by_time = np.loadtxt(_clean_lines(itertools.chain([first], lines), n, labels), delimiter=",",
                              comments=None, usecols=range(1, n + 1), dtype=float, ndmin=2)
-    except ValueError:  # an unclean line, a cell numpy refuses, bytes that are not UTF-8
+    except ValueError:  # an unclean line, a cell numpy refuses (spaces only, 1_0), bytes that are not UTF-8
         return None
     if by_time.shape != (len(labels), n):
         return None
@@ -232,10 +237,11 @@ def _read_rows(fh):
 def load_panel(path: str | Path, options: IngestionOptions = IngestionOptions()) -> SeriesPanel:
     """Load and validate a CSV level panel.
 
-    A clean file is read by numpy's C reader: no quote in the header, at least
-    one data line, and every data line with one cell per header cell, no quote,
-    no carriage return and no more characters than csv.field_size_limit().
-    Any other file, or one where numpy refuses a cell, is read again from the
+    A clean file is read by numpy's C reader: no quote or NUL in the header,
+    at least one data line, and every data line with one cell per header
+    cell, no quote, no NUL and no field over csv.field_size_limit(); lines may
+    end in LF, CRLF or CR, and an empty cell reaches numpy as "nan". Any
+    other file, or one where numpy refuses a cell, is read again from the
     start by the row parser: csv.reader, then float() over each row, and a
     per-cell parser for a short row or a row float() refuses, which reads an
     empty cell as a gap and reports the line and column of the first
@@ -284,7 +290,3 @@ def to_increments(panel: SeriesPanel) -> IncrementPanel:
     """First-difference each level series: M+1 levels become M increments."""
     return IncrementPanel(ids=panel.ids, values=np.diff(panel.values, axis=1))
 
-
-def as_increments(panel: SeriesPanel) -> IncrementPanel:
-    """Reinterpret an already-differenced panel's rows as increments, no differencing."""
-    return IncrementPanel(ids=panel.ids, values=panel.values)

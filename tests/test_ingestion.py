@@ -19,7 +19,6 @@ from rwclust import (
     PanelFormatError,
     SeriesPanel,
     ValidationError,
-    as_increments,
     load_panel,
     to_increments,
 )
@@ -179,14 +178,6 @@ def test_cumsum_round_trip(rng):
     assert np.array_equal(inc.values, x)
 
 
-def test_as_increments_skips_differencing(rng):
-    x = rng.standard_normal((2, 5))
-    panel = make_level_panel(x)
-    inc = as_increments(panel)
-    assert np.array_equal(inc.values, x)
-    assert inc.n_obs == 5
-
-
 def test_loading_is_deterministic(tmp_path):
     path = write_csv(tmp_path / "p.csv", BASIC)
     a = load_panel(path)
@@ -306,15 +297,17 @@ def _count_row_parses(monkeypatch) -> list:
 
 _ROWS = "t1,0,1\nt2,1,3\nt3,3,2\n"
 _WIDE_ROW = "," + ",".join(["0.5"] * 400)
-_NOT_UTF8 = (  # the bad byte lies past the first 8 KiB, which the header line's read decodes
-    ("t," + ",".join(f"s{j}" for j in range(400)) + "\n").encode()
-    + "".join(f"t{i:02d}{_WIDE_ROW}\n" for i in range(9)).encode()
-    + b"t99\xff" + _WIDE_ROW.encode() + b"\n"
-)
+_WIDE_TOP = ("t," + ",".join(f"s{j}" for j in range(400)) + "\n"
+             + "".join(f"t{i:02d}{_WIDE_ROW}\n" for i in range(9))).encode()
+# the bad byte lies past the first 8 KiB, which the header line's read decodes
+_NOT_UTF8 = _WIDE_TOP + b"t99\xff" + _WIDE_ROW.encode() + b"\n"
+_FIELD_LIMIT = 64  # csv.field_size_limit() while reading the long-line and long-field files
+_LONG_ROW = ",0.5" * 30  # 120 characters of 4-character cells
+_LONG_TOP = "t," + ",".join(f"s{j}" for j in range(30)) + f"\nt1{_LONG_ROW}\nt2{_LONG_ROW}\n"
 _EDGE_FILES = {  # name: (file bytes, the reader that reads it)
     "clean": (("t,A,B\n" + _ROWS).encode(), "numpy"),
-    "crlf": (("t,A,B\n" + _ROWS).replace("\n", "\r\n").encode(), "rows"),
-    "bare-cr": (("t,A,B\n" + _ROWS).replace("\n", "\r").encode(), "rows"),
+    "crlf": (("t,A,B\n" + _ROWS).replace("\n", "\r\n").encode(), "numpy"),
+    "bare-cr": (("t,A,B\n" + _ROWS).replace("\n", "\r").encode(), "numpy"),
     "bom": (("\ufefft,A,B\n" + _ROWS).encode(), "numpy"),
     "no-final-newline": (("t,A,B\n" + _ROWS).rstrip("\n").encode(), "numpy"),
     "single-row": (b"t,A,B\nt1,0,1\n", "numpy"),
@@ -331,7 +324,13 @@ _EDGE_FILES = {  # name: (file bytes, the reader that reads it)
     "blank-line": (b"t,A,B\nt1,0,1\n\nt2,1,3\nt3,3,2\n", "rows"),
     "extra-cell": (b"t,A,B\nt1,0,1\nt2,1,3,9\nt3,3,2\n", "rows"),
     "short-row": (b"t,A,B\nt1,0,1\nt2,1\nt3,3,2\n", "rows"),
-    "empty-cell": (b"t,A,B\nt1,0,1\nt2,,3\nt3,3,2\n", "rows"),
+    "empty-cell": (b"t,A,B\nt1,0,1\nt2,,3\nt3,3,2\n", "numpy"),
+    "trailing-gap": (b"t,A,B\nt1,0,1\nt2,1,\nt3,3,2\n", "numpy"),
+    "gap-run": (b"t,A,B,C\nt1,0,1,2\nt2,,,3\nt3,3,2,1\n", "numpy"),
+    "gap-late": (_WIDE_TOP + b"t99" + _WIDE_ROW.replace(",0.5", ",", 1).encode() + b"\n", "numpy"),
+    "spaced-gap": (b"t,A,B\nt1,0,1\nt2, ,3\nt3,3,2\n", "rows"),
+    "long-line": (f"{_LONG_TOP}t3{_LONG_ROW}\n".encode(), "numpy"),
+    "long-field": (f"{_LONG_TOP}t3,{'1' * (_FIELD_LIMIT + 1)}{',0.5' * 29}\n".encode(), "rows"),
     "not-utf8": (_NOT_UTF8, "rows"),
     "oversized-field": (b"t,A,B\nt1,0,1\nt2,1," + b"1" * 200_000 + b"\nt3,3,2\n", "rows"),
 }
@@ -352,25 +351,38 @@ def test_readers_agree_on_edge_files(tmp_path, monkeypatch, missing, name):
     path = tmp_path / "p.csv"
     path.write_bytes(content)
     row_parses = _count_row_parses(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # loadtxt warns on a file without data
-        loaded = _panel_or_error(path, missing)
-        assert ("rows" if row_parses else "numpy") == reader
-        monkeypatch.setattr(ingestion, "_read_clean", lambda fh: None)
-        assert loaded == _panel_or_error(path, missing)
+    limit = csv.field_size_limit()
+    if name.startswith("long-"):
+        csv.field_size_limit(_FIELD_LIMIT)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a file without data
+            loaded = _panel_or_error(path, missing)
+            assert ("rows" if row_parses else "numpy") == reader
+            monkeypatch.setattr(ingestion, "_read_clean", lambda fh: None)
+            assert loaded == _panel_or_error(path, missing)
+    finally:
+        csv.field_size_limit(limit)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 3), rows=st.lists(st.lists(st.one_of(_NUMBERS, _PADDED), min_size=3, max_size=3),
-                                          min_size=1, max_size=6))
-def test_full_width_numbers_take_numpy_reader(tmp_path_factory, n, rows):
-    text = "t," + ",".join("ABC"[:n]) + "\n" + "".join(
-        f"t{t},{','.join(cells[:n])}\n" for t, cells in enumerate(rows))
-    path = write_csv(tmp_path_factory.getbasetemp() / "full_width.csv", text)
+@given(n=st.integers(1, 3),
+       rows=st.lists(st.lists(st.one_of(_NUMBERS, _PADDED, st.just("")), min_size=3, max_size=3),
+                     min_size=1, max_size=6),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=7, max_size=7),
+       missing=st.sampled_from(["reject", "drop_series"]))
+def test_full_width_numbers_take_numpy_reader(tmp_path_factory, n, rows, ends, missing):
+    """Full rows of numbers and empty cells, each line ended by LF, CRLF or CR,
+    take numpy's reader and load as the row parser alone loads them."""
+    lines = ["t," + ",".join("ABC"[:n])] + [f"t{t},{','.join(cells[:n])}" for t, cells in enumerate(rows)]
+    path = tmp_path_factory.getbasetemp() / "full_width.csv"
+    path.write_bytes("".join(map(str.__add__, lines, ends)).encode())
     with pytest.MonkeyPatch.context() as monkeypatch:
         row_parses = _count_row_parses(monkeypatch)
-        _outcome(lambda: load_panel(path))
-    assert row_parses == []
+        loaded = _panel_or_error(path, missing)
+        assert row_parses == []
+        monkeypatch.setattr(ingestion, "_read_clean", lambda fh: None)
+        assert loaded == _panel_or_error(path, missing)
 
 
 def test_numpy_reader_holds_no_per_cell_objects(tmp_path, rng):
