@@ -364,41 +364,36 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _write_rows(f, labels, rows) -> None:
-    """Write one CSV row per label: the label, then the strings of its row of `rows`.
+def _repr_row(row: np.ndarray) -> str:
+    """`",".join(map(repr, row.tolist()))` for a 1-d float64 array, formatted in compiled code.
 
-    Bytes equal csv.writer's when no string of `rows` needs quoting, as the
-    repr of a float never does. Each row is drawn from `rows` only after the
-    previous one is written.
+    orjson writes each float's shortest round-trip digits, which is the text
+    of `repr` for 0.0, -0.0 and every |v| in [1e-4, 1e16). Outside that range
+    the texts differ (0.00001 for 1e-05, 1e16 for 1e+16, null for nan), so a
+    row holding such a value is formatted by `repr`.
+    """
+    import orjson  # loaded by the CSV writers only, not by import rwclust
+
+    a = np.abs(row)
+    if ((a >= 1e-4) & (a < 1e16) | (a == 0)).all():
+        return orjson.dumps(np.ascontiguousarray(row),
+                            option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    return ",".join(map(repr, row.tolist()))
+
+
+def _float_rows(f, labels, rows: np.ndarray) -> None:
+    """Write one CSV row per label: the label, then its row of `rows` as `repr` text.
+
+    Bytes equal csv.writer's, as the repr of a float never needs quoting.
     """
     for label, row in zip(labels, rows):
-        f.write(_csv_field(label))
-        f.write(",")
-        f.write(",".join(row))
-        f.write("\n")
-
-
-def _mirrored_repr_rows(v: np.ndarray):
-    """The repr strings of each row of `v`, which must be bitwise symmetric.
-
-    Row i formats only v[i, i:]; its left part is column i's strings from the
-    rows above, held until row i takes them, so each off-diagonal pair is
-    formatted once and at most N²/4 strings are held at a time.
-    """
-    above: list[list[str] | None] = [[] for _ in range(len(v))]  # column j's strings from rows < j
-    for i, row in enumerate(v):
-        upper = list(map(repr, row[i:].tolist()))
-        left, above[i] = above[i], None
-        for column, text in zip(above[i + 1:], upper[1:]):
-            column.append(text)
-        left += upper
-        yield left
+        f.write(f"{_csv_field(label)},{_repr_row(row)}\n")
 
 
 def _matrix_csv(f, dm: DistanceMatrix, provenance: dict) -> None:
     f.write(f"# {json.dumps(provenance, sort_keys=True)}\n")
     csv.writer(f, lineterminator="\n").writerow(["id", *dm.ids])
-    _write_rows(f, dm.ids, _mirrored_repr_rows(dm.values))
+    _float_rows(f, dm.ids, dm.values)
 
 
 def _matrix_payload(dm: DistanceMatrix) -> dict:
@@ -574,7 +569,7 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
 
 def _panel_csv(f, panel: SeriesPanel) -> None:
     csv.writer(f, lineterminator="\n").writerow(["t", *panel.ids])
-    _write_rows(f, panel.index, (map(repr, row.tolist()) for row in panel.values.T))
+    _float_rows(f, panel.index, panel.values.T)
 
 
 def _cmd_synth(args) -> int:

@@ -28,6 +28,7 @@ from rwclust import (
     CorrelationBlock,
     DistributionGroup,
     GroundTruth,
+    IncrementPanel,
     SyntheticSpec,
     cluster_summary,
     distance_matrices,
@@ -36,7 +37,7 @@ from rwclust import (
     score_recovery,
     to_increments,
 )
-from rwclust.cli import _panel_csv, main
+from rwclust.cli import _panel_csv, _repr_row, main
 
 from conftest import count_stable_sorts, write_csv
 
@@ -484,7 +485,8 @@ def test_distance_csv_matches_csv_writer_reference(tmp_path, capsys, theta):
 
 @pytest.mark.parametrize("theta", ["0", "0.5", "1"], ids=["theta0", "theta0.5", "theta1"])
 def test_mirrored_distance_csv_matches_reference(tmp_path, capsys, theta):
-    # each row past the first takes its left part from the rows above
+    # a 60-series matrix written row by row equals the reference, whose rows
+    # below the diagonal repeat the bits of the rows above
     spec = SyntheticSpec(
         n_series=60, m_obs=80, blocks=(CorrelationBlock(size=20, rho=0.6),) * 3,
         groups=(DistributionGroup(family="gaussian"), DistributionGroup(family="student_t", df=3.0)),
@@ -520,6 +522,89 @@ def test_synth_csv_matches_csv_writer_reference(tmp_path, capsys):
     prefix = tmp_path / "synth"
     code, _, _ = run([
         "synth", "--blocks", "2x2", "--rho", "0.3", "--dists", "student_t:3",
+        "--m", "40", "--seed", "8", "--output-prefix", str(prefix), "--quiet",
+    ], capsys)
+    assert code == 0
+    assert prefix.with_suffix(".csv").read_text() == _reference_csv(
+        ["t", *panel.ids], panel.index, panel.values.T)
+
+
+def _nextafter(v: float, *towards: float) -> list[float]:
+    return [float(np.nextafter(v, t)) for t in towards]
+
+
+# the ends of the range orjson writes as repr does, with their neighbours,
+# subnormals and signed zeros, and integers up to 1e16
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, *_nextafter(2.2250738585072014e-308, 0.0),
+    1e-5, 1e-4, *_nextafter(1e-4, 0.0, 1.0), 1e16, *_nextafter(1e16, 0.0, np.inf),
+    1.0, 12345.0, 1e15, 2.0**53, 2.0**53 + 2, 9999999999999998.0, 0.1, 1 / 3,
+]
+_EDGE_FLOATS += [-v for v in _EDGE_FLOATS]
+
+
+def _assert_repr_row(values) -> None:
+    row = np.array(values, dtype=np.float64)
+    expected = ",".join(map(repr, row.tolist()))
+    assert _repr_row(row) == expected
+    # a column of a wider array is not C-contiguous
+    assert _repr_row(np.stack([row, row], axis=1)[:, 0]) == expected
+
+
+@pytest.mark.parametrize("value", _EDGE_FLOATS, ids=repr)
+def test_repr_row_matches_repr_at_range_edges(value):
+    _assert_repr_row([value])
+    _assert_repr_row([0.5, value, -1234.25, 0.0])
+
+
+# rows mostly inside the range, with values drawn near its ends, and rows of any floats
+_NEAR_RANGE = st.one_of(st.floats(1e-4, 1e16, exclude_max=True), st.floats(1e-6, 1e-3),
+                        st.floats(1e15, 1e17), st.sampled_from([0.0, 1.0]))
+_NEAR_RANGE_ROW = st.lists(st.one_of(_NEAR_RANGE, _NEAR_RANGE.map(lambda v: -v)), max_size=12)
+_ANY_ROW = st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS),
+                              st.integers(-10**16, 10**16).map(float)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(_NEAR_RANGE_ROW, _ANY_ROW))
+def test_repr_row_matches_repr(values):
+    _assert_repr_row(values)
+
+
+def test_distance_csv_rows_below_1e4_match_reference(tmp_path, capsys):
+    # two series whose ranks differ by one adjacent swap are about 2.7e-5
+    # apart at theta 1, so their rows are formatted by repr; the third is far
+    m = 2000
+    rng = np.random.default_rng(3)
+    a = rng.permutation(m) + 1.0
+    b = a.copy()
+    i, j = np.flatnonzero(a == 1000.0)[0], np.flatnonzero(a == 1001.0)[0]
+    b[i], b[j] = a[j], a[i]
+    values = np.stack([a, b, rng.permutation(m) + 1.0])
+    ids = ["a", "b", "c"]
+    source = write_csv(tmp_path / "inc.csv", _reference_csv(
+        ["t", *ids], [f"t{k:04d}" for k in range(m)], values.T))
+    out_file = tmp_path / "dm.csv"
+    code, _, _ = run(["distances", "--input", source, "--already-increments", "--theta", "1",
+                      "--output", str(out_file), "--quiet"], capsys)
+    assert code == 0
+    panel = load_panel(source)
+    [dm] = distance_matrices(IncrementPanel(panel.ids, panel.values), (1.0,), BinningConfig())
+    assert 0 < dm.values[0, 1] < 1e-4 < dm.values[0, 2]
+    assert out_file.read_text().split("\n", 1)[1] == _reference_csv(["id", *ids], ids, dm.values)
+
+
+def test_synth_csv_with_tiny_scale_matches_reference(tmp_path, capsys):
+    # the levels of a 1e-6 scale panel lie below 1e-4, where repr formats them
+    spec = SyntheticSpec(
+        n_series=4, m_obs=40, blocks=(CorrelationBlock(size=2, rho=0.3),) * 2,
+        groups=(DistributionGroup(family="gaussian", scale=1e-6),), seed=8,
+    )
+    panel, _ = generate_panel(spec)
+    assert (np.abs(panel.values) < 1e-4).all() and panel.values.any()
+    prefix = tmp_path / "tiny"
+    code, _, _ = run([
+        "synth", "--blocks", "2x2", "--rho", "0.3", "--dists", "gaussian", "--scales", "1e-6",
         "--m", "40", "--seed", "8", "--output-prefix", str(prefix), "--quiet",
     ], capsys)
     assert code == 0
@@ -787,6 +872,7 @@ _BAD_SETTINGS = [
     *((f"k-1-{c}", [c, "--k", "1"], "--k must be at least 2") for c in ("cluster", "pipeline")),
     *((f"k-range-1-{c}", [c, "--k-range", "1..3"], "--k-range must start at 2")
       for c in _SELECTING),
+    *((f"k-range-empty-{c}", [c, "--k-range", "5..3"], "empty range '5..3'") for c in _SELECTING),
 ]
 
 

@@ -349,6 +349,12 @@ def test_matrix_validation():
         DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, 0.0], [-0.0, 0.0]]), theta=0.5)
     with pytest.raises(ValidationError, match="nonnegative"):
         DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, np.nan], [np.nan, 0.0]]), theta=0.5)
+    with pytest.raises(ValidationError, match="2x2"):
+        DistanceMatrix(ids=("a", "b"), values=np.zeros((3, 3)), theta=0.5)
+    # at theta 0.5 and m 10 no entry exceeds sqrt(0.5 * 1.1 + 0.5)
+    with pytest.raises(ValidationError, match="exceeds the bound"):
+        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, 1.1], [1.1, 0.0]]), theta=0.5,
+                       meta={"m": 10})
 
 
 def test_triangle_inequality_sampled(rng):

@@ -59,6 +59,11 @@ def test_four_data_rows(tmp_path):
     assert (panel.n_series, panel.n_obs) == (2, 4)
 
 
+def test_series_panel_refuses_wrong_label_count():
+    with pytest.raises(ValidationError, match="2 time labels for 3 columns"):
+        SeriesPanel(ids=("A",), index=("t1", "t2"), values=np.zeros((1, 3)))
+
+
 def test_duplicate_column_rejected(tmp_path):
     text = "t,A,A\nt1,0,0\nt2,1,2\nt3,3,4\n"
     with pytest.raises(ValidationError, match="A"):

@@ -55,6 +55,17 @@ def test_block_sizes_must_sum():
         )
 
 
+def test_negative_seed_refused():
+    with pytest.raises(ValidationError, match="seed must be nonnegative"):
+        SyntheticSpec(
+            n_series=2,
+            m_obs=10,
+            blocks=(CorrelationBlock(size=2, rho=0.5),),
+            groups=(DistributionGroup("gaussian"),),
+            seed=-1,
+        )
+
+
 def test_correlation_bounds():
     with pytest.raises(ValidationError):
         CorrelationBlock(size=2, rho=1.0)
@@ -332,11 +343,11 @@ def test_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, rwclust; print(*(name in sys.modules for name in "
-         "('scipy.stats', 'scipy.optimize', 'scipy.cluster', 'scipy.spatial')))"],
+         "('scipy.stats', 'scipy.optimize', 'scipy.cluster', 'scipy.spatial', 'orjson')))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False False False"
+    assert proc.stdout.strip() == "False False False False False"
 
 
 # ---------------------------------------------------------------------------
