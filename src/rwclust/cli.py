@@ -76,9 +76,6 @@ _METHOD_BY_FLAG = {
     "medoids": "k_medoids",
 }
 
-SWEEP_THETAS = (0.0, 0.5, 1.0)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved configuration of any subcommand but synth; a setting the
@@ -89,7 +86,7 @@ class RunConfig:
     already_increments: bool
     missing: str
     date_format: str | None
-    theta: float | None  # also None for the pipeline's sweep over SWEEP_THETAS
+    thetas: tuple[float, ...] | None
     bin_rule: str
     bins: int
     bin_width: float | None
@@ -104,8 +101,11 @@ class RunConfig:
 
     def __post_init__(self):
         """Run every check that needs no data, so that a bad setting fails before any input is read."""
-        if self.theta is not None:  # the sweep's thetas are valid constants
-            _check_thetas((self.theta,))
+        if self.thetas is not None:
+            names = [f"{abs(theta):g}" for theta in _check_thetas(self.thetas)]  # -0.0 is 0.0
+            for name in names:  # each names its own artifacts
+                if names.count(name) > 1:
+                    raise ParameterError(f"--theta lists {name} twice")
         self.binning  # building it checks the grid settings
         if self.k is not None and self.k < 2:
             raise ParameterError(f"--k must be at least 2, got {self.k}")
@@ -129,7 +129,7 @@ class RunConfig:
                     exact_spearman_norm=self.exact_spearman_norm)
 
     def provenance(self, keys: tuple[str, ...], theta: float | str | None = None) -> dict:
-        """The version and the config restricted to `keys`; `theta` overrides its value."""
+        """The version and the config restricted to `keys`, plus the artifact's `theta` if any."""
         cfg = {key: getattr(self, key) for key in keys}
         if theta is not None:
             cfg["theta"] = theta
@@ -139,7 +139,7 @@ class RunConfig:
 # the config keys each subcommand's artifacts record; pipeline records cluster's
 _REPRESENT_FIELDS = ("input", "already_increments", "missing", "date_format",
                      "bin_rule", "bins", "bin_width")
-_DISTANCES_FIELDS = _REPRESENT_FIELDS + ("theta", "exact_spearman_norm")
+_DISTANCES_FIELDS = _REPRESENT_FIELDS + ("exact_spearman_norm",)
 _STABILITY_FIELDS = _DISTANCES_FIELDS + ("method", "k_range", "stability_runs", "subsample",
                                          "seed")
 _CLUSTER_FIELDS = _STABILITY_FIELDS + ("k",)
@@ -151,8 +151,8 @@ def _config(args) -> RunConfig:
     flags["bin_rule"] = args.bin_rule or ("width" if args.bin_width is not None else "count")
     if flags["method"] is not None:
         flags["method"] = _METHOD_BY_FLAG[flags["method"]]
-    if getattr(args, "theta_sweep", False):
-        flags["theta"] = None
+    if isinstance(flags["thetas"], float):  # distances, cluster and stability take one
+        flags["thetas"] = (flags["thetas"],)
     return RunConfig(**flags)
 
 
@@ -199,12 +199,16 @@ def _add_binning_flags(p: argparse.ArgumentParser) -> None:
                    help="histogram rule (default: count, or width when --bin-width is given)")
 
 
-def _add_theta_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+def _add_theta_flags(p: argparse.ArgumentParser, many: bool = False) -> None:
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--theta", type=float, default=0.5, help="blend weight in [0,1] (default 0.5)")
-    if sweep:
-        group.add_argument("--theta-sweep", action="store_true",
-                           help="run theta in {0, 0.5, 1} and cross-tabulate the partitions")
+    group.add_argument("--theta", dest="thetas", default=0.5, metavar="T[,T...]" if many else "THETA",
+                       type=(lambda text: _parse_floats(text, "--theta")) if many else float,
+                       help="distinct blend weights in [0,1], comma-separated; with more than one, "
+                            "artifact names get a _theta<T> suffix (default 0.5)" if many else
+                            "blend weight in [0,1] (default 0.5)")
+    if many:
+        group.add_argument("--theta-sweep", dest="thetas", action="store_const",
+                           const=(0.0, 0.5, 1.0), help="same as --theta 0,0.5,1")
     p.add_argument("--exact-spearman-norm", action="store_true",
                    help="normalize the dependence part so it is capped at 1")
 
@@ -296,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run ingestion through clustering and write all artifacts")
     _add_ingestion_flags(p)
     _add_binning_flags(p)
-    _add_theta_flags(p, sweep=True)
+    _add_theta_flags(p, many=True)
     _add_cluster_flags(p)
     p.add_argument("--output-dir", default=".", help="artifact directory (default: .)")
     p.set_defaults(func=_cmd_pipeline)
@@ -447,8 +451,8 @@ def _cmd_represent(args) -> int:
 def _cmd_distances(args) -> int:
     cfg = _config(args)
     inc = _load(cfg)
-    [dm] = distance_matrices(inc, (cfg.theta,), cfg.binning, cfg.exact_spearman_norm, cfg.threads)
-    provenance = cfg.provenance(_DISTANCES_FIELDS)
+    [dm] = distance_matrices(inc, cfg.thetas, cfg.binning, cfg.exact_spearman_norm, cfg.threads)
+    provenance = cfg.provenance(_DISTANCES_FIELDS, dm.theta)
     if args.format == "csv":
         _write(args.output, _matrix_csv, dm, provenance)
     else:
@@ -459,9 +463,9 @@ def _cmd_distances(args) -> int:
 def _cmd_cluster(args) -> int:
     cfg = _config(args)
     inc = _load(cfg)
-    [(_, assignment, report)] = fit(inc, (cfg.theta,), cfg.binning, cfg.k, **cfg.selection)
+    [(_, assignment, report)] = fit(inc, cfg.thetas, cfg.binning, cfg.k, **cfg.selection)
     summary = cluster_summary(assignment, inc) if args.summary else None
-    payload = cfg.provenance(_CLUSTER_FIELDS)
+    payload = cfg.provenance(_CLUSTER_FIELDS, assignment.theta)
     payload.update(_assignment_payload(assignment, summary, report))
     _write(args.output, _json, payload)
     return EXIT_OK
@@ -470,8 +474,8 @@ def _cmd_cluster(args) -> int:
 def _cmd_stability(args) -> int:
     cfg = _config(args)
     inc = _load(cfg)
-    [report] = stability_select_k(inc, (cfg.theta,), cfg.binning, **cfg.selection)
-    payload = cfg.provenance(_STABILITY_FIELDS)
+    [report] = stability_select_k(inc, cfg.thetas, cfg.binning, **cfg.selection)
+    payload = cfg.provenance(_STABILITY_FIELDS, *cfg.thetas)
     payload["stability"] = asdict(report)
     _write(args.output, _json, payload)
     return EXIT_OK
@@ -491,9 +495,9 @@ def _parse_blocks(text: str, m_obs: int) -> list[int]:
         raise ParameterError(f"cannot parse blocks {text!r}; expected NxS or S1,S2,...") from None
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
-        return [float(s) for s in text.split(",")]
+        return tuple(float(s) for s in text.split(","))
     except ValueError:
         raise ParameterError(
             f"cannot parse {flag} {text!r}; expected a number or a comma-separated list"
@@ -612,7 +616,7 @@ def _summary_csv(f, summary: ClusterSummary, provenance: dict) -> None:
 def _write_theta(cfg: RunConfig, theta: float, result: tuple, inc: IncrementPanel,
                  out_dir: Path, suffix: str) -> None:
     """Write one theta's `fit` result into out_dir, summarising the increments `inc`."""
-    provenance = cfg.provenance(_CLUSTER_FIELDS, theta=theta)
+    provenance = cfg.provenance(_CLUSTER_FIELDS, theta)
     dm, assignment, report = result
     summary = cluster_summary(assignment, inc)
 
@@ -632,25 +636,21 @@ def _write_theta(cfg: RunConfig, theta: float, result: tuple, inc: IncrementPane
 def _cmd_pipeline(args) -> int:
     cfg = _config(args)
     inc = _load(cfg)
-    sweep = cfg.theta is None
-    thetas = SWEEP_THETAS if sweep else (cfg.theta,)
-    fits = fit(inc, thetas, cfg.binning, cfg.k, **cfg.selection)
+    fits = fit(inc, cfg.thetas, cfg.binning, cfg.k, **cfg.selection)
     # made only once the fit succeeds, so a K the panel cannot take leaves no directory
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for theta, result in zip(thetas, fits):
-        _write_theta(cfg, theta, result, inc, out_dir, f"_theta{theta:g}" if sweep else "")
-    if not sweep:
-        return EXIT_OK
+    for theta, result in zip(cfg.thetas, fits):
+        _write_theta(cfg, theta, result, inc, out_dir, f"_theta{theta:g}" if len(fits) > 1 else "")
 
+    # each theta strictly between the smallest and the largest against both;
     # every assignment lists inc.ids in one order, so labels pair up by position
-    labels = {theta: assignment.labels for theta, (_, assignment, _) in zip(thetas, fits)}
-    payload = cfg.provenance(_CLUSTER_FIELDS, theta="sweep")
-    payload["tables"] = {
-        "theta0.5_vs_theta0": _contingency(labels[0.5], labels[0.0]).tolist(),
-        "theta0.5_vs_theta1": _contingency(labels[0.5], labels[1.0]).tolist(),
-    }
-    _write(out_dir / "crosstab.json", _json, payload)
+    labels = {theta: assignment.labels for theta, (_, assignment, _) in zip(cfg.thetas, fits)}
+    ends = (min(labels), max(labels))
+    tables = {f"theta{t:g}_vs_theta{end:g}": _contingency(labels[t], labels[end]).tolist()
+              for t in labels if ends[0] < t < ends[1] for end in ends}
+    if tables:
+        _write(out_dir / "crosstab.json", _json, {**cfg.provenance(_CLUSTER_FIELDS, "sweep"), "tables": tables})
     return EXIT_OK
 
 

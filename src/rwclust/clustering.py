@@ -42,7 +42,7 @@ from .errors import (
     DegenerateSampleError, DimensionError, ParameterError, ValidationError, _integer,
 )
 from .ingestion import IncrementPanel
-from .representation import BinningConfig
+from .representation import BinningConfig, _order, _subsample_order
 
 CLUSTER_METHODS = ("average_linkage", "complete_linkage", "k_medoids")
 
@@ -295,19 +295,6 @@ def _read_k_range(k_range, n: int) -> list[int]:
     return sorted(ks)
 
 
-def _subsample_order(order: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The stable row order of the panel's observations at the sorted indices
-    `idx`, given `order`, the stable argsort of every row of the whole panel.
-
-    Dropping the other columns from `order` keeps a stable order, because
-    `idx` is sorted; each kept column is then renumbered to its place in idx.
-    """
-    keep = np.zeros(order.shape[1], dtype=bool)
-    keep[idx] = True
-    place = np.cumsum(keep) - 1
-    return place[order[keep[order]].reshape(order.shape[0], idx.size)]
-
-
 def _check_resampling(runs: int, subsample_fraction: float, seed: int) -> tuple[int, int]:
     """`runs` and `seed` as ints; raises unless stability_select_k's
     resampling settings are in range."""
@@ -415,7 +402,7 @@ def _stability_pass(panel, thetas, binning, k_range, runs, subsample_fraction, s
         )
 
     # the one sort of the call, made only when some theta weights the rank part
-    order = np.argsort(panel.values, axis=1, kind="stable") if _weighted_parts(thetas)[0] else None
+    order = _order(panel.values) if _weighted_parts(thetas)[0] else None
     partitions = [[] for _ in thetas]  # per theta, one n x len(ks) label array per run
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, run]))

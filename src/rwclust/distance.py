@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError, _integer
 from .ingestion import IncrementPanel
-from .representation import BinningConfig, _masses, _ranks, shared_grid
+from .representation import BinningConfig, _masses, _order, _ranks, shared_grid
 
 BOUND_TOL = 1e-9  # slack on the theoretical entry bound, covers sqrt rounding
 
@@ -248,8 +248,7 @@ def _matrices(panel, thetas, binning, exact_spearman_norm, threads, order=None):
     """`distance_matrices` past its checks; `order` replaces the panel's own sort in `_parts`."""
     x = panel.values
     (origin, width, nbins), d1sq, d0sq = _parts(
-        x, order or (lambda: np.argsort(x, axis=1, kind="stable")), binning, thetas,
-        exact_spearman_norm, threads,
+        x, order or (lambda: _order(x)), binning, thetas, exact_spearman_norm, threads,
     )
     # each matrix gets its own meta dict, so editing one leaves the others alone
     return tuple(

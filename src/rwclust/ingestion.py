@@ -192,8 +192,7 @@ def _read_clean(fh):
                              comments=None, usecols=range(1, n + 1), dtype=float, ndmin=2)
     except ValueError:  # an unclean line, a cell numpy refuses (spaces only, 1_0), bytes that are not UTF-8
         return None
-    if by_time.shape != (len(labels), n):
-        return None
+    # every line that reaches numpy is one row of n cells, so by_time is len(labels) x n
     return ids, labels, list(range(2, len(labels) + 2)), by_time
 
 

@@ -10,7 +10,8 @@ For a series X_1..X_M the two are specified as
     masses[b] = #{i : X_i falls in bin b of the grid} / M
 
 Ties go to the earlier observation, so every rank vector is a permutation
-of {1,...,M}. `_bin_index` states which bin a value falls in.
+of {1,...,M}; `_order` is the one place that rule is stated, as a stable
+sort. `_bin_index` states which bin a value falls in.
 """
 from __future__ import annotations
 
@@ -203,8 +204,8 @@ def represent(panel: IncrementPanel, binning: BinningConfig = BinningConfig()) -
     """Project every series of a panel onto (ranks, shared-grid density).
 
     Row for row, the result follows the rank and histogram definitions of
-    this module on the grid `shared_grid` builds from the pooled values: a
-    stable sort keeps the arrival-order tie rule (`_ranks`), and one offset
+    this module on the grid `shared_grid` builds from the pooled values: the
+    ranks of `_order`'s stable sort keep the arrival-order tie rule, and one offset
     bincount histograms all rows (`_masses`). Distance calls that need one
     part only compose the same helpers without building a representation.
     """
@@ -212,10 +213,28 @@ def represent(panel: IncrementPanel, binning: BinningConfig = BinningConfig()) -
     grid = shared_grid(x, binning)
     # the sort is a temporary of _ranks, freed before the histogram's
     # N x M temporaries are allocated
-    ranks = _ranks(np.argsort(x, axis=1, kind="stable"))
+    ranks = _ranks(_order(x))
     return NonParamRepresentation(
         ids=panel.ids, ranks=ranks, masses=_masses(x, grid), origin=grid[0], width=grid[1]
     )
+
+
+def _order(x: np.ndarray) -> np.ndarray:
+    """The stable argsort of every row of x: equal values keep their arrival order."""
+    return np.argsort(x, axis=1, kind="stable")
+
+
+def _subsample_order(order: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The stable row order of the panel's observations at the sorted indices
+    `idx`, given `order`, the `_order` of the whole panel.
+
+    Dropping the other columns from `order` keeps a stable order, because
+    `idx` is sorted; each kept column is then renumbered to its place in idx.
+    """
+    keep = np.zeros(order.shape[1], dtype=bool)
+    keep[idx] = True
+    place = np.cumsum(keep) - 1
+    return place[order[keep[order]].reshape(order.shape[0], idx.size)]
 
 
 def _ranks(order: np.ndarray) -> np.ndarray:

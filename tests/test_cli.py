@@ -26,6 +26,7 @@ from rwclust import (
     BinningConfig,
     ClusterAssignment,
     CorrelationBlock,
+    DimensionError,
     DistributionGroup,
     GroundTruth,
     IncrementPanel,
@@ -178,6 +179,15 @@ def test_theta_sweep_writes_crosstab(synth_panel, tmp_path, capsys):
     table = np.array(cross["tables"]["theta0.5_vs_theta1"])
     assert table.sum() == 12
     assert table.shape == (3, 3)
+    # --theta-sweep is --theta 0,0.5,1
+    listed = tmp_path / "listed"
+    code, _, _ = run(["pipeline", "--input", str(csv_path), "--theta", "0,0.5,1", "--k", "3",
+                      "--output-dir", str(listed), "--quiet"], capsys)
+    assert code == 0
+    names = sorted(p.name for p in out_dir.iterdir())
+    assert names == sorted(p.name for p in listed.iterdir())
+    for name in names:
+        assert (listed / name).read_bytes() == (out_dir / name).read_bytes(), name
 
 
 def test_sweep_crosstab_counts_series_by_label_pair(synth_panel, tmp_path, capsys):
@@ -244,6 +254,53 @@ def test_sweep_artifacts_match_single_theta_runs(synth_panel, tmp_path, capsys, 
         assert code == 0
         swept = (sweep / f"distance_matrix_theta{theta}.csv").read_text()
         assert out.split("\n", 1)[1] == swept.split("\n", 1)[1]
+
+
+def test_theta_list_artifacts_match_single_theta_runs(synth_panel, tmp_path, capsys, monkeypatch):
+    # one fit serves every listed theta: the panel is loaded once and sorted
+    # once, and each theta writes a single-theta run's bytes under a
+    # _theta<T> suffix. crosstab.json tables each theta strictly between the
+    # smallest and the largest against both
+    csv_path, _ = synth_panel
+    base = ["pipeline", "--input", str(csv_path), "--k-range", "2..6", "--stability-runs", "5",
+            "--quiet"]
+    loads, loaded = [], rwclust.cli.load_panel
+    monkeypatch.setattr(rwclust.cli, "load_panel",
+                        lambda *args, **kwargs: loads.append(args) or loaded(*args, **kwargs))
+    stable_sorts = count_stable_sorts(monkeypatch)
+    listed = tmp_path / "listed"
+    code, _, _ = run([*base, "--theta", "0,0.1,0.3,1", "--output-dir", str(listed)], capsys)
+    assert code == 0
+    assert len(loads) == 1 and stable_sorts == [(12, 300)]
+    names = {"crosstab.json"}
+    for theta in ("0", "0.1", "0.3", "1"):
+        single = tmp_path / theta
+        code, _, _ = run([*base, "--theta", theta, "--output-dir", str(single)], capsys)
+        assert code == 0
+        for path in single.iterdir():
+            stem, ext = path.name.split(".")
+            names.add(f"{stem}_theta{theta}.{ext}")
+            assert (listed / f"{stem}_theta{theta}.{ext}").read_bytes() == path.read_bytes()
+    assert {p.name for p in listed.iterdir()} == names
+
+    labels = {t: json.loads((listed / f"assignment_theta{t}.json").read_text())["labels"]
+              for t in ("0", "0.1", "0.3", "1")}
+    expected = {}
+    for inner, end in itertools.product(("0.1", "0.3"), ("0", "1")):
+        table = np.zeros((max(labels[inner].values()) + 1, max(labels[end].values()) + 1), dtype=int)
+        for sid, lab in labels[inner].items():
+            table[lab, labels[end][sid]] += 1
+        expected[f"theta{inner}_vs_theta{end}"] = table.tolist()
+    cross = json.loads((listed / "crosstab.json").read_text())
+    assert cross["tables"] == expected and cross["config"]["theta"] == "sweep"
+
+    # two thetas have none between them: suffixed artifacts, no crosstab
+    ends = tmp_path / "ends"
+    code, _, _ = run([*base, "--theta", "1,0", "--output-dir", str(ends)], capsys)
+    assert code == 0
+    assert {p.name for p in ends.iterdir()} == {
+        name for name in names if name.endswith(("_theta0.json", "_theta0.csv",
+                                                 "_theta1.json", "_theta1.csv"))}
 
 
 # the steps that build distance parts, as (counter, module, function): the
@@ -797,7 +854,16 @@ _HUGE = "99999999999999999999"
     (["--blocks", f"{_HUGE}x1"], "cap of 100000000 panel cells"),
     (["--blocks", "1x2", "--m", "5", "--scales", "inf"], "scale must be > 0 and finite"),
     (["--blocks", "1x2", "--m", "5", "--scales", "1e308"], "scales [1e+308] overflow"),
-], ids=["m-huge", "block-size-huge", "block-count-huge", "scale-inf", "scale-overflows"])
+    (["--blocks", "1x2", "--m", "1"], "need at least 2 increments per series, got 1"),
+    (["--blocks", "0x5"], "need at least one block and one distribution group"),
+    (["--blocks", "1,,2"], "cannot parse blocks '1,,2'"),
+    (["--blocks", "1x2", "--dists", "student_t:abc"],
+     "cannot parse degrees of freedom in 'student_t:abc'"),
+    (["--blocks", "2x2", "--rho", "0.5,0.5,0.5"], "3 rho values for 2 blocks"),
+    (["--blocks", "1x2", "--dists", "gaussian,laplace", "--scales", "1,2,3"],
+     "3 scales for 2 distribution groups"),
+], ids=["m-huge", "block-size-huge", "block-count-huge", "scale-inf", "scale-overflows", "m-1",
+        "no-blocks", "blocks-unparsable", "df-unparsable", "rho-count", "scales-count"])
 def test_synth_bad_size_or_scale_exits_3(tmp_path, capsys, argv, reason):
     # refused before any file is written, without a traceback or numpy warnings
     code, out, err = run(["synth", *argv, "--output-prefix", str(tmp_path / "out" / "p"),
@@ -865,6 +931,19 @@ _BAD_SETTINGS = [
       for c, argv in _FIXED.items()),
     ("no-k-cluster", ["cluster"], "--k-range"),
     ("no-k-pipeline", ["pipeline", "--theta-sweep"], "--k-range"),
+    ("theta-repeated", [*_FIXED["pipeline"], "--theta", "0.5,0.5"], "--theta lists 0.5 twice"),
+    # two thetas that would write to one _theta<T> name
+    ("theta-same-suffix", [*_FIXED["pipeline"], "--theta", "0.1234561,0.1234562"],
+     "--theta lists 0.123456 twice"),
+    ("theta-signed-zero", [*_FIXED["pipeline"], "--theta=-0,0"], "--theta lists 0 twice"),
+    ("theta-list-range", [*_FIXED["pipeline"], "--theta", "0,1.5"],
+     "theta must lie in [0, 1], got 1.5"),
+    ("theta-list-unparsable", [*_FIXED["pipeline"], "--theta", "0,,1"],
+     "cannot parse --theta '0,,1'"),
+    ("theta-and-sweep", [*_FIXED["pipeline"], "--theta", "0.5", "--theta-sweep"],
+     "argument --theta-sweep: not allowed with argument --theta"),
+    *((f"theta-list-{c}", [*_FIXED[c], "--theta", "0,1"],
+       "argument --theta: invalid float value: '0,1'") for c in ("distances", "cluster", "stability")),
     *((f"runs-{c}", [*argv, "--stability-runs", "1"], "runs") for c, argv in _SELECTING.items()),
     *((f"subsample-{c}", [*argv, "--subsample", "0.3"], "subsample")
       for c, argv in _SELECTING.items()),
@@ -1109,6 +1188,17 @@ def test_every_failure_exits_2_or_3_with_one_line(fuzz_dir, command, data):
             assert err.startswith("rwclust: error:"), (argv, err)
     if command != "synth":
         assert not out_dir.exists()
+
+
+def test_other_library_error_exits_1(synth_panel, capsys, monkeypatch):
+    # an rwclust error that is neither a config nor an input error is internal
+    def broken(*args, **kwargs):
+        raise DimensionError("shapes disagree")
+
+    monkeypatch.setattr(rwclust.cli, "represent", broken)
+    csv_path, _ = synth_panel
+    code, out, err = run(["represent", "--input", str(csv_path), "--quiet"], capsys)
+    assert (code, out, err) == (1, "", "rwclust: error: shapes disagree\n")
 
 
 def test_json_logs_error_shape(tmp_path, capsys):

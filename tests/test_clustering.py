@@ -31,9 +31,9 @@ from rwclust import (
     represent,
     stability_select_k,
 )
-from rwclust.clustering import _pairwise_ari, _partitions, _subsample_order
+from rwclust.clustering import _pairwise_ari, _partitions
 from rwclust.distance import _blend, _parts
-from rwclust.representation import _ranks
+from rwclust.representation import _ranks, _subsample_order
 
 from conftest import count_stable_sorts, make_increment_panel, make_level_panel
 

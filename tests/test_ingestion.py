@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import rwclust.ingestion as ingestion
 from rwclust import (
+    IncrementPanel,
     IngestionOptions,
     PanelFormatError,
     SeriesPanel,
@@ -62,6 +63,17 @@ def test_four_data_rows(tmp_path):
 def test_series_panel_refuses_wrong_label_count():
     with pytest.raises(ValidationError, match="2 time labels for 3 columns"):
         SeriesPanel(ids=("A",), index=("t1", "t2"), values=np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("ids, values, reason", [
+    (("A",), np.zeros(4), "must be a 2-d array"),
+    (("A", "B"), np.zeros((1, 4)), "2 ids for 1 value rows"),
+    ((), np.zeros((0, 4)), "panel has no series"),
+    (("A", " "), np.zeros((2, 4)), "series ids must be nonempty"),
+], ids=["one-d", "ids-vs-rows", "no-series", "blank-id"])
+def test_panel_refuses_malformed_values_or_ids(ids, values, reason):
+    with pytest.raises(ValidationError, match=reason):
+        IncrementPanel(ids=ids, values=values)
 
 
 def test_duplicate_column_rejected(tmp_path):

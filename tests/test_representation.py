@@ -241,6 +241,25 @@ def test_grid_always_covers_sample(xs, bins):
     _bin_index(x, origin, width, count)
 
 
+@pytest.mark.parametrize("values, binning, grid", [
+    # the width 5e-324 / 100 underflows to 0, so the smallest normal float stands in
+    ([0.0, 5e-324], BinningConfig(), (0.0, float(np.finfo(float).tiny), 101)),
+    # 2 / 100 does not move 1e16, whose float spacing is 2: the width doubles to 0.02 * 2**6
+    ([1e16, 1e16 + 2], BinningConfig(), (1e16, 1.28, 101)),
+    # 1 + 2 * 0.6 ulp rounds back to the maximum, so the grid takes a third bin
+    ([1.0, 1.0 + 2.0**-52], BinningConfig(rule="width", width=0.6 * 2.0**-52),
+     (1.0, 0.6 * 2.0**-52, 3)),
+], ids=["width-underflows", "width-doubles", "count-grows"])
+def test_grid_float_guards(values, binning, grid):
+    assert shared_grid(values, binning) == grid
+    _bin_index(np.asarray(values), *grid)  # every value lies on the grid
+
+
+def test_grid_refuses_no_values():
+    with pytest.raises(ValidationError, match="no values"):
+        shared_grid([], BinningConfig())
+
+
 def test_grid_refuses_more_than_max_bins():
     v = [-3.0, 0.0, 3.0]
     assert shared_grid(v, BinningConfig(rule="count", bins=MAX_BINS))[2] == MAX_BINS + 1
@@ -369,6 +388,7 @@ def test_representation_validates_matrices():
         dict(ranks=[[1], [1]]),  # M < 2
         dict(masses=[[1.5, -0.5], [1.0, 0.0]]),  # negative mass
         dict(masses=[[0.5, 0.4], [1.0, 0.0]]),  # row does not sum to 1
+        dict(masses=np.zeros((2, 0))),  # no bins
         dict(width=0.0),
         dict(origin=float("nan")),
     ]

@@ -235,6 +235,8 @@ def test_product_labels_refine_both():
                         distribution_labels=[0, 2, 2, 0, 0])
     assert truth.product_labels.tolist() == [2, 1, 3, 0, 2]
     assert not truth.product_labels.flags.writeable
+    with pytest.raises(ValidationError, match="dependence_labels must align with ids"):
+        GroundTruth(ids=("a", "b"), dependence_labels=[0], distribution_labels=[0, 1])
 
 
 def test_default_group_assignment_splits_blocks():
