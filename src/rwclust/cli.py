@@ -101,8 +101,9 @@ class RunConfig:
 
     def __post_init__(self):
         """Run every check that needs no data, so that a bad setting fails before any input is read."""
-        if self.thetas is not None:
-            names = [f"{abs(theta):g}" for theta in _check_thetas(self.thetas)]  # -0.0 is 0.0
+        if self.thetas is not None:  # -0.0 becomes 0.0, so it names and records theta 0
+            object.__setattr__(self, "thetas", tuple(theta + 0.0 for theta in _check_thetas(self.thetas)))
+            names = [f"{theta:g}" for theta in self.thetas]
             for name in names:  # each names its own artifacts
                 if names.count(name) > 1:
                     raise ParameterError(f"--theta lists {name} twice")
@@ -234,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
     common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for the Hellinger part of the distance kernel; "
-                             "results do not depend on it (default 1)")
+                        help="worker threads for the Hellinger part of the distance kernel of "
+                             "500 or more series; results do not depend on it (default 1)")
     common.add_argument("--quiet", action="store_true", help="log errors only")
     common.add_argument("--json-logs", action="store_true", help="emit log lines as JSON")
 
@@ -376,7 +377,7 @@ def _repr_row(row: np.ndarray) -> str:
     the texts differ (0.00001 for 1e-05, 1e16 for 1e+16, null for nan), so a
     row holding such a value is formatted by `repr`.
     """
-    import orjson  # loaded by the CSV writers only, not by import rwclust
+    import orjson  # loaded by the CSV writers and readers only, not by import rwclust
 
     a = np.abs(row)
     if ((a >= 1e-4) & (a < 1e16) | (a == 0)).all():

@@ -6,8 +6,8 @@ separators. Panels are immutable once built and safe to share across threads.
 """
 from __future__ import annotations
 
-import itertools
 import logging
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -147,23 +147,21 @@ def _check_time_order(labels: list[str], lines: list[int], date_format: str | No
 def _unclean(line: str) -> bool:
     """True for a line csv.reader might split other than at its commas (a quote)
     or refuse: a NUL (before Python 3.11), a field over csv.field_size_limit().
-    A line may end in CR, LF or CRLF: numpy ends it there as csv does."""
+    A line may end in CR, LF or CRLF: the file's line iteration ends it there
+    as csv does."""
     limit = csv.field_size_limit()
     return '"' in line or "\0" in line or (
         len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit)
 
 
-def _clean_lines(lines, n: int, labels: list[str]):
-    """Yield each line, with "nan" in its empty cells (the gap the row parser
-    reads there), appending its stripped time label to `labels`; raise
-    ValueError at an unclean line or one without exactly n + 1 cells."""
-    for line in lines:
-        if line.count(",") != n or _unclean(line):
-            raise ValueError("not a clean line")
-        labels.append(line[:line.index(",")].strip())
-        if ",," in line or line.endswith((",", ",\n", ",\r\n", ",\r")):
-            line = ",".join(cell or "nan" for cell in line.rstrip("\r\n").split(","))
-        yield line
+_MINUS_ZERO = re.compile(r"-0(?![.eE\d])")  # an integer -0 cell, or an exponent like 1e-0
+
+
+def _json_numbers(text: str) -> bool:
+    """False for cells that may hold more than the JSON numbers orjson
+    converts as float() does: a letter of true, false or null, a bracket, or
+    an integer -0 cell (JSON reads it as the int 0, float() as -0.0)."""
+    return not any(c in text for c in "tfn[{") and not _MINUS_ZERO.search(text)
 
 
 def _header_ids(header: list[str]) -> list[str]:
@@ -175,25 +173,46 @@ def _header_ids(header: list[str]) -> list[str]:
 
 
 def _read_clean(fh):
-    """(ids, labels, line numbers, time x series values) read by numpy's C
-    reader, or None when the file is not clean or numpy refuses a cell."""
+    """(ids, labels, line numbers, time x series values) read line by line,
+    or None when the file is not clean or a cell does not parse.
+
+    orjson reads a line's cells after its label as one JSON array when
+    `_json_numbers` passes them and the array holds one value per series;
+    any other line, such as one with a gap, goes cell by cell through
+    `_parse_cell`. The rows fill one float buffer that doubles when full.
+    """
+    import orjson  # loaded by the CSV writers and readers only, not by import rwclust
+
     header = fh.readline()
     if not header or _unclean(header):
         return None
     ids = _header_ids(header.rstrip("\r\n").split(","))
     n = len(ids)
     labels: list[str] = []
+    by_time = np.empty((16, n))
     try:
-        lines = iter(fh)
-        first = next(lines, None)
-        if first is None:  # loadtxt warns on a file without data
-            return None
-        by_time = np.loadtxt(_clean_lines(itertools.chain([first], lines), n, labels), delimiter=",",
-                             comments=None, usecols=range(1, n + 1), dtype=float, ndmin=2)
-    except ValueError:  # an unclean line, a cell numpy refuses (spaces only, 1_0), bytes that are not UTF-8
+        for i, line in enumerate(fh):
+            if line.count(",") != n or _unclean(line):
+                return None
+            cut = line.index(",")
+            labels.append(line[:cut].strip())
+            body = line[cut + 1:]
+            row = None
+            if _json_numbers(body):
+                try:
+                    row = orjson.loads(f"[{body}]")
+                except orjson.JSONDecodeError:
+                    pass
+            if row is None or len(row) != n:  # "[\n]" is [] for a one-series gap
+                row = [_parse_cell(cell, i + 2, j) for j, cell in enumerate(body.split(","), 2)]
+            if i == len(by_time):
+                grown = np.empty((2 * i, n))
+                grown[:i] = by_time
+                by_time = grown
+            by_time[i] = row
+    except (PanelFormatError, ValueError):  # a cell _parse_cell refuses, bytes that are not UTF-8
         return None
-    # every line that reaches numpy is one row of n cells, so by_time is len(labels) x n
-    return ids, labels, list(range(2, len(labels) + 2)), by_time
+    return ids, labels, list(range(2, len(labels) + 2)), by_time[:len(labels)]
 
 
 def _read_rows(fh):
@@ -236,18 +255,20 @@ def _read_rows(fh):
 def load_panel(path: str | Path, options: IngestionOptions = IngestionOptions()) -> SeriesPanel:
     """Load and validate a CSV level panel.
 
-    A clean file is read by numpy's C reader: no quote or NUL in the header,
-    at least one data line, and every data line with one cell per header
-    cell, no quote, no NUL and no field over csv.field_size_limit(); lines may
-    end in LF, CRLF or CR, and an empty cell reaches numpy as "nan". Any
-    other file, or one where numpy refuses a cell, is read again from the
-    start by the row parser: csv.reader, then float() over each row, and a
-    per-cell parser for a short row or a row float() refuses, which reads an
-    empty cell as a gap and reports the line and column of the first
-    unparseable one. Both readers convert text to the same float (numpy reads
-    a cell as float() does, or refuses it), so the result and every error do
-    not depend on the reader. Gaps (empty, nan and inf cells) are the
-    non-finite entries of the assembled array.
+    A clean file is read line by line by the fast reader: no quote or NUL in
+    the header, and every data line with one cell per header cell, no quote,
+    no NUL and no field over csv.field_size_limit(); lines may end in LF,
+    CRLF or CR. orjson parses a line's cells as one JSON array when they can
+    hold nothing but JSON numbers (no integer -0, which JSON reads as 0);
+    any other line is parsed cell by cell: strip, an empty cell is a gap,
+    otherwise float(). Any other file, or one with a cell float() refuses,
+    is read again from the start by the row parser: csv.reader, then float()
+    over each row, and a per-cell parser for a short row or a row float()
+    refuses, which reads an empty cell as a gap and reports the line and
+    column of the first unparseable one. Both readers convert text to the
+    same float (orjson rounds a decimal correctly, as float() does), so the
+    result and every error do not depend on the reader. Gaps (empty, nan and
+    inf cells) are the non-finite entries of the assembled array.
 
     Row order of the returned panel matches the file's column order. Raises
     PanelFormatError for unparseable content (with line/column), ValidationError

@@ -303,6 +303,23 @@ def test_theta_list_artifacts_match_single_theta_runs(synth_panel, tmp_path, cap
                                                  "_theta1.json", "_theta1.csv"))}
 
 
+def test_minus_zero_theta_is_theta_zero(synth_panel, tmp_path, capsys):
+    # -0 names and records theta 0: pipeline --theta=-0,1 writes the bytes of
+    # --theta 0,1 under the same names, and stability --theta=-0 prints theta 0's
+    csv_path, _ = synth_panel
+    base = ["--input", str(csv_path), "--k-range", "2..3", "--stability-runs", "3", "--quiet"]
+    outputs = []
+    for thetas in ("0,1", "-0,1"):
+        out_dir = tmp_path / thetas
+        code, _, _ = run(["pipeline", *base, f"--theta={thetas}", "--output-dir", str(out_dir)], capsys)
+        assert code == 0
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert outputs[1] == outputs[0] and "assignment_theta0.json" in outputs[0]
+    printed = [run(["stability", *base, f"--theta={theta}"], capsys) for theta in ("0", "-0")]
+    assert printed[1] == printed[0] and printed[0][0] == 0
+    assert json.loads(printed[0][1])["config"]["theta"] == 0.0
+
+
 # the steps that build distance parts, as (counter, module, function): the
 # grid, then each part's representation and kernel. The grid and the ranks
 # are counted both where `represent` and where the distance module call them

@@ -243,10 +243,11 @@ def test_matrix_symmetry_and_diagonal(rng):
 
 
 def test_matrix_thread_count_does_not_change_bits(rng):
-    panel = make_increment_panel(rng.standard_normal((9, 40)))
+    # the smallest panel whose Hellinger rows are split across threads
+    panel = make_increment_panel(rng.standard_normal((distance._POOL_MIN_ROWS, 40)))
     single = matrix(panel, 0.5, threads=1)
     multi = matrix(panel, 0.5, threads=4)
-    assert np.array_equal(single.values, multi.values)
+    assert single.values.tobytes() == multi.values.tobytes()
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["default-norm", "exact-norm"])
@@ -383,8 +384,18 @@ def test_hellinger_pool_never_exceeds_rows(monkeypatch, rng):
             return map(fn, items)
 
     monkeypatch.setattr(distance, "ThreadPoolExecutor", InlinePool)
-    panel = make_increment_panel(rng.standard_normal((5, 30)))
-    pooled = matrix(panel, 0.5, threads=64)
+    panel = make_increment_panel(rng.standard_normal((distance._POOL_MIN_ROWS, 30)))
+    pooled = matrix(panel, 0.5, threads=2 * panel.n_series)
     assert workers and max(workers) <= panel.n_series
     serial = matrix(panel, 0.5, threads=1)
     assert pooled.values.tobytes() == serial.values.tobytes()
+
+
+def test_small_panel_starts_no_pool(monkeypatch, rng):
+    # below _POOL_MIN_ROWS rows the Hellinger rows run on the calling thread
+    pools = []
+    monkeypatch.setattr(distance, "ThreadPoolExecutor", lambda **kwargs: pools.append(kwargs))
+    panel = make_increment_panel(rng.standard_normal((distance._POOL_MIN_ROWS - 1, 30)))
+    two = matrix(panel, 0.5, threads=2)
+    assert pools == []
+    assert two.values.tobytes() == matrix(panel, 0.5, threads=1).values.tobytes()

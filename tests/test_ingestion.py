@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import logging
 import math
@@ -297,7 +298,7 @@ def test_load_panel_matches_per_cell_reference(tmp_path_factory, missing, text):
 
 
 # ---------------------------------------------------------------------------
-# numpy's C reader against the row parser
+# the fast reader (orjson per line) against the row parser
 # ---------------------------------------------------------------------------
 
 def _count_row_parses(monkeypatch) -> list:
@@ -322,34 +323,44 @@ _FIELD_LIMIT = 64  # csv.field_size_limit() while reading the long-line and long
 _LONG_ROW = ",0.5" * 30  # 120 characters of 4-character cells
 _LONG_TOP = "t," + ",".join(f"s{j}" for j in range(30)) + f"\nt1{_LONG_ROW}\nt2{_LONG_ROW}\n"
 _EDGE_FILES = {  # name: (file bytes, the reader that reads it)
-    "clean": (("t,A,B\n" + _ROWS).encode(), "numpy"),
-    "crlf": (("t,A,B\n" + _ROWS).replace("\n", "\r\n").encode(), "numpy"),
-    "bare-cr": (("t,A,B\n" + _ROWS).replace("\n", "\r").encode(), "numpy"),
-    "bom": (("\ufefft,A,B\n" + _ROWS).encode(), "numpy"),
-    "no-final-newline": (("t,A,B\n" + _ROWS).rstrip("\n").encode(), "numpy"),
-    "single-row": (b"t,A,B\nt1,0,1\n", "numpy"),
-    "header-only": (b"t,A,B\n", "rows"),
+    "clean": (("t,A,B\n" + _ROWS).encode(), "fast"),
+    "crlf": (("t,A,B\n" + _ROWS).replace("\n", "\r\n").encode(), "fast"),
+    "bare-cr": (("t,A,B\n" + _ROWS).replace("\n", "\r").encode(), "fast"),
+    "bom": (("\ufefft,A,B\n" + _ROWS).encode(), "fast"),
+    "no-final-newline": (("t,A,B\n" + _ROWS).rstrip("\n").encode(), "fast"),
+    "single-row": (b"t,A,B\nt1,0,1\n", "fast"),
+    "header-only": (b"t,A,B\n", "fast"),
     "quoted-header": (('t,"A",B\n' + _ROWS).encode(), "rows"),
-    "padded": (b"t,A,B\n t1 , 0\t,1 \nt2,\t1 , 3\nt3,3,2\n", "numpy"),
-    "unicode-spaces": ("t,A,B\nt1,0,1\nt2,\u30001\x1c,3\nt3,3,2\n".encode(), "numpy"),  # float() alone refuses \x1c
-    "nan": (b"t,A,B\nt1,0,1\nt2,nan,3\nt3,3,2\n", "numpy"),
-    "inf": (b"t,A,B\nt1,0,1\nt2,1,-inf\nt3,3,2\n", "numpy"),
-    "1e400": (b"t,A,B\nt1,0,1\nt2,1e400,3\nt3,3,2\n", "numpy"),
-    "underscore": (b"t,A,B\nt1,0,1\nt2,1_0,3\nt3,3,2\n", "rows"),
+    "padded": (b"t,A,B\n t1 , 0\t,1 \nt2,\t1 , 3\nt3,3,2\n", "fast"),
+    "unicode-spaces": ("t,A,B\nt1,0,1\nt2,\u30001\x1c,3\nt3,3,2\n".encode(), "fast"),  # float() alone refuses \x1c
+    "nan": (b"t,A,B\nt1,0,1\nt2,nan,3\nt3,3,2\n", "fast"),
+    "inf": (b"t,A,B\nt1,0,1\nt2,1,-inf\nt3,3,2\n", "fast"),
+    "1e400": (b"t,A,B\nt1,0,1\nt2,1e400,3\nt3,3,2\n", "fast"),
+    "underscore": (b"t,A,B\nt1,0,1\nt2,1_0,3\nt3,3,2\n", "fast"),  # orjson refuses, float() reads 10
     "quoted-cell": (b't,A,B\nt1,0,1\nt2,"1",3\nt3,3,2\n', "rows"),
     "nul": (b"t,A,B\nt1,0,1\nt2,1\x00,3\nt3,3,2\n", "rows"),
     "blank-line": (b"t,A,B\nt1,0,1\n\nt2,1,3\nt3,3,2\n", "rows"),
     "extra-cell": (b"t,A,B\nt1,0,1\nt2,1,3,9\nt3,3,2\n", "rows"),
     "short-row": (b"t,A,B\nt1,0,1\nt2,1\nt3,3,2\n", "rows"),
-    "empty-cell": (b"t,A,B\nt1,0,1\nt2,,3\nt3,3,2\n", "numpy"),
-    "trailing-gap": (b"t,A,B\nt1,0,1\nt2,1,\nt3,3,2\n", "numpy"),
-    "gap-run": (b"t,A,B,C\nt1,0,1,2\nt2,,,3\nt3,3,2,1\n", "numpy"),
-    "gap-late": (_WIDE_TOP + b"t99" + _WIDE_ROW.replace(",0.5", ",", 1).encode() + b"\n", "numpy"),
-    "spaced-gap": (b"t,A,B\nt1,0,1\nt2, ,3\nt3,3,2\n", "rows"),
-    "long-line": (f"{_LONG_TOP}t3{_LONG_ROW}\n".encode(), "numpy"),
+    "empty-cell": (b"t,A,B\nt1,0,1\nt2,,3\nt3,3,2\n", "fast"),
+    "trailing-gap": (b"t,A,B\nt1,0,1\nt2,1,\nt3,3,2\n", "fast"),
+    "gap-run": (b"t,A,B,C\nt1,0,1,2\nt2,,,3\nt3,3,2,1\n", "fast"),
+    "gap-late": (_WIDE_TOP + b"t99" + _WIDE_ROW.replace(",0.5", ",", 1).encode() + b"\n", "fast"),
+    "spaced-gap": (b"t,A,B\nt1,0,1\nt2, ,3\nt3,3,2\n", "fast"),
+    "long-line": (f"{_LONG_TOP}t3{_LONG_ROW}\n".encode(), "fast"),
     "long-field": (f"{_LONG_TOP}t3,{'1' * (_FIELD_LIMIT + 1)}{',0.5' * 29}\n".encode(), "rows"),
     "not-utf8": (_NOT_UTF8, "rows"),
     "oversized-field": (b"t,A,B\nt1,0,1\nt2,1," + b"1" * 200_000 + b"\nt3,3,2\n", "rows"),
+    # JSON reads an integer -0 as the int 0, float() as -0.0
+    "minus-zero": (b"t,A,B\nt1,0,1\nt2,-0,3\nt3,3,2\n", "fast"),
+    "spaced-minus-zero": (b"t,A,B\nt1,0,1\nt2, -0 ,3\nt3,3,2\n", "fast"),
+    "crlf-minus-zero": (b"t,A,B\r\nt1,0,1\r\nt2,1,-0\r\nt3,3,2\r\n", "fast"),
+    "1e-0": (b"t,A,B\nt1,0,1\nt2,1e-0,3\nt3,3,2\n", "fast"),  # not an integer -0, but refused by the guard
+    # JSON values that are not numbers: the row parser reports their line and column
+    "true": (b"t,A,B\nt1,0,1\nt2,true,3\nt3,3,2\n", "rows"),
+    "null": (b"t,A,B\nt1,0,1\nt2,null,3\nt3,3,2\n", "rows"),
+    "list": (b"t,A,B\nt1,0,1\nt2,[1],3\nt3,3,2\n", "rows"),
+    "object": (b"t,A,B\nt1,0,1\nt2,{},3\nt3,3,2\n", "rows"),
 }
 
 
@@ -373,27 +384,17 @@ def test_readers_agree_on_edge_files(tmp_path, monkeypatch, missing, name):
         csv.field_size_limit(_FIELD_LIMIT)
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt warns on a file without data
+            warnings.simplefilter("error")  # neither reader may warn, not even on a file without data
             loaded = _panel_or_error(path, missing)
-            assert ("rows" if row_parses else "numpy") == reader
+            assert ("rows" if row_parses else "fast") == reader
             monkeypatch.setattr(ingestion, "_read_clean", lambda fh: None)
             assert loaded == _panel_or_error(path, missing)
     finally:
         csv.field_size_limit(limit)
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 3),
-       rows=st.lists(st.lists(st.one_of(_NUMBERS, _PADDED, st.just("")), min_size=3, max_size=3),
-                     min_size=1, max_size=6),
-       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=7, max_size=7),
-       missing=st.sampled_from(["reject", "drop_series"]))
-def test_full_width_numbers_take_numpy_reader(tmp_path_factory, n, rows, ends, missing):
-    """Full rows of numbers and empty cells, each line ended by LF, CRLF or CR,
-    take numpy's reader and load as the row parser alone loads them."""
-    lines = ["t," + ",".join("ABC"[:n])] + [f"t{t},{','.join(cells[:n])}" for t, cells in enumerate(rows)]
-    path = tmp_path_factory.getbasetemp() / "full_width.csv"
-    path.write_bytes("".join(map(str.__add__, lines, ends)).encode())
+def _assert_fast_reader_agrees(path, missing):
+    """The file takes the fast reader and loads as the row parser alone loads it."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         row_parses = _count_row_parses(monkeypatch)
         loaded = _panel_or_error(path, missing)
@@ -402,7 +403,74 @@ def test_full_width_numbers_take_numpy_reader(tmp_path_factory, n, rows, ends, m
         assert loaded == _panel_or_error(path, missing)
 
 
-def test_numpy_reader_holds_no_per_cell_objects(tmp_path, rng):
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3),
+       rows=st.lists(st.lists(st.one_of(_NUMBERS, _PADDED, st.just("")), min_size=3, max_size=3),
+                     min_size=1, max_size=6),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=7, max_size=7),
+       missing=st.sampled_from(["reject", "drop_series"]))
+def test_full_width_numbers_take_fast_reader(tmp_path_factory, n, rows, ends, missing):
+    """Full rows of numbers and empty cells, each line ended by LF, CRLF or CR,
+    take the fast reader and load as the row parser alone loads them."""
+    lines = ["t," + ",".join("ABC"[:n])] + [f"t{t},{','.join(cells[:n])}" for t, cells in enumerate(rows)]
+    path = tmp_path_factory.getbasetemp() / "full_width.csv"
+    path.write_bytes("".join(map(str.__add__, lines, ends)).encode())
+    _assert_fast_reader_agrees(path, missing)
+
+
+def _halfway(x: float) -> str:
+    """The decimal exactly halfway between x >= 0 and the next double up."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200  # enough for the exact value of any double
+        return str((decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+_DECIMALS = st.builds(  # sign, up to 40 mantissa digits, an exponent with a sign and leading zeros
+    "{}{}{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.from_regex(r"0|[1-9][0-9]{0,19}", fullmatch=True),
+    st.one_of(st.just(""), st.from_regex(r"\.[0-9]{1,20}", fullmatch=True)),
+    st.one_of(st.just(""), st.from_regex(r"[eE][+-]?0{0,3}[0-9]{1,3}", fullmatch=True)),
+)
+_EXTREME_NUMBERS = st.sampled_from([
+    str(2**53 + 1), str(2**63), str(2**64 - 1), "1" * 25, "-" + "9" * 25,
+    "1" * 400,  # orjson refuses it, float() reads inf
+    "4.9406564584124654e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",  # the smallest subnormal
+    "2.2250738585072009e-308", "2.2250738585072014e-308",  # the largest subnormal, the smallest normal
+    "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+])
+_FLOAT_TEXTS = st.one_of(
+    _DECIMALS,
+    _EXTREME_NUMBERS,
+    st.integers(10**24, 10**25 - 1).map(str),
+    st.builds(str.__add__, st.sampled_from(["", "-"]),
+              st.floats(0.0, 1.7e308).map(_halfway)),  # round half to even
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_FLOAT_TEXTS, min_size=3, max_size=3), min_size=3, max_size=5),
+       missing=st.sampled_from(["reject", "drop_series"]))
+def test_fast_reader_converts_as_float_does(tmp_path_factory, rows, missing):
+    """Long mantissas, padded exponents, integers past 2**53 and 2**64,
+    subnormals and halfway points load to the bits the row parser gives."""
+    text = "t,A,B,C\n" + "".join(f"t{t},{','.join(cells)}\n" for t, cells in enumerate(rows))
+    path = write_csv(tmp_path_factory.getbasetemp() / "float_texts.csv", text)
+    _assert_fast_reader_agrees(path, missing)
+
+
+@pytest.mark.parametrize("text, numbers", [
+    ("0.5,-0.25,1e-05,-0e1,-0.0,1E+300\n", True),
+    ("-0,1\n", False), (" -0 ,1\n", False), ("1,-0\r\n", False), ("1e-0,1\n", False),
+    ("true,1\n", False), ("null,1\n", False), ("[1],1\n", False), ("{},1\n", False),
+    ("nan,1\n", False), ("-inf,1\n", False),
+])
+def test_json_numbers_guard(text, numbers):
+    # a line the guard passes is read by orjson, any other cell by cell
+    assert ingestion._json_numbers(text) is numbers
+
+
+def test_fast_reader_holds_no_per_cell_objects(tmp_path, rng):
     # lists of Python floats, or the whole file as one string, would take several times the array
     levels = rng.standard_normal((500, 200)).cumsum(axis=0)
     text = "t," + ",".join(f"s{j}" for j in range(200)) + "\n" + "".join(
