@@ -7,18 +7,18 @@ subsample, and keeping the K whose partitions agree most (mean pairwise
 adjusted Rand index by default, minimal-matching agreement as an option),
 ties going to the smaller K. One resampling pass scores several thetas at
 once: each subsample's theta-free distance parts come from one call of
-`distance._parts`, and each theta's blend of them is clustered as a plain
-array, with no `DistanceMatrix`. Only the parts that some theta weights
-are computed, so a pass at theta 0 builds no ranks and one at theta 1 no
-histograms. A pass that needs ranks sorts the panel once: a subsample's
-stable order is the full order with the dropped observations filtered
-out. `fit` selects K by that pass, or takes a fixed K, and clusters the
-full panel per theta; the pass hands its sort to the full panel's ranks,
-so a fit sorts the panel at most once. Trees are cut with a union-find
-that merges in scipy's `cut_tree` order, so equal merge heights resolve as
-`cut_tree` resolves them. Each K's adjusted Rand indices for all run pairs
-come from one vectorised pass per run, over the pairs it opens;
-`adjusted_rand` is that pass applied to two partitions.
+`distance._parts`, and each theta's blend of them is clustered as a
+condensed vector, with no `DistanceMatrix` and no square matrix. Only the
+parts that some theta weights are computed, so a pass at theta 0 builds no
+ranks and one at theta 1 no histograms. A pass that needs ranks sorts the
+panel once: a subsample's stable order is the full order with the dropped
+observations filtered out. `fit` selects K by that pass, or takes a fixed
+K, and clusters the full panel per theta; the pass hands its sort to the
+full panel's ranks, so a fit sorts the panel at most once. Trees are cut
+with a union-find that merges in scipy's `cut_tree` order, so equal merge
+heights resolve as `cut_tree` resolves them. Each K's adjusted Rand
+indices for all run pairs come from one vectorised pass per run, over the
+pairs it opens; `adjusted_rand` is that pass applied to two partitions.
 """
 from __future__ import annotations
 
@@ -163,18 +163,21 @@ def _cut(tree: np.ndarray, ks) -> np.ndarray:
     return labels
 
 
-def _partitions(values: np.ndarray, method: str, ks) -> np.ndarray:
-    """Raw labels of the distance matrix `values` cut into k clusters for
-    each k of `ks`, one column per k (one linkage tree serves every k, cut
-    in scipy cut_tree's merge order, labels numbered as cut_tree numbers
-    them)."""
+def _partitions(dists: np.ndarray, method: str, ks) -> np.ndarray:
+    """Raw labels of the distances `dists`, a condensed vector in scipy's
+    pair order, cut into k clusters for each k of `ks`, one column per k
+    (one linkage tree serves every k, cut in scipy cut_tree's merge order,
+    labels numbered as cut_tree numbers them). Linkage takes the vector as
+    it is; only k-medoids expands it to the square matrix."""
+    from scipy.spatial.distance import squareform  # loaded on first use, not by import rwclust
+
     if method == "k_medoids":
-        return np.column_stack([_kmedoids_labels(values, k) for k in ks])
+        square = squareform(dists, checks=False)
+        return np.column_stack([_kmedoids_labels(square, k) for k in ks])
     # loaded on first use, not by import rwclust: synth, represent and distances cut no tree
     from scipy.cluster.hierarchy import linkage
-    from scipy.spatial.distance import squareform
 
-    return _cut(linkage(squareform(values, checks=False), method=_LINKAGE_NAME[method]), ks)
+    return _cut(linkage(dists, method=_LINKAGE_NAME[method]), ks)
 
 
 def cluster(
@@ -188,11 +191,13 @@ def cluster(
     Every method is deterministic given its inputs; the k-medoids build step
     needs no randomness.
     """
+    from scipy.spatial.distance import squareform  # loaded on first use, not by import rwclust
+
     _check_method(method)
     k = _check_k(k, matrix.n_series)
     return ClusterAssignment(
         ids=matrix.ids,
-        labels=_partitions(matrix.values, method, [k])[:, 0],
+        labels=_partitions(squareform(matrix.values, checks=False), method, [k])[:, 0],
         method=method,
         theta=matrix.theta,
     )
@@ -224,21 +229,22 @@ def _pairwise_ari(labels: np.ndarray) -> np.ndarray:
     of labels in 0..K-1, in itertools.combinations order.
 
     Pairs are grouped by their first row a: each point's contingency cell
-    against every later row b is coded as (b - a - 1, label in a, label in
-    b), and one np.unique counts the cells of all those pairs. The extra
-    memory is O(R * n), whatever K is.
+    against a later row b is coded as (b - a - 1, label in a, label in b),
+    and one np.bincount counts the cells of those pairs, with no sort. A
+    bincount takes as many later rows as keep its K^2 cells per pair within
+    R * n, so the extra memory is O(R * n + K^2); for K up to sqrt(n) that
+    is one bincount per first row.
     """
     runs, n = labels.shape
     k = int(labels.max()) + 1
+    step = max(1, runs * n // (k * k))
     agree = []
     for a in range(runs - 1):
-        later = labels[a + 1:]
-        codes = (np.arange(later.shape[0])[:, None] * k + labels[a]) * k + later
-        cells, counts = np.unique(codes, return_counts=True)
-        # integer sums below 2**53, so the float weights add exactly
-        agree.append(
-            np.bincount(cells // (k * k), weights=_comb2(counts), minlength=later.shape[0])
-        )
+        for lo in range(a + 1, runs, step):
+            later = labels[lo:lo + step]
+            codes = (np.arange(len(later))[:, None] * k + labels[a]) * k + later
+            counts = np.bincount(codes.ravel(), minlength=len(later) * k * k)
+            agree.append(_comb2(counts).reshape(len(later), k * k).sum(axis=1))
     sizes = np.bincount((np.arange(runs)[:, None] * k + labels).ravel(), minlength=runs * k)
     pairs = _comb2(sizes).reshape(runs, k).sum(axis=1)
     first, second = np.triu_indices(runs, 1)

@@ -14,35 +14,41 @@ normalization 3 / (M (M^2-1)) caps d1 at 1 instead. For 0 < theta < 1 the
 blend is a metric on the representation; at the endpoints only the
 separation axiom is lost.
 
-The pairwise matrix kernel works on the N x M rank matrix and the N x B
-mass matrix in two parts:
+The pairwise kernel works on the N x M rank matrix and the N x B mass
+matrix in two parts, and stores each as a condensed vector of the
+N (N-1) / 2 pairs i < j in scipy's order (row 0's pairs, then row 1's, ...);
+no part and no blend is an N x N array, only a `DistanceMatrix` is:
 
 - Ranks, by the Gram identity. Every rank row is a permutation of 1..M, so
   sum_i (rx[i] - ry[i])^2 = 2 S - 2 rx.ry with S = M (M+1) (2M+1) / 6. The
-  inner products rx.ry come from one float64 matrix product per chunk of
-  columns, with chunks narrow enough (chunk * M^2 < 2^53) that every partial
-  sum BLAS forms is an integer below 2^53, so each is exact whatever the
-  summation order; chunks are accumulated in int64. The rank sums are
-  therefore exact integers, identical for any BLAS thread count, for M up
-  to 3 024 616, past which S leaves int64 and the kernel refuses the
-  panel. Every panel with M up to about 2 * 10^5 is one chunk.
+  inner products rx.ry come from float64 matrix products over row blocks
+  of the upper triangle (each block of rows against every row from the
+  block's first on), per chunk of columns, with chunks narrow enough
+  (chunk * M^2 < 2^53) that every partial sum BLAS forms is an integer
+  below 2^53, so each is exact whatever the summation order; chunks are
+  accumulated in int64. The rank sums are therefore exact integers,
+  identical for any BLAS thread count or block split, for M up to
+  3 024 616, past which S leaves int64 and the kernel refuses the panel.
+  Every panel with M up to about 2 * 10^5 is one chunk.
 - Masses, by direct differences. The Hellinger part differences sqrt-mass
-  rows (B, about 100, is much smaller than M) over the upper triangle, row
-  by row, and mirrors; each entry has a fixed reduction order, so results
-  are bit-identical for any `threads` split of those rows, which starts
-  only from `_POOL_MIN_ROWS` rows. The Gram form
-  1 - sum sqrt(px py) is not used: it loses the exact zero of identical
-  pairs.
+  rows (B, about 100, is much smaller than M) row by row, each row against
+  the rows after it, into that row's condensed slice; each entry has a
+  fixed reduction order, so results are bit-identical for any `threads`
+  split of those rows, which starts only from `_POOL_MIN_ROWS` rows. The
+  Gram form 1 - sum sqrt(px py) is not used: it loses the exact zero of
+  identical pairs.
 
 Neither part depends on theta. `_parts` computes the grid and both squared
 parts of an N x M value matrix once, and `_blend`, the one place a theta
 meets the parts, takes an element-wise square root per theta. Only
 `_matrices`, behind `distance_matrices(panel, thetas, binning)` and
-`clustering.fit`, wraps its blends in a `DistanceMatrix`; `fit` hands it
+`clustering.fit`, wraps its blends in a `DistanceMatrix`, expanding each
+blend once to the square matrix after the parts are freed; `fit` hands it
 the stability pass's sort of the panel. A stability resample
-clusters `_blend` of its subsample's `_parts` as a plain array: the exact
-integer Gram sums and the mirrored Hellinger rows make every blend
-symmetric with a zero diagonal, nonnegative and within the entry bound.
+clusters `_blend` of its subsample's `_parts` as a condensed vector, which
+linkage takes as it is: a condensed blend is symmetric with a zero diagonal
+by construction, and the exact integer Gram sums keep it nonnegative and
+within the entry bound.
 
 A blend at theta weights d1^2 only when theta > 0 and d0^2 only when
 theta < 1 (`_weighted_parts`), and only the parts that some theta weights
@@ -126,26 +132,58 @@ class DistanceMatrix:
         return len(self.ids)
 
 
+# pair sums per row block of the rank Gram products: 2 MB of float64, with
+# rows enough that BLAS runs near its full speed
+_GRAM_CELLS = 1 << 18
+
+
+def _row_start(i: int, n: int) -> int:
+    """Position of the pair (i, i + 1) in the condensed vector of n points,
+    scipy's order: row i's pairs (i, j > i) follow those of rows 0..i-1."""
+    return i * (2 * n - i - 1) // 2
+
+
 def _pairwise_sq_rows(a: np.ndarray, out: np.ndarray, rows: range) -> None:
-    # upper triangle only: row i against all j > i, fixed per-row reduction order
+    # row i against all j > i into its condensed slice, fixed per-row reduction order
+    n = a.shape[0]
+    buf = np.empty((n - 1, a.shape[1]))
     for i in rows:
-        if i + 1 < a.shape[0]:
-            d = a[i + 1 :] - a[i]
-            out[i, i + 1 :] = (d * d).sum(axis=1)
+        d = buf[: n - i - 1]
+        np.subtract(a[i + 1 :], a[i], out=d)
+        np.multiply(d, d, out=d)
+        start = _row_start(i, n)
+        d.sum(axis=1, out=out[start : start + n - i - 1])
 
 
 def _rank_sq_sums(ranks: np.ndarray) -> np.ndarray:
-    """Exact sum_i (r_a[i] - r_b[i])^2 for every pair of rows of an N x M permutation matrix."""
-    m = ranks.shape[1]
+    """Exact sum_i (r_a[i] - r_b[i])^2 of every pair of rows of an N x M
+    permutation matrix (of ints or floats), as a condensed int64 vector.
+
+    The Gram products are taken in row blocks of at most _GRAM_CELLS
+    products over the upper triangle, so no N x N array is built.
+    """
+    n, m = ranks.shape
     s = m * (m + 1) * (2 * m + 1) // 6  # sum of squares of 1..M, bounds every entry below
     if s > np.iinfo(np.int64).max:
         raise ValidationError(f"series of {m} increments are too long for exact int64 rank sums")
     chunk = max(1, (2**53 - 1) // (m * m))
-    gram = np.zeros((ranks.shape[0],) * 2, dtype=np.int64)
+    rows = max(1, _GRAM_CELLS // n)
+    sums = np.zeros(n * (n - 1) // 2, dtype=np.int64)
     for lo in range(0, m, chunk):
-        block = ranks[:, lo : lo + chunk].astype(float)
-        gram += (block @ block.T).astype(np.int64)
-    return 2 * (s - gram)
+        block = np.asarray(ranks[:, lo : lo + chunk], dtype=float)  # float ranks: no copy
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            rb = block[r0:r1]
+            # rows r0..r1-1 against every j >= r0: the square on the diagonal
+            # (one symmetric product, as BLAS takes rb @ rb.T) beside the rest
+            gram = np.empty((r1 - r0, n - r0))
+            np.matmul(rb, rb.T, out=gram[:, : r1 - r0])
+            np.matmul(rb, block[r1:].T, out=gram[:, r1 - r0 :])
+            upper = np.arange(n - r0) > np.arange(r1 - r0)[:, None]  # j > i
+            sums[_row_start(r0, n) : _row_start(r1, n)] += gram[upper].astype(np.int64)
+    np.subtract(s, sums, out=sums)
+    sums *= 2
+    return sums
 
 
 def _weighted_parts(thetas) -> tuple[bool, bool]:
@@ -158,7 +196,8 @@ def _weighted_parts(thetas) -> tuple[bool, bool]:
 
 
 def _d1sq(ranks: np.ndarray, exact_spearman_norm: bool) -> np.ndarray:
-    """The scaled rank part d1^2 of every pair of rows of an N x M permutation matrix."""
+    """The scaled rank part d1^2 of every pair of rows of an N x M
+    permutation matrix, as a condensed vector."""
     m = ranks.shape[1]
     factor = 3.0 / (m * (m * m - 1)) if exact_spearman_norm else 3.0 / (m * m * (m - 1))
     return _rank_sq_sums(ranks) * factor
@@ -171,18 +210,21 @@ _POOL_MIN_ROWS = 500
 
 
 def _d0sq(masses: np.ndarray, threads: int) -> np.ndarray:
-    """The Hellinger part d0^2 of every pair of rows of an N x B mass matrix."""
+    """The Hellinger part d0^2 of every pair of rows of an N x B mass
+    matrix, as a condensed vector."""
     a = np.sqrt(masses)
     n = a.shape[0]
-    out = np.zeros((n, n))
+    out = np.empty(n * (n - 1) // 2)
     threads = min(threads, n)  # more workers than rows would only get empty chunks
     if threads <= 1 or n < _POOL_MIN_ROWS:
-        _pairwise_sq_rows(a, out, range(n))
+        _pairwise_sq_rows(a, out, range(n - 1))
     else:
-        chunks = [range(i, n, threads) for i in range(threads)]
+        # each row owns its slice of `out`, so the interleaved rows never share an entry
+        chunks = [range(i, n - 1, threads) for i in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda r: _pairwise_sq_rows(a, out, r), chunks))
-    return (out + out.T) * 0.5
+    out *= 0.5
+    return out
 
 
 def _check_threads(threads: int) -> int:
@@ -194,13 +236,17 @@ def _check_threads(threads: int) -> int:
 
 
 def _blend(d1sq, d0sq, theta: float) -> np.ndarray:
-    """The distance values at `theta` from the squared parts.
+    """The condensed distances at `theta` from the squared parts.
 
     A part that no theta weights enters as the scalar 0.0, which gives the
     same bits as the computed part times the zero weight, since 0.0 * d is
     +0.0 for every finite d >= 0.
     """
-    return np.sqrt(theta * d1sq + (1.0 - theta) * d0sq)
+    # summed and rooted in place, so a blend holds two condensed arrays at
+    # most besides the parts, whether or not numpy elides temporaries
+    out = theta * d1sq
+    out += (1.0 - theta) * d0sq
+    return np.sqrt(out, out=out)
 
 
 def _parts(
@@ -224,9 +270,9 @@ def _parts(
     grid = shared_grid(x, binning)
     d1sq = d0sq = 0.0
     if needs_d1sq:
-        ranks = _ranks(order())
+        ranks = _ranks(order(), float)  # exact, and BLAS takes them without a copy
         d1sq = _d1sq(ranks, exact_spearman_norm)
-        del ranks  # freed before the histogram's N x M temporaries
+        del ranks  # freed before the histogram is built
     if needs_d0sq:
         d0sq = _d0sq(_masses(x, grid), threads)
     return grid, d1sq, d0sq
@@ -253,13 +299,20 @@ def distance_matrices(
 
 def _matrices(panel, thetas, binning, exact_spearman_norm, threads, order=None):
     """`distance_matrices` past its checks; `order` replaces the panel's own sort in `_parts`."""
+    # loaded on first use, not by import rwclust: synth and represent build no matrix
+    from scipy.spatial.distance import squareform
+
     x = panel.values
     (origin, width, nbins), d1sq, d0sq = _parts(
         x, order or (lambda: _order(x)), binning, thetas, exact_spearman_norm, threads,
     )
-    # each matrix gets its own meta dict, so editing one leaves the others alone
+    blends = [_blend(d1sq, d0sq, theta) for theta in thetas]
+    del d1sq, d0sq  # freed before the first N x N square is built
+    # each blend is expanded once and dropped; each matrix gets its own meta
+    # dict, so editing one leaves the others alone
     return tuple(
-        DistanceMatrix(ids=panel.ids, values=_blend(d1sq, d0sq, theta), theta=theta, meta={
+        DistanceMatrix(ids=panel.ids, values=squareform(blends.pop(0), checks=False),
+                       theta=theta, meta={
             "m": x.shape[1],
             "binning": {"origin": origin, "width": width, "bins": nbins},
             "exact_spearman_norm": exact_spearman_norm,

@@ -172,13 +172,35 @@ def _header_ids(header: list[str]) -> list[str]:
     return ids
 
 
+def _json_gappy_row(body: str) -> list[float] | None:
+    """The cells of `body` from one orjson call with each blank cell read as
+    NaN, as `_parse_cell` reads it; None when no cell is blank or another
+    cell is not a JSON number."""
+    import orjson
+
+    cells = body.split(",")
+    blanks = [j for j, cell in enumerate(cells) if not cell.strip()]
+    if not blanks:
+        return None
+    for j in blanks:
+        cells[j] = "0"
+    try:
+        row = orjson.loads(f"[{','.join(cells)}]")
+    except orjson.JSONDecodeError:
+        return None
+    for j in blanks:
+        row[j] = np.nan
+    return row
+
+
 def _read_clean(fh):
     """(ids, labels, line numbers, time x series values) read line by line,
     or None when the file is not clean or a cell does not parse.
 
     orjson reads a line's cells after its label as one JSON array when
-    `_json_numbers` passes them and the array holds one value per series;
-    any other line, such as one with a gap, goes cell by cell through
+    `_json_numbers` passes them and the array holds one value per series; a
+    line with a gap is read by one more orjson call with its blank cells as
+    NaN (`_json_gappy_row`). Any other line goes cell by cell through
     `_parse_cell`. The rows fill one float buffer that doubles when full.
     """
     import orjson  # loaded by the CSV writers and readers only, not by import rwclust
@@ -203,7 +225,9 @@ def _read_clean(fh):
                     row = orjson.loads(f"[{body}]")
                 except orjson.JSONDecodeError:
                     pass
-            if row is None or len(row) != n:  # "[\n]" is [] for a one-series gap
+                if row is None or len(row) != n:  # "[\n]" is [] for a one-series gap
+                    row = _json_gappy_row(body)
+            if row is None:
                 row = [_parse_cell(cell, i + 2, j) for j, cell in enumerate(body.split(","), 2)]
             if i == len(by_time):
                 grown = np.empty((2 * i, n))

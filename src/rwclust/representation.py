@@ -35,6 +35,10 @@ BIN_RULES = ("count", "width", "fd")
 # need n_series * bins masses, so it is refused before anything is allocated
 MAX_BINS = 1_000_000
 
+# values (or counts) `_masses` bins per row block: each temporary of
+# `_bin_index` is then at most 128 KB, whatever N x M is
+_BLOCK_CELLS = 1 << 14
+
 
 @dataclass(frozen=True)
 class BinningConfig:
@@ -130,18 +134,28 @@ def _bin_index(x: np.ndarray, origin: float, width: float, bin_count: int) -> np
     below an edge counts to the bin right of that edge. Without the snap,
     rescaling data and grid together could move edge-sitting values (the
     pooled extremes in particular) across a bin boundary.
-    Raises BinningRangeError if any value falls off the grid; the caller
-    owns the grid and must widen it.
+    Raises BinningRangeError, naming the first value in x's order, if any
+    value falls off the grid; the caller owns the grid and must widen it.
+    The range test reads x twice and allocates nothing, and the snap runs
+    in place, so the temporaries are three float arrays, one int and one
+    bool array of x's shape; `_masses` keeps that shape small by binning in
+    row blocks.
     """
     hi = origin + bin_count * width
-    inside = (x >= origin) & (x < hi)
-    if not inside.all():
-        bad = x[~inside][0]
+    if not (x.min(initial=np.inf) >= origin and x.max(initial=-np.inf) < hi):  # NaN fails too
+        bad = x[~((x >= origin) & (x < hi))][0]
         raise BinningRangeError(f"observation {bad!r} outside grid [{origin!r}, {hi!r})")
-    q = (x - origin) / width  # >= 0: every x passed the range test and width > 0
+    q = x - origin
+    q /= width  # >= 0: every x passed the range test and width > 0
     idx = np.floor(q)
-    snap = (1.0 - (q - idx)) <= EDGE_TOL * np.maximum(q, 1.0)
-    idx = idx.astype(np.int64) + snap
+    # the snap (1 - (q - idx)) <= EDGE_TOL * max(q, 1), each step in place
+    gap = q - idx
+    np.subtract(1.0, gap, out=gap)
+    np.maximum(q, 1.0, out=q)
+    q *= EDGE_TOL
+    snap = gap <= q
+    idx = idx.astype(np.int64)
+    idx += snap
     # the snap (or the division itself) can nudge an in-range value onto the
     # right edge of the padded grid
     np.minimum(idx, bin_count - 1, out=idx)
@@ -211,8 +225,7 @@ def represent(panel: IncrementPanel, binning: BinningConfig = BinningConfig()) -
     """
     x = panel.values
     grid = shared_grid(x, binning)
-    # the sort is a temporary of _ranks, freed before the histogram's
-    # N x M temporaries are allocated
+    # the sort is a temporary of _ranks, freed before the histogram is built
     ranks = _ranks(_order(x))
     return NonParamRepresentation(
         ids=panel.ids, ranks=ranks, masses=_masses(x, grid), origin=grid[0], width=grid[1]
@@ -237,17 +250,32 @@ def _subsample_order(order: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return place[order[keep[order]].reshape(order.shape[0], idx.size)]
 
 
-def _ranks(order: np.ndarray) -> np.ndarray:
-    """The N x M rank matrix of the values whose rows `order` sorts stably."""
+def _ranks(order: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """The N x M rank matrix, of `dtype`, of the values whose rows `order` sorts stably."""
     n, m = order.shape
-    ranks = np.empty((n, m), dtype=np.int64)
+    ranks = np.empty((n, m), dtype=dtype)
     np.put_along_axis(ranks, order, np.arange(1, m + 1), axis=1)
     return ranks
 
 
 def _masses(x: np.ndarray, grid: tuple[float, float, int]) -> np.ndarray:
-    """The N x B histogram masses of the rows of the N x M values `x` on `grid`."""
+    """The N x B histogram masses of the rows of the N x M values `x` on `grid`.
+
+    Rows are binned and counted in blocks of at most _BLOCK_CELLS values or
+    counts (one row at least), so the temporaries do not grow with N; a
+    value off the grid raises in the block that holds it, which names the
+    first such value of x.
+    """
     n, m = x.shape
     origin, width, nbins = grid
-    idx = _bin_index(x, origin, width, nbins) + nbins * np.arange(n)[:, None]
-    return np.bincount(idx.ravel(), minlength=n * nbins).reshape(n, nbins) / m
+    masses = np.empty((n, nbins))
+    rows = max(1, _BLOCK_CELLS // max(m, nbins))
+    for lo in range(0, n, rows):
+        block = x[lo : lo + rows]
+        idx = _bin_index(block, origin, width, nbins)
+        idx += nbins * np.arange(len(block))[:, None]
+        masses[lo : lo + rows] = np.bincount(
+            idx.ravel(), minlength=len(block) * nbins
+        ).reshape(-1, nbins)
+    masses /= m
+    return masses

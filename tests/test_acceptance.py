@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.spatial.distance import squareform
 
 from rwclust import (
     BinningConfig,
@@ -65,8 +66,9 @@ def random_masses(rng, bins):
 
 def matrix_parts(rank_rows, mass_rows):
     """The shipped kernels' squared parts (d1^2, d0^2) of the series given by
-    their rank and mass rows."""
-    return _d1sq(np.stack(rank_rows), False), _d0sq(np.stack(mass_rows), 1)
+    their rank and mass rows, expanded from condensed vectors to square matrices."""
+    return (squareform(_d1sq(np.stack(rank_rows), False)),
+            squareform(_d0sq(np.stack(mass_rows), 1)))
 
 
 def panel_of(rows):

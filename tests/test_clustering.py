@@ -265,8 +265,10 @@ def test_cut_matches_scipy_cut_tree_on_tied_heights(name):
         ks = list(range(2, n))  # a K = n column breaks cut_tree unless it comes first
         tree = linkage(squareform(d, checks=False), method=name)
         expected = cut_tree(tree, n_clusters=ks)
-        assert np.array_equal(_partitions(d, f"{name}_linkage", ks), expected)
-        assert np.array_equal(_partitions(d, f"{name}_linkage", ks[::-1]), expected[:, ::-1])
+        condensed = squareform(d, checks=False)
+        assert np.array_equal(_partitions(condensed, f"{name}_linkage", ks), expected)
+        assert np.array_equal(_partitions(condensed, f"{name}_linkage", ks[::-1]),
+                              expected[:, ::-1])
         row_order_differs += any(
             not np.array_equal(row_order_cut(tree, k), expected[:, col]) for col, k in enumerate(ks)
         )
@@ -305,7 +307,7 @@ def test_subsample_representation_equals_represent_of_the_subsample(kind):
             assert [dm.theta for dm in matrices] == list(thetas)
             for theta, dm in zip(thetas, matrices):
                 assert dm.meta["binning"] == {"origin": origin, "width": width, "bins": bins}
-                assert _blend(d1sq, d0sq, theta).tobytes() == dm.values.tobytes()
+                assert squareform(_blend(d1sq, d0sq, theta)).tobytes() == dm.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

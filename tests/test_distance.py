@@ -1,10 +1,14 @@
 """Blended distance: rank part, histogram part, and the pairwise matrix."""
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from rwclust import (
     BinningConfig,
@@ -14,8 +18,9 @@ from rwclust import (
     distance_matrices,
     represent,
 )
-from rwclust import distance
+from rwclust import distance, representation
 from rwclust.distance import _blend, _d0sq, _d1sq, _rank_sq_sums
+from rwclust.representation import _masses, shared_grid
 
 from conftest import make_increment_panel
 
@@ -45,13 +50,15 @@ def random_masses(rng, bins):
 
 
 def rank_part(rank_rows, exact_spearman_norm=False):
-    """The kernel's scaled rank part d1^2 of every pair of the given rank rows."""
-    return _d1sq(np.asarray(rank_rows, dtype=np.int64), exact_spearman_norm)
+    """The kernel's scaled rank part d1^2 of every pair of the given rank
+    rows, expanded from its condensed vector to the square matrix."""
+    return squareform(_d1sq(np.asarray(rank_rows, dtype=np.int64), exact_spearman_norm))
 
 
 def mass_part(mass_rows):
-    """The kernel's Hellinger part d0^2 of every pair of the given mass rows."""
-    return _d0sq(np.asarray(mass_rows, dtype=float), 1)
+    """The kernel's Hellinger part d0^2 of every pair of the given mass rows,
+    expanded from its condensed vector to the square matrix."""
+    return squareform(_d0sq(np.asarray(mass_rows, dtype=float), 1))
 
 
 def blended(rank_rows, mass_rows, theta):
@@ -243,10 +250,17 @@ def test_matrix_symmetry_and_diagonal(rng):
 
 
 def test_matrix_thread_count_does_not_change_bits(rng):
-    # the smallest panel whose Hellinger rows are split across threads
+    # the smallest panel whose Hellinger rows are split across threads; the
+    # workers share one condensed vector, each row writing its own slice, and
+    # a short switch interval interleaves them as finely as it can
     panel = make_increment_panel(rng.standard_normal((distance._POOL_MIN_ROWS, 40)))
     single = matrix(panel, 0.5, threads=1)
-    multi = matrix(panel, 0.5, threads=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        multi = matrix(panel, 0.5, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     assert single.values.tobytes() == multi.values.tobytes()
 
 
@@ -296,7 +310,7 @@ def test_matrix_rank_part_is_exact_beyond_one_chunk():
     rng = np.random.default_rng(7)
     ranks = np.stack([rng.permutation(m) + 1 for _ in range(3)])
     assert m * (m + 1) * (2 * m + 1) // 6 > 2**53
-    sums = _rank_sq_sums(ranks)
+    sums = squareform(_rank_sq_sums(ranks))
     # distinct values rank as themselves
     dm = matrix(make_increment_panel(ranks), 1.0)
     for i in range(3):
@@ -304,6 +318,56 @@ def test_matrix_rank_part_is_exact_beyond_one_chunk():
             exact = sum(((ranks[i] - ranks[j]) ** 2).tolist())  # Python ints
             assert int(sums[i, j]) == exact
             assert dm.values[i, j] == math.sqrt(3.0 / (m * m * (m - 1)) * float(exact))
+
+
+@pytest.mark.parametrize("cells", [1, 15, 10**9], ids=["one-row", "short-last-block", "one-block"])
+def test_condensed_parts_at_row_block_edges(monkeypatch, rng, cells):
+    # 7 rows in Gram blocks of 1 row, of 2 rows (a short last block) or of
+    # all rows, and masses binned in blocks of 2 rows; the condensed entries
+    # follow scipy's pair order, which is itertools.combinations'
+    n = 7
+    panel = make_increment_panel(rng.standard_normal((n, 40)))
+    want = distance_matrices(panel, (0.0, 0.5, 1.0), BinningConfig())
+    monkeypatch.setattr(distance, "_GRAM_CELLS", cells)
+    monkeypatch.setattr(representation, "_BLOCK_CELLS", 2 * 101)  # 101 bins per row
+    got = distance_matrices(panel, (0.0, 0.5, 1.0), BinningConfig())
+    assert [dm.values.tobytes() for dm in got] == [dm.values.tobytes() for dm in want]
+
+    pairs = list(itertools.combinations(range(n), 2))
+    ranks = np.stack([rng.permutation(30) + 1 for _ in range(n)])
+    assert _rank_sq_sums(ranks).tolist() == [
+        sum(((ranks[i] - ranks[j]) ** 2).tolist()) for i, j in pairs]
+    masses = rng.random((n, 40))
+    masses /= masses.sum(axis=1, keepdims=True)
+    a = np.sqrt(masses)
+    oracle = np.array([0.5 * ((a[j] - a[i]) ** 2).sum() for i, j in pairs])
+    assert _d0sq(masses, 1).tobytes() == oracle.tobytes()
+
+
+def test_distance_build_peak_memory(rng):
+    # with condensed parts, a theta-0.5 call holds at most both parts and a
+    # blend with one temporary, N x N float64 values twice over, where square
+    # parts took four times; binning's temporaries are one block whatever N is
+    n, m = 1200, 200
+    panel = make_increment_panel(rng.standard_normal((n, m)))
+    distance_matrices(make_increment_panel(rng.standard_normal((3, m))), (0.5,), BinningConfig())
+    extra = []
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        distance_matrices(panel, (0.5,), BinningConfig())
+        peak = tracemalloc.get_traced_memory()[1] - start
+        for rows in (400, 4000):
+            x = rng.standard_normal((rows, 100))
+            grid = shared_grid(x, BinningConfig())
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            masses = _masses(x, grid)
+            extra.append(tracemalloc.get_traced_memory()[1] - start - masses.nbytes)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * n * 8
+    assert extra[1] <= extra[0] + 4096
 
 
 def test_rank_sums_refuse_m_beyond_int64():

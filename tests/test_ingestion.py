@@ -470,6 +470,26 @@ def test_json_numbers_guard(text, numbers):
     assert ingestion._json_numbers(text) is numbers
 
 
+def test_gappy_lines_make_no_per_cell_parse(tmp_path, monkeypatch):
+    # a gap on every line, blank or padded, mid-line or last before LF or
+    # CRLF: orjson reads each line once more with its blank cells as NaN
+    text = ("t,A,B,C\nt0,,1.5,2\nt1,0.25, ,-3e-2\nt2,1,2,\nt3,\t,,7\r\n"
+            "t4,-0.0,1e3,  \r\nt5,1E+300,-1,\n")
+    path = write_csv(tmp_path / "p.csv", text)
+    cell_parses = []
+    parse_cell = ingestion._parse_cell
+    monkeypatch.setattr(ingestion, "_parse_cell",
+                        lambda *args, **kw: cell_parses.append(args) or parse_cell(*args, **kw))
+    with open(path, newline="", encoding="utf-8") as fh:
+        values = ingestion._read_clean(fh)[3]
+    assert cell_parses == []
+    assert np.argwhere(np.isnan(values)).tolist() == [[0, 0], [1, 1], [2, 2], [3, 0], [3, 1],
+                                                     [4, 2], [5, 2]]
+    assert values[4, 0] == 0.0 and math.copysign(1.0, values[4, 0]) == -1.0
+    for missing in ("reject", "drop_series"):
+        _assert_fast_reader_agrees(path, missing)
+
+
 def test_fast_reader_holds_no_per_cell_objects(tmp_path, rng):
     # lists of Python floats, or the whole file as one string, would take several times the array
     levels = rng.standard_normal((500, 200)).cumsum(axis=0)

@@ -19,7 +19,8 @@ from rwclust import (
     shared_grid,
 )
 
-from rwclust.representation import MAX_BINS, _bin_index
+from rwclust import representation
+from rwclust.representation import MAX_BINS, _bin_index, _masses
 
 from conftest import make_increment_panel, make_level_panel
 
@@ -177,6 +178,37 @@ def test_margin_out_of_range():
         _bin_index(np.array([-0.1, 0.5]), 0.0, 1.0, 2)
     with pytest.raises(BinningRangeError):
         _bin_index(np.array([0.5, 2.0]), 0.0, 1.0, 2)  # right edge excluded
+
+
+@pytest.mark.parametrize("cells", [None, 2001], ids=["one-row-blocks", "short-last-block"])
+def test_blocked_masses_match_the_oracle_at_block_edges(monkeypatch, cells):
+    # M above the cell budget bins one row per block; a budget of two rows of
+    # 1000 leaves 7 rows a short last block. Scaled integers sit on, or a
+    # rounding error away from, the edges of a grid whose width divides the span
+    if cells is None:
+        n, m = 3, representation._BLOCK_CELLS + 3
+    else:
+        n, m = 7, 1000
+        monkeypatch.setattr(representation, "_BLOCK_CELLS", cells)
+    x = np.random.default_rng(3).integers(-4, 5, size=(n, m)) * 0.1
+    grid = shared_grid(x, BinningConfig(bins=8))
+    masses = _masses(x, grid)
+    for i in range(n):
+        assert naive_masses(x[i], *grid).tobytes() == masses[i].tobytes()
+
+
+def test_blocked_masses_name_the_first_value_off_the_grid(monkeypatch):
+    # blocks of two rows; the first value off the grid in x's order lies in
+    # the third block, ahead of a later one in the same block
+    monkeypatch.setattr(representation, "_BLOCK_CELLS", 8)
+    x = np.full((6, 4), 0.5)
+    x[4, 1], x[5, 0] = 7.5, -1.0
+    with pytest.raises(BinningRangeError) as blocked:
+        _masses(x, (0.0, 1.0, 2))
+    with pytest.raises(BinningRangeError) as whole:
+        _bin_index(x, 0.0, 1.0, 2)
+    assert str(blocked.value) == str(whole.value)
+    assert "7.5" in str(blocked.value) and "-1.0" not in str(blocked.value)
 
 
 @given(
