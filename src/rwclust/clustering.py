@@ -195,9 +195,13 @@ def cluster(
 
     _check_method(method)
     k = _check_k(k, matrix.n_series)
+    if method == "k_medoids":  # k-medoids reads the square matrix as it is
+        labels = _kmedoids_labels(matrix.values, k)
+    else:
+        labels = _partitions(squareform(matrix.values, checks=False), method, [k])[:, 0]
     return ClusterAssignment(
         ids=matrix.ids,
-        labels=_partitions(squareform(matrix.values, checks=False), method, [k])[:, 0],
+        labels=labels,
         method=method,
         theta=matrix.theta,
     )
@@ -229,22 +233,21 @@ def _pairwise_ari(labels: np.ndarray) -> np.ndarray:
     of labels in 0..K-1, in itertools.combinations order.
 
     Pairs are grouped by their first row a: each point's contingency cell
-    against a later row b is coded as (b - a - 1, label in a, label in b),
-    and one np.bincount counts the cells of those pairs, with no sort. A
-    bincount takes as many later rows as keep its K^2 cells per pair within
-    R * n, so the extra memory is O(R * n + K^2); for K up to sqrt(n) that
-    is one bincount per first row.
+    against every later row b is coded as (b - a - 1, label in a, label in
+    b), and one np.unique counts the cells of all those pairs. The extra
+    memory is O(R * n), whatever K is.
     """
     runs, n = labels.shape
     k = int(labels.max()) + 1
-    step = max(1, runs * n // (k * k))
     agree = []
     for a in range(runs - 1):
-        for lo in range(a + 1, runs, step):
-            later = labels[lo:lo + step]
-            codes = (np.arange(len(later))[:, None] * k + labels[a]) * k + later
-            counts = np.bincount(codes.ravel(), minlength=len(later) * k * k)
-            agree.append(_comb2(counts).reshape(len(later), k * k).sum(axis=1))
+        later = labels[a + 1:]
+        codes = (np.arange(later.shape[0])[:, None] * k + labels[a]) * k + later
+        cells, counts = np.unique(codes, return_counts=True)
+        # integer sums below 2**53, so the float weights add exactly
+        agree.append(
+            np.bincount(cells // (k * k), weights=_comb2(counts), minlength=later.shape[0])
+        )
     sizes = np.bincount((np.arange(runs)[:, None] * k + labels).ravel(), minlength=runs * k)
     pairs = _comb2(sizes).reshape(runs, k).sum(axis=1)
     first, second = np.triu_indices(runs, 1)

@@ -113,11 +113,16 @@ def _check_ids(ids) -> None:
         raise ValidationError(f"duplicate series ids: {', '.join(sorted(map(str, dups)))}")
 
 
+def _is_gap(cell: str) -> bool:
+    """A gap is a blank cell, empty or whitespace only; it reads as NaN."""
+    return not cell.strip()
+
+
 def _parse_cell(cell: str, line: int, column: int) -> float:
-    """Return the cell value (nan for an empty cell), or raise on garbage."""
-    s = cell.strip()
-    if not s:
+    """Return the cell value (nan for a gap), or raise on garbage."""
+    if _is_gap(cell):
         return np.nan
+    s = cell.strip()
     try:
         return float(s)
     except ValueError:
@@ -173,13 +178,13 @@ def _header_ids(header: list[str]) -> list[str]:
 
 
 def _json_gappy_row(body: str) -> list[float] | None:
-    """The cells of `body` from one orjson call with each blank cell read as
-    NaN, as `_parse_cell` reads it; None when no cell is blank or another
-    cell is not a JSON number."""
+    """The cells of a line with gaps, from one orjson call with each gap
+    (`_is_gap`) read as NaN, as `_parse_cell` reads it; None when the line
+    has no gap or another cell is not a JSON number."""
     import orjson
 
     cells = body.split(",")
-    blanks = [j for j, cell in enumerate(cells) if not cell.strip()]
+    blanks = [j for j, cell in enumerate(cells) if _is_gap(cell)]
     if not blanks:
         return None
     for j in blanks:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -395,6 +396,31 @@ def test_ari_exact_past_float_products():
         expected = pairs_a * pairs_b / comb2(n)
         top = (pairs_a + pairs_b) / 2.0
         assert adjusted_rand(a, b) == (agree - expected) / (top - expected)
+
+
+def test_ari_memory_does_not_grow_with_cluster_count():
+    # contingency cells are counted over the codes that occur, so the extra
+    # memory is O(runs * n) even when K is n; a table of K^2 cells per pair
+    # would take 3.2 GB for 20,000 singletons, and 6 MB for 20 runs at K 199
+    n = 20_000
+    singletons = np.arange(n)
+    tracemalloc.start()
+    try:
+        assert adjusted_rand(singletons, np.random.default_rng(0).permutation(n)) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * n  # measured 72 bytes per point
+    runs, n = 20, 200
+    gen = np.random.default_rng(1)
+    labels = np.stack([gen.permutation(n) % (n - 1) for _ in range(runs)])
+    tracemalloc.start()
+    try:
+        _pairwise_ari(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * runs * n  # measured 53 bytes per label
 
 
 def test_pairwise_ari_equals_pair_count_oracle(rng):
