@@ -396,16 +396,20 @@ def _float_rows(f, labels, rows: np.ndarray) -> None:
 
 
 def _matrix_csv(f, dm: DistanceMatrix, provenance: dict) -> None:
+    from scipy.spatial.distance import squareform  # loaded on first use, not by import rwclust
+
     f.write(f"# {json.dumps(provenance, sort_keys=True)}\n")
     csv.writer(f, lineterminator="\n").writerow(["id", *dm.ids])
-    _float_rows(f, dm.ids, dm.values)
+    _float_rows(f, dm.ids, squareform(dm.values, checks=False))
 
 
 def _matrix_payload(dm: DistanceMatrix) -> dict:
+    from scipy.spatial.distance import squareform  # loaded on first use, not by import rwclust
+
     return {
         "theta": dm.theta,
         "ids": list(dm.ids),
-        "values": dm.values.tolist(),
+        "values": squareform(dm.values, checks=False).tolist(),
         "meta": dm.meta,
     }
 

@@ -8,10 +8,10 @@ adjusted Rand index by default, minimal-matching agreement as an option),
 ties going to the smaller K. One resampling pass scores several thetas at
 once: each subsample's theta-free distance parts come from one call of
 `distance._parts`, and each theta's blend of them is clustered as a
-condensed vector, with no `DistanceMatrix` and no square matrix. Only the
-parts that some theta weights are computed, so a pass at theta 0 builds no
-ranks and one at theta 1 no histograms. A pass that needs ranks sorts the
-panel once: a subsample's stable order is the full order with the dropped
+condensed vector, as `cluster` clusters a `DistanceMatrix`'s values; only
+k-medoids expands a vector to the square matrix. Only the parts some theta
+weights are computed, so a pass at theta 0 builds no ranks and one at
+theta 1 no histograms. A pass that needs ranks sorts the panel once: a subsample's stable order is the full order with the dropped
 observations filtered out. `fit` selects K by that pass, or takes a fixed
 K, and clusters the full panel per theta; the pass hands its sort to the
 full panel's ranks, so a fit sorts the panel at most once. Trees are cut
@@ -168,10 +168,11 @@ def _partitions(dists: np.ndarray, method: str, ks) -> np.ndarray:
     pair order, cut into k clusters for each k of `ks`, one column per k
     (one linkage tree serves every k, cut in scipy cut_tree's merge order,
     labels numbered as cut_tree numbers them). Linkage takes the vector as
-    it is; only k-medoids expands it to the square matrix."""
-    from scipy.spatial.distance import squareform  # loaded on first use, not by import rwclust
-
+    it is; k-medoids expands it to the square matrix, for `cluster` and
+    stability resamples alike."""
     if method == "k_medoids":
+        from scipy.spatial.distance import squareform  # loaded on first use, not by import rwclust
+
         square = squareform(dists, checks=False)
         return np.column_stack([_kmedoids_labels(square, k) for k in ks])
     # loaded on first use, not by import rwclust: synth, represent and distances cut no tree
@@ -189,16 +190,12 @@ def cluster(
     integer in [2, N].
 
     Every method is deterministic given its inputs; the k-medoids build step
-    needs no randomness.
+    needs no randomness. Linkage clusters the matrix's condensed vector as it
+    is; k-medoids expands it to the square.
     """
-    from scipy.spatial.distance import squareform  # loaded on first use, not by import rwclust
-
     _check_method(method)
     k = _check_k(k, matrix.n_series)
-    if method == "k_medoids":  # k-medoids reads the square matrix as it is
-        labels = _kmedoids_labels(matrix.values, k)
-    else:
-        labels = _partitions(squareform(matrix.values, checks=False), method, [k])[:, 0]
+    labels = _partitions(matrix.values, method, [k])[:, 0]
     return ClusterAssignment(
         ids=matrix.ids,
         labels=labels,

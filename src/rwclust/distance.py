@@ -16,8 +16,9 @@ separation axiom is lost.
 
 The pairwise kernel works on the N x M rank matrix and the N x B mass
 matrix in two parts, and stores each as a condensed vector of the
-N (N-1) / 2 pairs i < j in scipy's order (row 0's pairs, then row 1's, ...);
-no part and no blend is an N x N array, only a `DistanceMatrix` is:
+N (N-1) / 2 pairs i < j in scipy's order (row 0's pairs, then row 1's, ...),
+as every blend and `DistanceMatrix` is stored; only the CLI's writers and
+k-medoids expand a vector to the N x N square. The parts are built so:
 
 - Ranks, by the Gram identity. Every rank row is a permutation of 1..M, so
   sum_i (rx[i] - ry[i])^2 = 2 S - 2 rx.ry with S = M (M+1) (2M+1) / 6. The
@@ -42,12 +43,11 @@ Neither part depends on theta. `_parts` computes the grid and both squared
 parts of an N x M value matrix once, and `_blend`, the one place a theta
 meets the parts, takes an element-wise square root per theta. Only
 `_matrices`, behind `distance_matrices(panel, thetas, binning)` and
-`clustering.fit`, wraps its blends in a `DistanceMatrix`, expanding each
-blend once to the square matrix after the parts are freed; `fit` hands it
-the stability pass's sort of the panel. A stability resample
-clusters `_blend` of its subsample's `_parts` as a condensed vector, which
-linkage takes as it is: a condensed blend is symmetric with a zero diagonal
-by construction, and the exact integer Gram sums keep it nonnegative and
+`clustering.fit`, wraps its blends in a `DistanceMatrix`, each as it is;
+`fit` hands it the stability pass's sort of the panel. A stability resample
+clusters `_blend` of its subsample's `_parts` without the wrapper. A
+condensed blend stands for a symmetric matrix with a zero diagonal by
+construction, and the exact integer Gram sums keep it nonnegative and
 within the entry bound.
 
 A blend at theta weights d1^2 only when theta > 0 and d0^2 only when
@@ -78,14 +78,14 @@ BOUND_TOL = 1e-9  # slack on the theoretical entry bound, covers sqrt rounding
 
 def _check_thetas(thetas: Sequence[float]) -> tuple[float, ...]:
     """`thetas` as a tuple; raises unless it is a nonempty sequence of real
-    numbers, each in [0, 1]."""
+    numbers, each in [0, 1]; a bool is not a theta."""
     if not isinstance(thetas, Iterable):
         raise ParameterError(f"thetas must be a sequence of numbers, got {thetas!r}")
     thetas = tuple(thetas)
     if not thetas:
         raise ParameterError("thetas must hold at least one theta")
     for theta in thetas:
-        if not isinstance(theta, Real):
+        if isinstance(theta, bool) or not isinstance(theta, Real):
             raise ParameterError(f"theta must be a real number, got {theta!r}")
         if not 0.0 <= theta <= 1.0:
             raise ParameterError(f"theta must lie in [0, 1], got {theta}")
@@ -94,7 +94,13 @@ def _check_thetas(thetas: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric zero-diagonal matrix of blended distances over a panel."""
+    """Blended distances over a panel, one per pair of series.
+
+    `values` is the condensed vector of the N (N-1) / 2 pairs i < j in
+    scipy's order: the pair (i, j) sits at i (2N - i - 1) / 2 + j - i - 1.
+    `scipy.spatial.distance.squareform(values)` gives the symmetric N x N
+    matrix with its zero diagonal.
+    """
 
     ids: tuple[str, ...]
     values: np.ndarray
@@ -104,14 +110,9 @@ class DistanceMatrix:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        n = len(self.ids)
-        if v.shape != (n, n):
-            raise ValidationError(f"expected a {n}x{n} matrix, got {v.shape}")
-        bits = v.view(np.int64)  # bitwise: +0.0 opposite -0.0 would print differently
-        if not np.array_equal(bits, bits.T):
-            raise ValidationError("distance matrix must be exactly symmetric")
-        if (np.diag(v) != 0.0).any():
-            raise ValidationError("distance matrix diagonal must be exactly zero")
+        pairs = len(self.ids) * (len(self.ids) - 1) // 2
+        if v.shape != (pairs,):
+            raise ValidationError(f"expected a condensed vector of {pairs} pairs, got shape {v.shape}")
         if not (v >= 0).all():  # NaN too
             raise ValidationError("distances must be nonnegative")
         bound = self.entry_bound()
@@ -299,20 +300,13 @@ def distance_matrices(
 
 def _matrices(panel, thetas, binning, exact_spearman_norm, threads, order=None):
     """`distance_matrices` past its checks; `order` replaces the panel's own sort in `_parts`."""
-    # loaded on first use, not by import rwclust: synth and represent build no matrix
-    from scipy.spatial.distance import squareform
-
     x = panel.values
     (origin, width, nbins), d1sq, d0sq = _parts(
         x, order or (lambda: _order(x)), binning, thetas, exact_spearman_norm, threads,
     )
-    blends = [_blend(d1sq, d0sq, theta) for theta in thetas]
-    del d1sq, d0sq  # freed before the first N x N square is built
-    # each blend is expanded once and dropped; each matrix gets its own meta
-    # dict, so editing one leaves the others alone
+    # each matrix gets its own meta dict, so editing one leaves the others alone
     return tuple(
-        DistanceMatrix(ids=panel.ids, values=squareform(blends.pop(0), checks=False),
-                       theta=theta, meta={
+        DistanceMatrix(ids=panel.ids, values=_blend(d1sq, d0sq, theta), theta=theta, meta={
             "m": x.shape[1],
             "binning": {"origin": origin, "width": width, "bins": nbins},
             "exact_spearman_norm": exact_spearman_norm,

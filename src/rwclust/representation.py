@@ -62,8 +62,9 @@ class BinningConfig:
             raise ParameterError(f"bin count must lie in [1, {MAX_BINS}], got {self.bins}")
         if self.width is not None and self.rule != "width":
             raise ParameterError(f"a bin width is used by the width rule only, not by {self.rule!r}")
-        if self.rule == "width" and not (isinstance(self.width, Real) and 0 < self.width < np.inf):
-            raise ParameterError(f"bin width must be finite and > 0, got {self.width}")
+        if self.rule == "width" and (isinstance(self.width, bool)
+                                     or not (isinstance(self.width, Real) and 0 < self.width < np.inf)):
+            raise ParameterError(f"bin width must be a finite number > 0, got {self.width!r}")
 
 
 @dataclass(frozen=True)

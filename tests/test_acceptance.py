@@ -167,7 +167,7 @@ def test_criterion_3_spearman_consistency():
         y = w * x + math.sqrt(max(1.0 - w * w, 1e-12)) * rng.standard_normal(m)
         # the theta 1 matrix is sqrt(d1^2) bit for bit
         [d1] = distance_matrices(panel_of([x, y]), (1.0,), BinningConfig())
-        d1sq = d1.values[0, 1] ** 2
+        d1sq = d1.values[0] ** 2  # the pair (0, 1)
         rho = stats.spearmanr(x, y).statistic
         worst = max(worst, abs(d1sq - (1.0 - rho) / 2.0))
     ok = worst <= 1e-2

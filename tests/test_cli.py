@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import squareform
 
 import rwclust
 import rwclust.cli
@@ -551,10 +552,11 @@ def test_distance_csv_matches_csv_writer_reference(tmp_path, capsys, theta):
     [dm] = distance_matrices(to_increments(load_panel(source)), (float(theta),), BinningConfig())
     comment, body = out_file.read_text().split("\n", 1)
     assert comment.startswith("# {")
-    assert body == _reference_csv(["id", *ODD_IDS], ODD_IDS, dm.values)
+    square = squareform(dm.values)
+    assert body == _reference_csv(["id", *ODD_IDS], ODD_IDS, square)
     header, ids, values = _read_back(body)
     assert header == ["id", *ODD_IDS] and ids == list(ODD_IDS)
-    assert np.array_equal(values, dm.values)
+    assert np.array_equal(values, square)
 
 
 @pytest.mark.parametrize("theta", ["0", "0.5", "1"], ids=["theta0", "theta0.5", "theta1"])
@@ -575,7 +577,8 @@ def test_mirrored_distance_csv_matches_reference(tmp_path, capsys, theta):
                       "--quiet"], capsys)
     assert code == 0
     [dm] = distance_matrices(to_increments(load_panel(source)), (float(theta),), BinningConfig())
-    assert out_file.read_text().split("\n", 1)[1] == _reference_csv(["id", *dm.ids], dm.ids, dm.values)
+    assert out_file.read_text().split("\n", 1)[1] == _reference_csv(["id", *dm.ids], dm.ids,
+                                                                     squareform(dm.values))
 
 
 def test_synth_csv_matches_csv_writer_reference(tmp_path, capsys):
@@ -664,8 +667,9 @@ def test_distance_csv_rows_below_1e4_match_reference(tmp_path, capsys):
     assert code == 0
     panel = load_panel(source)
     [dm] = distance_matrices(IncrementPanel(panel.ids, panel.values), (1.0,), BinningConfig())
-    assert 0 < dm.values[0, 1] < 1e-4 < dm.values[0, 2]
-    assert out_file.read_text().split("\n", 1)[1] == _reference_csv(["id", *ids], ids, dm.values)
+    assert 0 < dm.values[0] < 1e-4 < dm.values[1]  # the pairs (0, 1) and (0, 2)
+    assert out_file.read_text().split("\n", 1)[1] == _reference_csv(["id", *ids], ids,
+                                                                     squareform(dm.values))
 
 
 def test_synth_csv_with_tiny_scale_matches_reference(tmp_path, capsys):
@@ -728,6 +732,9 @@ def test_distances_json_format(synth_panel, capsys):
     payload = json.loads(out)
     assert payload["matrix"]["theta"] == 0.5
     assert len(payload["matrix"]["values"]) == 12
+    # the rows of the square that the library's condensed vector stands for
+    [dm] = distance_matrices(to_increments(load_panel(csv_path)), (0.5,), BinningConfig())
+    assert payload["matrix"]["values"] == squareform(dm.values).tolist()
 
 
 def test_cluster_subcommand_with_summary(synth_panel, capsys):

@@ -42,7 +42,7 @@ from conftest import count_stable_sorts, make_increment_panel, make_level_panel
 def matrix_from_points(points, ids=None):
     """Distance matrix of 1-d points under absolute difference (a metric)."""
     pts = np.asarray(points, dtype=float)
-    vals = np.abs(pts[:, None] - pts[None, :])
+    vals = squareform(np.abs(pts[:, None] - pts[None, :]), checks=False)
     if ids is None:
         ids = tuple(f"s{i}" for i in range(len(pts)))
     return DistanceMatrix(ids=tuple(ids), values=vals, theta=0.5, meta={})
@@ -133,7 +133,7 @@ def test_k_medoids_matches_exhaustive_search():
     # three planted pairs on a line; enumerate all 3-block partitions of 6 points
     points = [0.0, 0.05, 1.0, 1.08, 2.3, 2.41]
     dm = matrix_from_points(points)
-    d = dm.values
+    d = squareform(dm.values)
 
     best_cost = min(medoid_cost(d, p) for p in set_partitions(range(6), 3))
     out = cluster(dm, 3, "k_medoids")
@@ -147,10 +147,11 @@ def test_k_medoids_exhaustive_on_random_instance(rng):
     # still land on the exhaustive optimum
     points = np.sort(rng.standard_normal(6)) * 3.0
     dm = matrix_from_points(points)
-    best = min(medoid_cost(dm.values, p) for p in set_partitions(range(6), 2))
+    d = squareform(dm.values)
+    best = min(medoid_cost(d, p) for p in set_partitions(range(6), 2))
     out = cluster(dm, 2, "k_medoids")
     blocks = [list(np.where(out.labels == j)[0]) for j in range(2)]
-    assert medoid_cost(dm.values, blocks) <= best + 1e-12
+    assert medoid_cost(d, blocks) <= best + 1e-12
 
 
 def test_labels_are_canonical():
@@ -223,7 +224,7 @@ def test_cluster_returns_the_k_it_was_asked_for(rng):
     values = rng.standard_normal((4, 40))
     [dm] = distance_matrices(make_increment_panel(np.vstack([values, values, values[:2]])),
                              (0.5,), BinningConfig())
-    assert not np.diag(dm.values[:4, 4:8]).any()
+    assert not np.diag(squareform(dm.values)[:4, 4:8]).any()
     for method in ("average_linkage", "complete_linkage", "k_medoids"):
         for k in range(2, dm.n_series + 1):
             out = cluster(dm, k, method)
@@ -308,7 +309,7 @@ def test_subsample_representation_equals_represent_of_the_subsample(kind):
             assert [dm.theta for dm in matrices] == list(thetas)
             for theta, dm in zip(thetas, matrices):
                 assert dm.meta["binning"] == {"origin": origin, "width": width, "bins": bins}
-                assert squareform(_blend(d1sq, d0sq, theta)).tobytes() == dm.values.tobytes()
+                assert _blend(d1sq, d0sq, theta).tobytes() == dm.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

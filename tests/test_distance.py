@@ -15,7 +15,9 @@ from rwclust import (
     DistanceMatrix,
     ParameterError,
     ValidationError,
+    cluster,
     distance_matrices,
+    fit,
     represent,
 )
 from rwclust import distance, representation
@@ -168,7 +170,7 @@ def test_theta_blend_value():
 
 def test_theta_half_blend():
     # the two rows hold the same values, so their histograms are equal
-    out = matrix(make_increment_panel([[10.0, 20.0, 30.0], [20.0, 30.0, 10.0]]), 0.5).values[0, 1]
+    out = matrix(make_increment_panel([[10.0, 20.0, 30.0], [20.0, 30.0, 10.0]]), 0.5).values[0]
     assert out == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
@@ -217,6 +219,14 @@ def test_theta_validation(rng):
             distance_matrices(panel, (0.5,), BinningConfig(), threads=threads)
 
 
+def test_bool_theta_is_refused(rng):
+    # True would pass as the number 1 and come back as every matrix's theta
+    panel = make_increment_panel(rng.standard_normal((2, 10)))
+    for thetas in ((True,), (0.5, False)):
+        with pytest.raises(ParameterError, match="theta must be a real number, got (True|False)"):
+            distance_matrices(panel, thetas, BinningConfig())
+
+
 # ---------------------------------------------------------------------------
 # distance matrix
 # ---------------------------------------------------------------------------
@@ -224,29 +234,42 @@ def test_theta_validation(rng):
 def test_matrix_identical_pair(rng):
     row = rng.standard_normal(20)
     dm = matrix(make_increment_panel([row, row.copy()]), 0.5)
-    assert np.array_equal(dm.values, np.zeros((2, 2)))
+    assert np.array_equal(dm.values, np.zeros(1))
 
 
 def test_matrix_single_series(rng):
     dm = matrix(make_increment_panel(rng.standard_normal((1, 10))), 0.5)
-    assert dm.values.shape == (1, 1)
-    assert dm.values[0, 0] == 0.0
+    assert dm.values.shape == (0,)  # one series has no pair
+    assert np.array_equal(squareform(dm.values), np.zeros((1, 1)))
 
 
 def test_matrix_agrees_with_pairwise_calls(rng):
     panel = make_increment_panel(rng.standard_normal((3, 25)))
     rep, dm = represent(panel), matrix(panel, 0.5)
+    square = squareform(dm.values)
     for i in range(3):
         for j in range(3):
             expected = math.sqrt(0.5 * naive_d1_sq(rep.ranks[i], rep.ranks[j])
                                  + 0.5 * naive_d0_sq(rep.masses[i], rep.masses[j]))
-            assert dm.values[i, j] == pytest.approx(expected, abs=1e-15)
+            assert square[i, j] == pytest.approx(expected, abs=1e-15)
 
 
 def test_matrix_symmetry_and_diagonal(rng):
-    dm = matrix(make_increment_panel(rng.standard_normal((6, 30))), 0.3)
-    assert np.array_equal(dm.values, dm.values.T)
-    assert np.array_equal(np.diag(dm.values), np.zeros(6))
+    # one entry per pair i < j, row 0's pairs first; the square it stands
+    # for is symmetric with a zero diagonal
+    panel = make_increment_panel(rng.standard_normal((6, 30)))
+    dm = matrix(panel, 0.3)
+    assert dm.values.shape == (15,)
+    rep = represent(panel)
+    d1sq = [3.0 * ((rep.ranks[i] - rep.ranks[j]) ** 2).sum() / (30 * 30 * 29)
+            for i, j in itertools.combinations(range(6), 2)]
+    d0sq = [0.5 * ((np.sqrt(rep.masses[i]) - np.sqrt(rep.masses[j])) ** 2).sum()
+            for i, j in itertools.combinations(range(6), 2)]
+    assert dm.values == pytest.approx(np.sqrt(0.3 * np.array(d1sq) + 0.7 * np.array(d0sq)),
+                                      abs=1e-15)
+    square = squareform(dm.values)
+    assert np.array_equal(square, square.T)
+    assert np.array_equal(np.diag(square), np.zeros(6))
 
 
 def test_matrix_thread_count_does_not_change_bits(rng):
@@ -312,12 +335,12 @@ def test_matrix_rank_part_is_exact_beyond_one_chunk():
     assert m * (m + 1) * (2 * m + 1) // 6 > 2**53
     sums = squareform(_rank_sq_sums(ranks))
     # distinct values rank as themselves
-    dm = matrix(make_increment_panel(ranks), 1.0)
+    dm = squareform(matrix(make_increment_panel(ranks), 1.0).values)
     for i in range(3):
         for j in range(3):
             exact = sum(((ranks[i] - ranks[j]) ** 2).tolist())  # Python ints
             assert int(sums[i, j]) == exact
-            assert dm.values[i, j] == math.sqrt(3.0 / (m * m * (m - 1)) * float(exact))
+            assert dm[i, j] == math.sqrt(3.0 / (m * m * (m - 1)) * float(exact))
 
 
 @pytest.mark.parametrize("cells", [1, 15, 10**9], ids=["one-row", "short-last-block", "one-block"])
@@ -370,6 +393,30 @@ def test_distance_build_peak_memory(rng):
     assert extra[1] <= extra[0] + 4096
 
 
+def test_cluster_and_fit_peak_memory(rng):
+    # a DistanceMatrix holds the condensed vector that linkage takes, so
+    # cluster builds no N x N square and no second condensed copy, and fit
+    # holds one condensed blend beside its rank part; units of N x N float64
+    n, m = 1200, 200
+    panel = make_increment_panel(rng.standard_normal((n, m)))
+    small = make_increment_panel(rng.standard_normal((6, m)))
+    cluster(matrix(small, 0.5), 2)  # scipy's modules load outside the trace
+    fit(small, (1.0,), BinningConfig(), k=2)
+    dm = matrix(panel, 0.5)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: cluster(dm, 4), lambda: fit(panel, (1.0,), BinningConfig(), k=4)):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / (n * n * 8))
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 0.25
+    assert peaks[1] <= 1.35
+
+
 def test_rank_sums_refuse_m_beyond_int64():
     # np.empty leaves the 32 MB unwritten; only the shape is read
     with pytest.raises(ValidationError):
@@ -392,38 +439,28 @@ def test_matrix_meta_records_grid(rng):
 
 
 def test_matrix_validation():
-    bad = np.array([[0.0, 1.0], [2.0, 0.0]])  # asymmetric
-    with pytest.raises(ValidationError):
-        DistanceMatrix(ids=("a", "b"), values=bad, theta=0.5, meta={})
-    with pytest.raises(ValidationError):
-        DistanceMatrix(
-            ids=("a", "b"),
-            values=np.array([[0.5, 1.0], [1.0, 0.0]]),  # nonzero diagonal
-            theta=0.5,
-            meta={},
-        )
-    with pytest.raises(ValidationError):
-        DistanceMatrix(
-            ids=("a", "b"),
-            values=np.array([[0.0, -1.0], [-1.0, 0.0]]),  # negative entry
-            theta=0.5,
-            meta={},
-        )
-    # symmetric as numbers but not as bits: the two entries print differently
-    with pytest.raises(ValidationError, match="symmetric"):
-        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, 0.0], [-0.0, 0.0]]), theta=0.5)
     with pytest.raises(ValidationError, match="nonnegative"):
-        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, np.nan], [np.nan, 0.0]]), theta=0.5)
-    with pytest.raises(ValidationError, match="2x2"):
-        DistanceMatrix(ids=("a", "b"), values=np.zeros((3, 3)), theta=0.5)
+        DistanceMatrix(ids=("a", "b", "c"), values=np.array([0.5, -1.0, 0.5]), theta=0.5)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        DistanceMatrix(ids=("a", "b"), values=np.array([np.nan]), theta=0.5)
+    # the condensed vector of 2 series holds 1 pair, of 3 series 3 pairs
+    with pytest.raises(ValidationError, match="condensed vector of 1 pairs"):
+        DistanceMatrix(ids=("a", "b"), values=np.zeros(3), theta=0.5)
+    # the square the vector stands for is refused too, even when it is a
+    # valid symmetric zero-diagonal matrix
+    square = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValidationError, match="condensed vector of 3 pairs"):
+        DistanceMatrix(ids=("a", "b", "c"), values=square, theta=0.5)
     # at theta 0.5 and m 10 no entry exceeds sqrt(0.5 * 1.1 + 0.5)
     with pytest.raises(ValidationError, match="exceeds the bound"):
-        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, 1.1], [1.1, 0.0]]), theta=0.5,
-                       meta={"m": 10})
+        DistanceMatrix(ids=("a", "b"), values=np.array([1.1]), theta=0.5, meta={"m": 10})
+    # a valid vector is kept as it is, read-only
+    dm = DistanceMatrix(ids=("a", "b", "c"), values=[0.5, 1.0, 0.25], theta=0.5, meta={"m": 10})
+    assert dm.values.tolist() == [0.5, 1.0, 0.25] and not dm.values.flags.writeable
 
 
 def test_triangle_inequality_sampled(rng):
-    v = matrix(make_increment_panel(rng.standard_normal((8, 30))), 0.5).values
+    v = squareform(matrix(make_increment_panel(rng.standard_normal((8, 30))), 0.5).values)
     for i in range(8):
         for j in range(8):
             for k in range(8):

@@ -323,6 +323,14 @@ def test_binning_config_validation():
         BinningConfig(rule="width", width="0.1")
 
 
+def test_bool_bin_width_is_refused():
+    # True would pass as the number 1 and build a grid of width 1
+    for width in (True, False):
+        with pytest.raises(ParameterError, match="bin width must be a finite number"):
+            BinningConfig(rule="width", width=width)
+    assert BinningConfig(rule="width", width=1).width == 1
+
+
 # ---------------------------------------------------------------------------
 # the panel representation and represent()
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.spatial.distance import squareform
 
 import rwclust
 from rwclust import (
@@ -188,14 +189,14 @@ def test_independent_series_rank_distance_near_half():
     noise = oracle_rng.standard_normal((40, 5000))
     independent = IncrementPanel(ids=tuple(f"s{i}" for i in range(40)), values=noise)
     [d1] = distance_matrices(independent, (1.0,), BinningConfig())
-    d1sq = d1.values ** 2
+    d1sq = squareform(d1.values) ** 2
     draws = [d1sq[2 * k, 2 * k + 1] for k in range(20)]
     assert abs(np.mean(draws) - 0.5) < 0.01
 
     spec = spec_one_block(4, 5000, 0.0, (DistributionGroup("gaussian"),), seed=2)
     panel, _ = generate_panel(spec)
     [d1] = distance_matrices(to_increments(panel), (1.0,), BinningConfig(bins=100))
-    d1sq = d1.values ** 2
+    d1sq = squareform(d1.values) ** 2
     for i in range(4):
         for j in range(i + 1, 4):
             assert abs(d1sq[i, j] - 0.5) < 0.05
@@ -205,16 +206,17 @@ def test_tight_block_rank_distance_near_zero():
     spec = spec_one_block(2, 5000, 0.99, (DistributionGroup("gaussian"),), seed=3)
     panel, _ = generate_panel(spec)
     [d1] = distance_matrices(to_increments(panel), (1.0,), BinningConfig())
-    assert d1.values[0, 1] ** 2 < 0.05
+    assert d1.values[0] ** 2 < 0.05  # the pair (0, 1)
 
 
 def test_same_family_histograms_close():
     spec = spec_one_block(4, 5000, 0.0, (DistributionGroup("student_t", df=3.0),), seed=4)
     panel, _ = generate_panel(spec)
     [d0] = distance_matrices(to_increments(panel), (0.0,), BinningConfig(bins=100))
+    d0 = squareform(d0.values)
     for i in range(4):
         for j in range(i + 1, 4):
-            assert d0.values[i, j] < 0.1
+            assert d0[i, j] < 0.1
 
 
 def test_product_labels_refine_both():
