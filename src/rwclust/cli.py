@@ -235,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
     common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for the Hellinger part of the distance kernel of "
-                             "500 or more series; results do not depend on it (default 1)")
+                        help="worker threads that share the row blocks of the Hellinger part "
+                             "of the distance kernel, from 500 series; results do not depend "
+                             "on it (default 1)")
     common.add_argument("--quiet", action="store_true", help="log errors only")
     common.add_argument("--json-logs", action="store_true", help="emit log lines as JSON")
 

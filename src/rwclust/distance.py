@@ -31,13 +31,19 @@ k-medoids expand a vector to the N x N square. The parts are built so:
   identical for any BLAS thread count or block split, for M up to
   3 024 616, past which S leaves int64 and the kernel refuses the panel.
   Every panel with M up to about 2 * 10^5 is one chunk.
-- Masses, by direct differences. The Hellinger part differences sqrt-mass
-  rows (B, about 100, is much smaller than M) row by row, each row against
-  the rows after it, into that row's condensed slice; each entry has a
-  fixed reduction order, so results are bit-identical for any `threads`
-  split of those rows, which starts only from `_POOL_MIN_ROWS` rows. The
-  Gram form 1 - sum sqrt(px py) is not used: it loses the exact zero of
-  identical pairs.
+- Masses, by sequential sums over occupied bins. The Hellinger part takes
+  the square roots of the bins that hold mass in some series (about half of
+  the 101 default bins on a typical panel) and hands row blocks of the upper
+  triangle to scipy's compiled `cdist(..., "sqeuclidean")`, each block of
+  rows against every row after the block's first. Each entry is the
+  sequential sum, in bin order, of (sqrt(px[k]) - sqrt(py[k]))^2, then
+  halved: the bits of the scalar loop `s += d * d` over the bins, whatever
+  numpy's own summation order. Dropping the bins that are empty in every
+  series is exact, since each adds +0.0 to a nonnegative sum. Every entry
+  has this one reduction order, so results are bit-identical for any block
+  size and any `threads` split of the blocks, which starts only from
+  `_POOL_MIN_ROWS` rows. The Gram form 1 - sum sqrt(px py) is not used: it
+  loses the exact zero of identical pairs.
 
 Neither part depends on theta. `_parts` computes the grid and both squared
 parts of an N x M value matrix once, and `_blend`, the one place a theta
@@ -144,18 +150,6 @@ def _row_start(i: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2
 
 
-def _pairwise_sq_rows(a: np.ndarray, out: np.ndarray, rows: range) -> None:
-    # row i against all j > i into its condensed slice, fixed per-row reduction order
-    n = a.shape[0]
-    buf = np.empty((n - 1, a.shape[1]))
-    for i in rows:
-        d = buf[: n - i - 1]
-        np.subtract(a[i + 1 :], a[i], out=d)
-        np.multiply(d, d, out=d)
-        start = _row_start(i, n)
-        d.sum(axis=1, out=out[start : start + n - i - 1])
-
-
 def _rank_sq_sums(ranks: np.ndarray) -> np.ndarray:
     """Exact sum_i (r_a[i] - r_b[i])^2 of every pair of rows of an N x M
     permutation matrix (of ints or floats), as a condensed int64 vector.
@@ -196,34 +190,65 @@ def _weighted_parts(thetas) -> tuple[bool, bool]:
     return any(t > 0.0 for t in thetas), any(t < 1.0 for t in thetas)
 
 
+# condensed values `_d1sq` scales per step, in place over the int64 rank
+# sums: the one temporary is a chunk of 512 KB, not a second vector
+_CAST_CHUNK = 1 << 16
+
+
 def _d1sq(ranks: np.ndarray, exact_spearman_norm: bool) -> np.ndarray:
     """The scaled rank part d1^2 of every pair of rows of an N x M
     permutation matrix, as a condensed vector."""
     m = ranks.shape[1]
     factor = 3.0 / (m * (m * m - 1)) if exact_spearman_norm else 3.0 / (m * m * (m - 1))
-    return _rank_sq_sums(ranks) * factor
+    sums = _rank_sq_sums(ranks)
+    out = sums.view(np.float64)
+    for lo in range(0, sums.size, _CAST_CHUNK):
+        # each chunk is read before its own bytes are written; an aliased
+        # np.multiply would make numpy copy the whole input first
+        out[lo : lo + _CAST_CHUNK] = sums[lo : lo + _CAST_CHUNK] * factor
+    return out
 
 
-# below this many rows the Hellinger rows run on the calling thread: a pool
-# costs more than it saves (2 threads on 2 vCPUs: 0.25 -> 0.89 ms at 40 rows,
-# 3.1 -> 4.8 ms at 200, even at 500, 54 -> 43 ms at 1000)
+# pair sums per row block of the Hellinger part: 512 KB of float64, the
+# block `cdist` writes before its rows are copied into the condensed vector
+_HELLINGER_CELLS = 1 << 16
+
+# below this many rows the Hellinger blocks run on the calling thread: a
+# panel has too few blocks to share, the first holding most of the pairs
+# (2 threads on 2 vCPUs, 500 increments: 5.0 -> 5.0 ms at 300 rows, then
+# 11.6 -> 6.5 ms at 500, 32 -> 21 ms at 1000, 131 -> 78 ms at 2000)
 _POOL_MIN_ROWS = 500
 
 
 def _d0sq(masses: np.ndarray, threads: int) -> np.ndarray:
     """The Hellinger part d0^2 of every pair of rows of an N x B mass
     matrix, as a condensed vector."""
-    a = np.sqrt(masses)
+    from scipy.spatial.distance import cdist  # loaded on first use, not by import rwclust
+
+    a = masses[:, masses.any(axis=0)]  # the occupied bins, as a copy
+    np.sqrt(a, out=a)
     n = a.shape[0]
     out = np.empty(n * (n - 1) // 2)
-    threads = min(threads, n)  # more workers than rows would only get empty chunks
+    rows = max(1, _HELLINGER_CELLS // n)
+
+    def block(lo: int) -> None:
+        # rows lo..hi-1 against every row after lo; row i's pairs j > i
+        # start at column i - lo of its line
+        hi = min(lo + rows, n - 1)
+        sq = cdist(a[lo:hi], a[lo + 1 :], "sqeuclidean")
+        for r, i in enumerate(range(lo, hi)):
+            start = _row_start(i, n)
+            out[start : start + n - i - 1] = sq[r, r:]
+
+    blocks = range(0, n - 1, rows)
+    threads = min(threads, len(blocks))  # more workers than blocks would idle
     if threads <= 1 or n < _POOL_MIN_ROWS:
-        _pairwise_sq_rows(a, out, range(n - 1))
+        for lo in blocks:
+            block(lo)
     else:
-        # each row owns its slice of `out`, so the interleaved rows never share an entry
-        chunks = [range(i, n - 1, threads) for i in range(threads)]
+        # each block owns its rows' slices of `out`, so no two share an entry
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda r: _pairwise_sq_rows(a, out, r), chunks))
+            list(pool.map(block, blocks))
     out *= 0.5
     return out
 
@@ -290,8 +315,8 @@ def distance_matrices(
 
     The theta-free parts are computed once for all thetas, and only those
     that some theta weights. `exact_spearman_norm` picks the d1
-    normalization; `threads` splits the Hellinger rows of a panel of at
-    least 500 series, and results do not depend on it.
+    normalization; `threads` splits the Hellinger row blocks of a panel of
+    at least 500 series, and results do not depend on it.
     """
     thetas = _check_thetas(thetas)
     threads = _check_threads(threads)

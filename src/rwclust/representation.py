@@ -35,8 +35,9 @@ BIN_RULES = ("count", "width", "fd")
 # need n_series * bins masses, so it is refused before anything is allocated
 MAX_BINS = 1_000_000
 
-# values (or counts) `_masses` bins per row block: each temporary of
-# `_bin_index` is then at most 128 KB, whatever N x M is
+# values (or counts) `_masses` bins and `_order` tie-checks per row block:
+# each temporary of `_bin_index` or of the tie check is then at most 128 KB,
+# whatever N x M is
 _BLOCK_CELLS = 1 << 14
 
 
@@ -234,8 +235,24 @@ def represent(panel: IncrementPanel, binning: BinningConfig = BinningConfig()) -
 
 
 def _order(x: np.ndarray) -> np.ndarray:
-    """The stable argsort of every row of x: equal values keep their arrival order."""
-    return np.argsort(x, axis=1, kind="stable")
+    """The stable argsort of every row of x: equal values keep their arrival order.
+
+    A row whose values all differ has one sorting permutation, so numpy's
+    faster default argsort (SIMD where numpy has it) gives it; only a row
+    with equal neighbours once sorted (-0.0 == 0.0 counts) takes the stable
+    sort. The tie check sorts the values in row blocks of at most
+    _BLOCK_CELLS, so its temporaries do not grow with N.
+    """
+    n, m = x.shape
+    order = np.empty((n, m), dtype=np.intp)
+    rows = max(1, _BLOCK_CELLS // m)
+    for lo in range(0, n, rows):
+        block, out = x[lo : lo + rows], order[lo : lo + rows]
+        s = np.sort(block, axis=1)
+        tied = (s[:, 1:] == s[:, :-1]).any(axis=1)
+        out[~tied] = np.argsort(block[~tied], axis=1)
+        out[tied] = np.argsort(block[tied], axis=1, kind="stable")
+    return order
 
 
 def _subsample_order(order: np.ndarray, idx: np.ndarray) -> np.ndarray:

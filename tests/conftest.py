@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rwclust import IncrementPanel, SeriesPanel
+from rwclust import IncrementPanel, SeriesPanel, clustering, distance, representation
 
 
 @pytest.fixture
@@ -34,14 +34,16 @@ def write_csv(path, text: str) -> str:
 
 
 def count_stable_sorts(monkeypatch) -> list:
-    """Patch np.argsort to record the shape of every stable sort, and return
-    the list that collects them."""
+    """Patch `_order`, the stable sort of a panel's rows, wherever rwclust
+    imports it, to record the shape of every panel it sorts, and return the
+    list that collects them. `_order` sorts in row blocks, so the shapes of
+    its own argsort calls would not tell how often a panel is sorted."""
     stable_sorts = []
-    np_argsort = np.argsort
+    order = representation._order
 
-    def argsort(a, *args, **kwargs):
-        if kwargs.get("kind") == "stable":
-            stable_sorts.append(np.shape(a))
-        return np_argsort(a, *args, **kwargs)
-    monkeypatch.setattr(np, "argsort", argsort)
+    def counted(x):
+        stable_sorts.append(np.shape(x))
+        return order(x)
+    for module in (representation, clustering, distance):
+        monkeypatch.setattr(module, "_order", counted)
     return stable_sorts

@@ -1,6 +1,7 @@
 """Blended distance: rank part, histogram part, and the pairwise matrix."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import sys
@@ -8,17 +9,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import squareform
 
 from rwclust import (
     BinningConfig,
+    CorrelationBlock,
     DistanceMatrix,
+    DistributionGroup,
     ParameterError,
+    SyntheticSpec,
     ValidationError,
     cluster,
     distance_matrices,
     fit,
+    generate_panel,
     represent,
+    to_increments,
 )
 from rwclust import distance, representation
 from rwclust.distance import _blend, _d0sq, _d1sq, _rank_sq_sums
@@ -40,9 +48,11 @@ def naive_d1_sq(rx, ry):
 
 
 def naive_d0_sq(px, py):
+    # the kernel's summation order: sequential over the bins, each term d * d
     s = 0.0
     for a, b in zip(px, py):
-        s += (math.sqrt(a) - math.sqrt(b)) ** 2
+        d = math.sqrt(a) - math.sqrt(b)
+        s += d * d
     return 0.5 * s
 
 
@@ -154,6 +164,53 @@ def test_d0_bounded_by_one(rng):
     for _ in range(50):
         a, b = random_masses(rng, 12), random_masses(rng, 12)
         assert 0.0 <= math.sqrt(mass_part([a, b])[0, 1]) <= 1.0 + 1e-12
+
+
+@st.composite
+def mass_panels(draw):
+    """Mass rows of 1 to 6 series over B bins, B around the widths at which
+    numpy's pairwise summation changes its order (8 and 128), with bins
+    empty in every series, bins empty in some, and often a repeated row."""
+    bins = draw(st.sampled_from([1, 7, 8, 9, 101, 129, 300]))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 5, size=(n, bins)) * (rng.random((n, bins)) < draw(st.floats(0, 1)))
+    counts[:, rng.random(bins) < draw(st.floats(0, 1))] = 0  # bins empty in every series
+    counts[np.arange(n), rng.integers(0, bins, size=n)] += 1  # every row holds mass
+    if n > 1 and draw(st.booleans()):
+        counts[-1] = counts[0]
+    return counts / counts.sum(axis=1, keepdims=True)
+
+
+@given(masses=mass_panels())
+@settings(max_examples=200, deadline=None)
+def test_d0_is_the_sequential_sum_bit_for_bit(masses):
+    # every entry is 1/2 times the sum over the bins in their order, each
+    # term d * d; the bins no series occupies add +0.0 and change nothing
+    got = _d0sq(masses, 1)
+    pairs = list(itertools.combinations(range(len(masses)), 2))
+    want = np.array([naive_d0_sq(masses[i], masses[j]) for i, j in pairs])
+    assert got.tobytes() == want.tobytes()
+    for value, (i, j) in zip(got, pairs):
+        if np.array_equal(masses[i], masses[j]):
+            assert value == 0.0
+
+
+def test_d0_bits_do_not_depend_on_threads_or_blocks(monkeypatch, rng):
+    # 23 rows give 22 rows of pairs: blocks of one row, of 5 rows with a
+    # short last block of 2, or one block; the pool starts at 2 rows here so
+    # that 2 and 8 threads split the blocks of a small panel
+    n = 23
+    counts = rng.integers(0, 4, size=(n, 60)) * (rng.random(60) < 0.5)
+    counts[:, 0] += 1
+    masses = counts / counts.sum(axis=1, keepdims=True)
+    pairs = itertools.combinations(range(n), 2)
+    want = np.array([naive_d0_sq(masses[i], masses[j]) for i, j in pairs]).tobytes()
+    monkeypatch.setattr(distance, "_POOL_MIN_ROWS", 2)
+    for cells in (1, 5 * n, 10**9):
+        monkeypatch.setattr(distance, "_HELLINGER_CELLS", cells)
+        for threads in (1, 2, 8):
+            assert _d0sq(masses, threads).tobytes() == want, (cells, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +330,8 @@ def test_matrix_symmetry_and_diagonal(rng):
 
 
 def test_matrix_thread_count_does_not_change_bits(rng):
-    # the smallest panel whose Hellinger rows are split across threads; the
-    # workers share one condensed vector, each row writing its own slice, and
+    # the smallest panel whose Hellinger blocks are split across threads; the
+    # workers share one condensed vector, each block writing its own pairs, and
     # a short switch interval interleaves them as finely as it can
     panel = make_increment_panel(rng.standard_normal((distance._POOL_MIN_ROWS, 40)))
     single = matrix(panel, 0.5, threads=1)
@@ -362,8 +419,7 @@ def test_condensed_parts_at_row_block_edges(monkeypatch, rng, cells):
         sum(((ranks[i] - ranks[j]) ** 2).tolist()) for i, j in pairs]
     masses = rng.random((n, 40))
     masses /= masses.sum(axis=1, keepdims=True)
-    a = np.sqrt(masses)
-    oracle = np.array([0.5 * ((a[j] - a[i]) ** 2).sum() for i, j in pairs])
+    oracle = np.array([naive_d0_sq(masses[i], masses[j]) for i, j in pairs])
     assert _d0sq(masses, 1).tobytes() == oracle.tobytes()
 
 
@@ -391,6 +447,26 @@ def test_distance_build_peak_memory(rng):
         tracemalloc.stop()
     assert peak <= 2.25 * n * n * 8
     assert extra[1] <= extra[0] + 4096
+
+
+def test_d1_scales_the_rank_sums_in_place(monkeypatch, rng):
+    # the float part overwrites the int64 sums chunk by chunk, so past the
+    # vector it returns _d1sq holds one chunk, not a second vector; Gram
+    # blocks of 2 rows keep the rank sums' own temporaries small
+    n = 2000
+    ranks = np.stack([rng.permutation(20) + 1.0 for _ in range(n)])
+    want = _rank_sq_sums(ranks) * (3.0 / (20 * 20 * 19))
+    monkeypatch.setattr(distance, "_GRAM_CELLS", 2 * n)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = _d1sq(ranks, False)
+        extra = tracemalloc.get_traced_memory()[1] - start - got.nbytes
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert got.nbytes >= 16 * distance._CAST_CHUNK * 8
+    assert extra <= 2 * distance._CAST_CHUNK * 8
 
 
 def test_cluster_and_fit_peak_memory(rng):
@@ -500,3 +576,90 @@ def test_small_panel_starts_no_pool(monkeypatch, rng):
     two = matrix(panel, 0.5, threads=2)
     assert pools == []
     assert two.values.tobytes() == matrix(panel, 0.5, threads=1).values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the Hellinger kernel against the one it replaced
+# ---------------------------------------------------------------------------
+
+def _pairwise_sq_rows(a: np.ndarray, out: np.ndarray, rows: range) -> None:
+    # row i against all j > i into its condensed slice, reduced by numpy's
+    # subtract, multiply and sum(axis=1) over every bin
+    n = a.shape[0]
+    buf = np.empty((n - 1, a.shape[1]))
+    for i in rows:
+        d = buf[: n - i - 1]
+        np.subtract(a[i + 1 :], a[i], out=d)
+        np.multiply(d, d, out=d)
+        start = distance._row_start(i, n)
+        d.sum(axis=1, out=out[start : start + n - i - 1])
+
+
+def reference_d0sq(masses, threads):
+    """The Hellinger part as rwclust computed it before its sums became
+    sequential: numpy's pairwise summation over all bins, row by row."""
+    a = np.sqrt(masses)
+    n = a.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    _pairwise_sq_rows(a, out, range(n - 1))
+    out *= 0.5
+    return out
+
+
+def test_no_partition_moves_under_the_reference_kernel(monkeypatch):
+    # the acceptance panel: 4 dependence blocks x 2 marginal families. The
+    # sequential sums move d0^2 entries by an ulp or so, and no label,
+    # selected K or stability score moves with them at any theta
+    spec = SyntheticSpec(
+        n_series=40, m_obs=2000,
+        blocks=tuple(CorrelationBlock(size=10, rho=0.7) for _ in range(4)),
+        groups=(DistributionGroup("gaussian"), DistributionGroup("student_t", df=3.0)),
+        seed=0,
+    )
+    panel = to_increments(generate_panel(spec)[0])
+    thetas = (0.0, 0.5, 1.0)
+    got = fit(panel, thetas, BinningConfig(), k_range=range(2, 11))
+    monkeypatch.setattr(distance, "_d0sq", reference_d0sq)
+    want = fit(panel, thetas, BinningConfig(), k_range=range(2, 11))
+    for (dm, assignment, report), (ref_dm, ref_assignment, ref_report) in zip(got, want):
+        assert assignment.labels.tolist() == ref_assignment.labels.tolist()
+        assert (assignment.k, report.selected_k) == (ref_assignment.k, ref_report.selected_k)
+        assert report.scores == ref_report.scores
+        assert report.dispersion == ref_report.dispersion
+        np.testing.assert_allclose(dm.values, ref_dm.values, rtol=2e-15, atol=0)
+    assert got[2][0].values.tobytes() == want[2][0].values.tobytes()  # theta 1 has no d0
+
+
+# ---------------------------------------------------------------------------
+# the distance bits, pinned
+# ---------------------------------------------------------------------------
+
+# sha256 of the little-endian values of `distance_matrices` at theta 0, 0.5
+# and 1 on `_integer_panel()`, in that order
+_PINNED_DIGEST = "e2a9ef1f078c6068e0c0cbfdc8f43c4681e8fbb1faecc5bc34867732bd5acfc8"
+
+
+def _integer_panel():
+    """40 x 300 values from integer arithmetic alone, each an exact float.
+    Row i runs through residues modulo 1009 in steps that differ by row; every
+    third row takes them modulo 17, so its values repeat and it is ranked by
+    the tie rule. One far value leaves most bins empty in every series."""
+    i = np.arange(40)[:, None]
+    j = np.arange(300)[None, :]
+    modulus = np.where(i % 3 == 0, 17, 1009)
+    residue = (i * 7919 + j * (104729 + 31 * i)) % modulus - modulus // 2
+    values = residue / 64.0
+    values[5, 7] = 64.0
+    return make_increment_panel(values)
+
+
+def test_distance_digest_is_pinned():
+    # the same bits on every supported numpy and scipy: the rank sums are
+    # exact integers and every Hellinger entry is a sequential sum, so the
+    # digest depends on no library's summation order
+    panel = _integer_panel()
+    matrices = distance_matrices(panel, (0.0, 0.5, 1.0), BinningConfig())
+    digest = hashlib.sha256()
+    for dm in matrices:
+        digest.update(dm.values.astype("<f8").tobytes())
+    assert digest.hexdigest() == _PINNED_DIGEST

@@ -20,7 +20,7 @@ from rwclust import (
 )
 
 from rwclust import representation
-from rwclust.representation import MAX_BINS, _bin_index, _masses
+from rwclust.representation import MAX_BINS, _bin_index, _masses, _order
 
 from conftest import make_increment_panel, make_level_panel
 
@@ -195,6 +195,29 @@ def test_blocked_masses_match_the_oracle_at_block_edges(monkeypatch, cells):
     masses = _masses(x, grid)
     for i in range(n):
         assert naive_masses(x[i], *grid).tobytes() == masses[i].tobytes()
+
+
+@pytest.mark.parametrize("cells", [None, 1], ids=["default-blocks", "one-row-blocks"])
+def test_order_is_the_stable_argsort(monkeypatch, cells):
+    # tie-free rows take the default argsort and tied rows the stable one;
+    # either way each row's order is the stable argsort's, whose ties keep
+    # arrival order. -0.0 == 0.0, so a row holding both is tied
+    if cells is not None:
+        monkeypatch.setattr(representation, "_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(5)
+    n, m = 40, 500
+    distinct = rng.standard_normal((n, m))
+    some_tied = distinct.copy()
+    some_tied[::3] = np.round(some_tied[::3] * 4)
+    every_tied = np.round(distinct * 4)
+    signed_zeros = distinct.copy()
+    signed_zeros[:, 10], signed_zeros[:, 20] = 0.0, -0.0
+    signed_zeros[::2, 10], signed_zeros[::2, 20] = -0.0, 0.0
+    for x in (distinct, some_tied, every_tied, signed_zeros):
+        got = _order(x)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(x, axis=1, kind="stable"))
+    assert np.array_equal(_order(np.zeros((3, m))), np.tile(np.arange(m), (3, 1)))
 
 
 def test_blocked_masses_name_the_first_value_off_the_grid(monkeypatch):
