@@ -32,7 +32,7 @@ from .clustering import (
     fit,
     stability_select_k,
 )
-from .distance import DistanceMatrix, _check_thetas, distance_matrices
+from .distance import DistanceMatrix, _check_thetas, _square_rows, distance_matrices
 from .errors import (
     BinningRangeError,
     PanelFormatError,
@@ -387,7 +387,7 @@ def _repr_row(row: np.ndarray) -> str:
     return ",".join(map(repr, row.tolist()))
 
 
-def _float_rows(f, labels, rows: np.ndarray) -> None:
+def _float_rows(f, labels, rows) -> None:
     """Write one CSV row per label: the label, then its row of `rows` as `repr` text.
 
     Bytes equal csv.writer's, as the repr of a float never needs quoting.
@@ -397,20 +397,16 @@ def _float_rows(f, labels, rows: np.ndarray) -> None:
 
 
 def _matrix_csv(f, dm: DistanceMatrix, provenance: dict) -> None:
-    from scipy.spatial.distance import squareform  # loaded on first use, not by import rwclust
-
     f.write(f"# {json.dumps(provenance, sort_keys=True)}\n")
     csv.writer(f, lineterminator="\n").writerow(["id", *dm.ids])
-    _float_rows(f, dm.ids, squareform(dm.values, checks=False))
+    _float_rows(f, dm.ids, _square_rows(dm.values, dm.n_series))
 
 
 def _matrix_payload(dm: DistanceMatrix) -> dict:
-    from scipy.spatial.distance import squareform  # loaded on first use, not by import rwclust
-
     return {
         "theta": dm.theta,
         "ids": list(dm.ids),
-        "values": squareform(dm.values, checks=False).tolist(),
+        "values": [row.tolist() for row in _square_rows(dm.values, dm.n_series)],
         "meta": dm.meta,
     }
 

@@ -17,33 +17,32 @@ separation axiom is lost.
 The pairwise kernel works on the N x M rank matrix and the N x B mass
 matrix in two parts, and stores each as a condensed vector of the
 N (N-1) / 2 pairs i < j in scipy's order (row 0's pairs, then row 1's, ...),
-as every blend and `DistanceMatrix` is stored; only the CLI's writers and
-k-medoids expand a vector to the N x N square. The parts are built so:
+as every blend and `DistanceMatrix` is stored; only k-medoids expands a
+vector to the N x N square, and the CLI's writers take one row at a time.
+Both parts fill their vector by one walk, `_upper_pairs`, over row blocks
+of the upper triangle (each block of rows against every row from the
+block's first on), each block scaled and copied into its rows' slices:
 
 - Ranks, by the Gram identity. Every rank row is a permutation of 1..M, so
-  sum_i (rx[i] - ry[i])^2 = 2 S - 2 rx.ry with S = M (M+1) (2M+1) / 6. The
-  inner products rx.ry come from float64 matrix products over row blocks
-  of the upper triangle (each block of rows against every row from the
-  block's first on), per chunk of columns, with chunks narrow enough
-  (chunk * M^2 < 2^53) that every partial sum BLAS forms is an integer
-  below 2^53, so each is exact whatever the summation order; chunks are
-  accumulated in int64. The rank sums are therefore exact integers,
-  identical for any BLAS thread count or block split, for M up to
-  3 024 616, past which S leaves int64 and the kernel refuses the panel.
-  Every panel with M up to about 2 * 10^5 is one chunk.
+  sum_i (rx[i] - ry[i])^2 = 2 S - 2 rx.ry with S = M (M+1) (2M+1) / 6. A
+  block's inner products rx.ry come from float64 matrix products per chunk
+  of columns, with chunks narrow enough (chunk * M^2 < 2^53) that every
+  partial sum BLAS forms is an integer below 2^53, so each is exact
+  whatever the summation order; chunks are accumulated in int64. The rank
+  sums are therefore exact integers, identical for any BLAS thread count
+  or block split, for M up to 3 024 616, past which S leaves int64 and the
+  kernel refuses the panel. Every panel with M up to about 2 * 10^5 is one
+  chunk. The rank blocks run on the calling thread.
 - Masses, by sequential sums over occupied bins. The Hellinger part takes
   the square roots of the bins that hold mass in some series (about half of
-  the 101 default bins on a typical panel) and hands row blocks of the upper
-  triangle to scipy's compiled `cdist(..., "sqeuclidean")`, each block of
-  rows against every row after the block's first. Each entry is the
-  sequential sum, in bin order, of (sqrt(px[k]) - sqrt(py[k]))^2, then
-  halved: the bits of the scalar loop `s += d * d` over the bins, whatever
-  numpy's own summation order. Dropping the bins that are empty in every
-  series is exact, since each adds +0.0 to a nonnegative sum. Every entry
-  has this one reduction order, so results are bit-identical for any block
-  size and any `threads` split of the blocks, which starts only from
-  `_POOL_MIN_ROWS` rows. The Gram form 1 - sum sqrt(px py) is not used: it
-  loses the exact zero of identical pairs.
+  the 101 default bins on a typical panel), and each block is scipy's
+  compiled `cdist(..., "sqeuclidean")`. Each entry is the sequential sum, in
+  bin order, of (sqrt(px[k]) - sqrt(py[k]))^2, then halved: the bits of the
+  scalar loop `s += d * d` over the bins, for any block size and any
+  `threads` split of the blocks. Dropping the bins that are empty in every
+  series is exact, since each adds +0.0 to a nonnegative sum. The Gram
+  form 1 - sum sqrt(px py) is not used: it loses the exact zero of
+  identical pairs.
 
 Neither part depends on theta. `_parts` computes the grid and both squared
 parts of an N x M value matrix once, and `_blend`, the one place a theta
@@ -67,7 +66,7 @@ their settings, `threads` included, once per call before anything is built.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Real
@@ -143,6 +142,16 @@ class DistanceMatrix:
 # rows enough that BLAS runs near its full speed
 _GRAM_CELLS = 1 << 18
 
+# pair sums per row block of the Hellinger part: 512 KB of float64, the
+# block `cdist` writes before its rows are copied into the condensed vector
+_HELLINGER_CELLS = 1 << 16
+
+# below this many rows the Hellinger blocks run on the calling thread: a
+# panel has too few blocks to share, the first holding most of the pairs
+# (2 threads on 2 vCPUs, 500 increments: 5.0 -> 5.0 ms at 300 rows, then
+# 11.6 -> 6.5 ms at 500, 32 -> 21 ms at 1000, 131 -> 78 ms at 2000)
+_POOL_MIN_ROWS = 500
+
 
 def _row_start(i: int, n: int) -> int:
     """Position of the pair (i, i + 1) in the condensed vector of n points,
@@ -150,32 +159,65 @@ def _row_start(i: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2
 
 
-def _rank_sq_sums(ranks: np.ndarray) -> np.ndarray:
-    """Exact sum_i (r_a[i] - r_b[i])^2 of every pair of rows of an N x M
-    permutation matrix (of ints or floats), as a condensed int64 vector.
+def _square_rows(values: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """The rows of the symmetric n x n matrix with a zero diagonal whose
+    condensed vector is `values`, one at a time in one buffer: each row is
+    overwritten by the next, so a reader holds n values, not n^2."""
+    starts = _row_start(np.arange(n), n)
+    row = np.empty(n)
+    for i in range(n):
+        # the pair (j, i) of a row j < i sits at _row_start(j, n) + i - j - 1
+        row[:i] = values[starts[:i] + i - 1 - np.arange(i)]
+        row[i] = 0.0
+        row[i + 1 :] = values[starts[i] : starts[i] + n - i - 1]
+        yield row
 
-    The Gram products are taken in row blocks of at most _GRAM_CELLS
-    products over the upper triangle, so no N x N array is built.
-    """
+
+def _upper_pairs(n: int, cells: int, block: Callable[[int, int], np.ndarray],
+                 threads: int) -> np.ndarray:
+    """The condensed vector of n points from `block(lo, hi)`, the values of
+    rows lo..hi-1 against rows lo..n-1, at most `cells` of them per block
+    unless a block is one row. `threads` splits the blocks from
+    `_POOL_MIN_ROWS` points on; each block fills only its own rows' pairs."""
+    out = np.empty(n * (n - 1) // 2)
+    rows = max(1, cells // n)
+
+    def fill(lo: int) -> None:
+        hi = min(lo + rows, n - 1)
+        sq = block(lo, hi)
+        for r, i in enumerate(range(lo, hi)):
+            start = _row_start(i, n)
+            out[start : start + n - i - 1] = sq[r, r + 1 :]
+
+    blocks = range(0, n - 1, rows)
+    threads = min(threads, len(blocks))  # more workers than blocks would idle
+    if threads <= 1 or n < _POOL_MIN_ROWS:
+        for lo in blocks:
+            fill(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, blocks))
+    return out
+
+
+def _rank_sums(ranks: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Exact sum_i (r_a[i] - r_b[i])^2 of rows a in lo..hi-1 against rows
+    b in lo..N-1 of an N x M permutation matrix (of ints or floats), as an
+    int64 array of (hi - lo) x (N - lo) sums. M is at most 3 024 616."""
     n, m = ranks.shape
     s = m * (m + 1) * (2 * m + 1) // 6  # sum of squares of 1..M, bounds every entry below
-    if s > np.iinfo(np.int64).max:
-        raise ValidationError(f"series of {m} increments are too long for exact int64 rank sums")
     chunk = max(1, (2**53 - 1) // (m * m))
-    rows = max(1, _GRAM_CELLS // n)
-    sums = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-    for lo in range(0, m, chunk):
-        block = np.asarray(ranks[:, lo : lo + chunk], dtype=float)  # float ranks: no copy
-        for r0 in range(0, n, rows):
-            r1 = min(r0 + rows, n)
-            rb = block[r0:r1]
-            # rows r0..r1-1 against every j >= r0: the square on the diagonal
-            # (one symmetric product, as BLAS takes rb @ rb.T) beside the rest
-            gram = np.empty((r1 - r0, n - r0))
-            np.matmul(rb, rb.T, out=gram[:, : r1 - r0])
-            np.matmul(rb, block[r1:].T, out=gram[:, r1 - r0 :])
-            upper = np.arange(n - r0) > np.arange(r1 - r0)[:, None]  # j > i
-            sums[_row_start(r0, n) : _row_start(r1, n)] += gram[upper].astype(np.int64)
+    sums = np.zeros((hi - lo, n - lo), dtype=np.int64)
+    gram = np.empty((hi - lo, n - lo))
+    for c in range(0, m, chunk):
+        cols = np.asarray(ranks[:, c : c + chunk], dtype=float)  # float ranks: no copy
+        rb = cols[lo:hi]
+        # the square on the diagonal (one symmetric product, as BLAS takes
+        # rb @ rb.T) beside the rest
+        np.matmul(rb, rb.T, out=gram[:, : hi - lo])
+        np.matmul(rb, cols[hi:].T, out=gram[:, hi - lo :])
+        # the exact integer products are cast on the way into the int64 sum
+        np.add(sums, gram, out=sums, dtype=np.int64, casting="unsafe")
     np.subtract(s, sums, out=sums)
     sums *= 2
     return sums
@@ -190,34 +232,14 @@ def _weighted_parts(thetas) -> tuple[bool, bool]:
     return any(t > 0.0 for t in thetas), any(t < 1.0 for t in thetas)
 
 
-# condensed values `_d1sq` scales per step, in place over the int64 rank
-# sums: the one temporary is a chunk of 512 KB, not a second vector
-_CAST_CHUNK = 1 << 16
-
-
 def _d1sq(ranks: np.ndarray, exact_spearman_norm: bool) -> np.ndarray:
     """The scaled rank part d1^2 of every pair of rows of an N x M
-    permutation matrix, as a condensed vector."""
-    m = ranks.shape[1]
+    permutation matrix, as a condensed vector; raises for M beyond 3 024 616."""
+    n, m = ranks.shape
+    if m * (m + 1) * (2 * m + 1) // 6 > np.iinfo(np.int64).max:
+        raise ValidationError(f"series of {m} increments are too long for exact int64 rank sums")
     factor = 3.0 / (m * (m * m - 1)) if exact_spearman_norm else 3.0 / (m * m * (m - 1))
-    sums = _rank_sq_sums(ranks)
-    out = sums.view(np.float64)
-    for lo in range(0, sums.size, _CAST_CHUNK):
-        # each chunk is read before its own bytes are written; an aliased
-        # np.multiply would make numpy copy the whole input first
-        out[lo : lo + _CAST_CHUNK] = sums[lo : lo + _CAST_CHUNK] * factor
-    return out
-
-
-# pair sums per row block of the Hellinger part: 512 KB of float64, the
-# block `cdist` writes before its rows are copied into the condensed vector
-_HELLINGER_CELLS = 1 << 16
-
-# below this many rows the Hellinger blocks run on the calling thread: a
-# panel has too few blocks to share, the first holding most of the pairs
-# (2 threads on 2 vCPUs, 500 increments: 5.0 -> 5.0 ms at 300 rows, then
-# 11.6 -> 6.5 ms at 500, 32 -> 21 ms at 1000, 131 -> 78 ms at 2000)
-_POOL_MIN_ROWS = 500
+    return _upper_pairs(n, _GRAM_CELLS, lambda lo, hi: _rank_sums(ranks, lo, hi) * factor, 1)
 
 
 def _d0sq(masses: np.ndarray, threads: int) -> np.ndarray:
@@ -227,30 +249,11 @@ def _d0sq(masses: np.ndarray, threads: int) -> np.ndarray:
 
     a = masses[:, masses.any(axis=0)]  # the occupied bins, as a copy
     np.sqrt(a, out=a)
-    n = a.shape[0]
-    out = np.empty(n * (n - 1) // 2)
-    rows = max(1, _HELLINGER_CELLS // n)
 
-    def block(lo: int) -> None:
-        # rows lo..hi-1 against every row after lo; row i's pairs j > i
-        # start at column i - lo of its line
-        hi = min(lo + rows, n - 1)
-        sq = cdist(a[lo:hi], a[lo + 1 :], "sqeuclidean")
-        for r, i in enumerate(range(lo, hi)):
-            start = _row_start(i, n)
-            out[start : start + n - i - 1] = sq[r, r:]
+    def block(lo: int, hi: int) -> np.ndarray:
+        return 0.5 * cdist(a[lo:hi], a[lo:], "sqeuclidean")
 
-    blocks = range(0, n - 1, rows)
-    threads = min(threads, len(blocks))  # more workers than blocks would idle
-    if threads <= 1 or n < _POOL_MIN_ROWS:
-        for lo in blocks:
-            block(lo)
-    else:
-        # each block owns its rows' slices of `out`, so no two share an entry
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(block, blocks))
-    out *= 0.5
-    return out
+    return _upper_pairs(a.shape[0], _HELLINGER_CELLS, block, threads)
 
 
 def _check_threads(threads: int) -> int:

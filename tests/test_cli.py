@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import asdict
@@ -28,6 +29,7 @@ from rwclust import (
     ClusterAssignment,
     CorrelationBlock,
     DimensionError,
+    DistanceMatrix,
     DistributionGroup,
     GroundTruth,
     IncrementPanel,
@@ -329,7 +331,7 @@ _PART_STEPS = (
     ("grid", rwclust.representation, "shared_grid"),
     ("rank", rwclust.distance, "_ranks"),
     ("rank", rwclust.representation, "_ranks"),
-    ("rank_kernel", rwclust.distance, "_rank_sq_sums"),
+    ("rank_kernel", rwclust.distance, "_d1sq"),
     ("hellinger", rwclust.representation, "_bin_index"),
     ("hellinger_kernel", rwclust.distance, "_d0sq"),
 )
@@ -735,6 +737,25 @@ def test_distances_json_format(synth_panel, capsys):
     # the rows of the square that the library's condensed vector stands for
     [dm] = distance_matrices(to_increments(load_panel(csv_path)), (0.5,), BinningConfig())
     assert payload["matrix"]["values"] == squareform(dm.values).tolist()
+
+
+def test_matrix_writers_add_memory_linear_in_n(rng):
+    # the CSV writer formats one row of the square at a time from the
+    # condensed vector, so past it writing N = 1200 series adds O(N) bytes,
+    # where the N x N square took 11.5 MB
+    n = 1200
+    ids = tuple(f"s{i}" for i in range(n))
+    dm = DistanceMatrix(ids=ids, values=rng.random(n * (n - 1) // 2), theta=0.5)
+    small = DistanceMatrix(ids=ids[:3], values=rng.random(3), theta=0.5)
+    with open(os.devnull, "w") as f:
+        rwclust.cli._matrix_csv(f, small, {})  # orjson loads outside the trace
+        tracemalloc.start()
+        try:
+            rwclust.cli._matrix_csv(f, dm, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 64 * n * 8
 
 
 def test_cluster_subcommand_with_summary(synth_panel, capsys):

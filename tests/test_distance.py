@@ -29,7 +29,7 @@ from rwclust import (
     to_increments,
 )
 from rwclust import distance, representation
-from rwclust.distance import _blend, _d0sq, _d1sq, _rank_sq_sums
+from rwclust.distance import _blend, _d0sq, _d1sq, _rank_sums, _upper_pairs
 from rwclust.representation import _masses, shared_grid
 
 from conftest import make_increment_panel
@@ -194,6 +194,34 @@ def test_d0_is_the_sequential_sum_bit_for_bit(masses):
     for value, (i, j) in zip(got, pairs):
         if np.array_equal(masses[i], masses[j]):
             assert value == 0.0
+
+
+def test_upper_pairs_is_the_condensed_full_array(monkeypatch, rng):
+    # every block size and thread split fills each pair once, in scipy's
+    # order, from the block rows lo..hi-1 against lo..n-1 that it asks for;
+    # the pool starts at 2 points here so that 2 threads split small panels
+    monkeypatch.setattr(distance, "_POOL_MIN_ROWS", 2)
+    for n in range(1, 41):
+        full = rng.standard_normal((n, n))  # only the upper triangle is read
+        want = squareform(np.triu(full, 1), checks=False)
+        for cells in (1, n, 10**9):
+            for threads in (1, 2):
+                asked = []
+
+                def block(lo, hi):
+                    asked.append((lo, hi))
+                    return full[lo:hi, lo:].copy()
+
+                got = _upper_pairs(n, cells, block, threads)
+                assert got.tobytes() == want.tobytes(), (n, cells, threads)
+                assert sorted(r for lo, hi in asked for r in range(lo, hi)) == list(range(n - 1))
+
+
+def test_square_rows_are_the_square_matrix(rng):
+    for n in range(1, 12):
+        values = rng.random(n * (n - 1) // 2)
+        rows = [row.copy() for row in distance._square_rows(values, n)]
+        assert np.array_equal(np.array(rows).reshape(n, n), squareform(values))
 
 
 def test_d0_bits_do_not_depend_on_threads_or_blocks(monkeypatch, rng):
@@ -390,7 +418,7 @@ def test_matrix_rank_part_is_exact_beyond_one_chunk():
     rng = np.random.default_rng(7)
     ranks = np.stack([rng.permutation(m) + 1 for _ in range(3)])
     assert m * (m + 1) * (2 * m + 1) // 6 > 2**53
-    sums = squareform(_rank_sq_sums(ranks))
+    sums = _rank_sums(ranks, 0, 3)
     # distinct values rank as themselves
     dm = squareform(matrix(make_increment_panel(ranks), 1.0).values)
     for i in range(3):
@@ -415,7 +443,8 @@ def test_condensed_parts_at_row_block_edges(monkeypatch, rng, cells):
 
     pairs = list(itertools.combinations(range(n), 2))
     ranks = np.stack([rng.permutation(30) + 1 for _ in range(n)])
-    assert _rank_sq_sums(ranks).tolist() == [
+    sums = _rank_sums(ranks, 0, n)
+    assert sums[np.triu_indices(n, 1)].tolist() == [
         sum(((ranks[i] - ranks[j]) ** 2).tolist()) for i, j in pairs]
     masses = rng.random((n, 40))
     masses /= masses.sum(axis=1, keepdims=True)
@@ -449,13 +478,14 @@ def test_distance_build_peak_memory(rng):
     assert extra[1] <= extra[0] + 4096
 
 
-def test_d1_scales_the_rank_sums_in_place(monkeypatch, rng):
-    # the float part overwrites the int64 sums chunk by chunk, so past the
-    # vector it returns _d1sq holds one chunk, not a second vector; Gram
-    # blocks of 2 rows keep the rank sums' own temporaries small
-    n = 2000
+def test_d1_holds_one_vector_and_one_block(monkeypatch, rng):
+    # each Gram block's sums are scaled and copied into the float64 vector
+    # _d1sq returns, so past that vector it holds a few blocks of
+    # _GRAM_CELLS values (the Gram products, their int64 sums and the
+    # scaled block), not a second vector; blocks here are 2 rows
+    n = 1000
     ranks = np.stack([rng.permutation(20) + 1.0 for _ in range(n)])
-    want = _rank_sq_sums(ranks) * (3.0 / (20 * 20 * 19))
+    want = _rank_sums(ranks, 0, n)[np.triu_indices(n, 1)] * (3.0 / (20 * 20 * 19))
     monkeypatch.setattr(distance, "_GRAM_CELLS", 2 * n)
     tracemalloc.start()
     try:
@@ -465,8 +495,8 @@ def test_d1_scales_the_rank_sums_in_place(monkeypatch, rng):
     finally:
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
-    assert got.nbytes >= 16 * distance._CAST_CHUNK * 8
-    assert extra <= 2 * distance._CAST_CHUNK * 8
+    assert got.nbytes >= 100 * distance._GRAM_CELLS * 8
+    assert extra <= 4 * distance._GRAM_CELLS * 8
 
 
 def test_cluster_and_fit_peak_memory(rng):
@@ -494,9 +524,12 @@ def test_cluster_and_fit_peak_memory(rng):
 
 
 def test_rank_sums_refuse_m_beyond_int64():
-    # np.empty leaves the 32 MB unwritten; only the shape is read
-    with pytest.raises(ValidationError):
-        _rank_sq_sums(np.empty((1, 4_000_000), dtype=np.int64))
+    # refused before any block runs, so also a panel of one series, which
+    # has no pairs; np.empty leaves the 32 MB a row unwritten, only the
+    # shape is read
+    for n in (1, 2):
+        with pytest.raises(ValidationError, match="too long"):
+            _d1sq(np.empty((n, 4_000_000), dtype=np.int64), False)
 
 
 def test_matrix_entry_bound(rng):
