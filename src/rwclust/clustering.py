@@ -148,6 +148,7 @@ def _cut(tree: np.ndarray, ks) -> np.ndarray:
     # takes every leaf to the cluster it sits in after the merges applied
     parent = np.arange(2 * n - 1)
     labels = np.empty((n, len(ks)), dtype=np.int64)
+    leaves = np.arange(n)
     done = 0
     for col in np.argsort(ks)[::-1]:
         rows = order[done:n - ks[col]]
@@ -156,10 +157,12 @@ def _cut(tree: np.ndarray, ks) -> np.ndarray:
         root = parent
         while not np.array_equal(nxt := root[root], root):
             root = nxt
-        _, first, inverse = np.unique(root[:n], return_index=True, return_inverse=True)
-        rank = np.empty_like(first)
-        rank[np.argsort(first)] = np.arange(first.size)
-        labels[:, col] = rank[inverse]
+        # each leaf's cluster is numbered by the cluster's first leaf: the
+        # clusters whose first leaf comes no later, less one
+        first = np.full(2 * n - 1, n)
+        np.minimum.at(first, root[:n], leaves)
+        f = first[root[:n]]
+        labels[:, col] = np.cumsum(f == leaves)[f] - 1
     return labels
 
 
@@ -413,14 +416,17 @@ def _stability_pass(panel, thetas, binning, k_range, runs, subsample_fraction, s
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, run]))
         idx = np.sort(rng.choice(m, size=m_sub, replace=False))
+        # np.take keeps the subsample C-contiguous, where values[:, idx] is
+        # column-major, so the grid and the row-blocked binning read it in order
         _, d1sq, d0sq = _parts(
-            panel.values[:, idx], partial(_subsample_order, order, idx), binning,
+            np.take(panel.values, idx, axis=1), partial(_subsample_order, order, idx), binning,
             thetas, exact_spearman_norm, threads,
         )
-        for theta, runs_of_t in zip(thetas, partitions):
-            # one blend at a time; labels lie below n, so int32 halves what
-            # the runs hold until scoring
-            runs_of_t.append(_partitions(_blend(d1sq, d0sq, theta), method, ks).astype(np.int32))
+        for t, (theta, runs_of_t) in enumerate(zip(thetas, partitions)):
+            # one blend at a time, the last written over the parts; labels lie
+            # below n, so int32 halves what the runs hold until scoring
+            blend = _blend(d1sq, d0sq, theta, consume=t == len(thetas) - 1)
+            runs_of_t.append(_partitions(blend, method, ks).astype(np.int32))
 
     reports = []
     for runs_of_t in partitions:

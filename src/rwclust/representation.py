@@ -12,6 +12,14 @@ For a series X_1..X_M the two are specified as
 Ties go to the earlier observation, so every rank vector is a permutation
 of {1,...,M}; `_order` is the one place that rule is stated, as a stable
 sort. `_bin_index` states which bin a value falls in.
+
+The matrix helpers work in row blocks of at most `_BLOCK_CELLS` values, so
+their temporaries do not grow with the panel: `_order` tie-checks, `_ranks`
+writes each block's ranks by one flat scatter, and `_masses` bins and
+counts. A stability resample's rows come from the full panel's order by
+`_subsample_order`, and its values are taken row-major, as the blocks read
+them. `_bin_index` floors by an integer cast and tests its edge snap only
+on the few quotients near an edge.
 """
 from __future__ import annotations
 
@@ -35,9 +43,9 @@ BIN_RULES = ("count", "width", "fd")
 # need n_series * bins masses, so it is refused before anything is allocated
 MAX_BINS = 1_000_000
 
-# values (or counts) `_masses` bins and `_order` tie-checks per row block:
-# each temporary of `_bin_index` or of the tie check is then at most 128 KB,
-# whatever N x M is
+# values (or counts) `_masses` bins, `_order` tie-checks and `_ranks` writes
+# per row block: each temporary of `_bin_index`, of the tie check or of the
+# rank scatter is then at most 128 KB, whatever N x M is
 _BLOCK_CELLS = 1 << 14
 
 
@@ -138,26 +146,29 @@ def _bin_index(x: np.ndarray, origin: float, width: float, bin_count: int) -> np
     pooled extremes in particular) across a bin boundary.
     Raises BinningRangeError, naming the first value in x's order, if any
     value falls off the grid; the caller owns the grid and must widen it.
-    The range test reads x twice and allocates nothing, and the snap runs
-    in place, so the temporaries are three float arrays, one int and one
-    bool array of x's shape; `_masses` keeps that shape small by binning in
-    row blocks.
+    The range test reads x twice and allocates nothing, and the snap is
+    tested only on the quotients within twice the largest tolerance of the
+    next edge, where every snapping quotient lies. So the temporaries are two
+    float arrays, one int and one bool array of x's shape, and a few arrays
+    the size of those near-edge quotients; `_masses` keeps that shape small
+    by binning in row blocks.
     """
     hi = origin + bin_count * width
-    if not (x.min(initial=np.inf) >= origin and x.max(initial=-np.inf) < hi):  # NaN fails too
+    x_max = x.max(initial=-np.inf)
+    if not (x.min(initial=np.inf) >= origin and x_max < hi):  # NaN fails too
         bad = x[~((x >= origin) & (x < hi))][0]
         raise BinningRangeError(f"observation {bad!r} outside grid [{origin!r}, {hi!r})")
     q = x - origin
     q /= width  # >= 0: every x passed the range test and width > 0
-    idx = np.floor(q)
-    # the snap (1 - (q - idx)) <= EDGE_TOL * max(q, 1), each step in place
-    gap = q - idx
-    np.subtract(1.0, gap, out=gap)
-    np.maximum(q, 1.0, out=q)
-    q *= EDGE_TOL
-    snap = gap <= q
-    idx = idx.astype(np.int64)
-    idx += snap
+    idx = q.astype(np.int64)  # the floor, as q >= 0
+    # a quotient snaps when 1 - (q - floor(q)) <= EDGE_TOL * max(q, 1); q is
+    # at most the block's largest quotient, so a snapping fraction lies
+    # within that tolerance of 1, and twice it leaves room for rounding
+    q_max = (x_max - origin) / width
+    near = q - idx >= 1.0 - 2.0 * EDGE_TOL * max(q_max, 1.0)
+    if near.any():
+        qn = q[near]
+        idx[near] += 1.0 - (qn - np.floor(qn)) <= EDGE_TOL * np.maximum(qn, 1.0)
     # the snap (or the division itself) can nudge an in-range value onto the
     # right edge of the padded grid
     np.minimum(idx, bin_count - 1, out=idx)
@@ -264,15 +275,33 @@ def _subsample_order(order: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """
     keep = np.zeros(order.shape[1], dtype=bool)
     keep[idx] = True
-    place = np.cumsum(keep) - 1
-    return place[order[keep[order]].reshape(order.shape[0], idx.size)]
+    # int32 halves the result; the rank part takes M up to 3 024 616
+    # (`distance._d1sq`), so every order it accepts fits
+    place = np.cumsum(keep, dtype=np.int32) - 1
+    # on the flat order, with take and compress: a 2-D boolean mask would
+    # build a row and a column index of every kept entry first
+    flat = order.reshape(-1)
+    return place.take(flat.compress(keep.take(flat))).reshape(order.shape[0], idx.size)
 
 
 def _ranks(order: np.ndarray, dtype=np.int64) -> np.ndarray:
-    """The N x M rank matrix, of `dtype`, of the values whose rows `order` sorts stably."""
+    """The N x M rank matrix, of `dtype`, of the values whose rows `order` sorts stably.
+
+    Rows are written in blocks of at most _BLOCK_CELLS ranks (one row at
+    least), each block by one flat scatter of the ranks 1..M repeated per row.
+    """
     n, m = order.shape
     ranks = np.empty((n, m), dtype=dtype)
-    np.put_along_axis(ranks, order, np.arange(1, m + 1), axis=1)
+    flat = ranks.reshape(-1)
+    rows = max(1, _BLOCK_CELLS // m)
+    values = np.tile(np.arange(1, m + 1, dtype=dtype), rows)
+    offsets = m * np.arange(rows)[:, None]
+    cells = np.empty((rows, m), dtype=np.intp)  # the block's flat positions
+    for lo in range(0, n, rows):
+        block = order[lo : lo + rows]
+        k = len(block)
+        np.add(block, offsets[:k] + lo * m, out=cells[:k])
+        flat[cells[:k].reshape(-1)] = values[: k * m]
     return ranks
 
 

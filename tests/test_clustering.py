@@ -829,6 +829,22 @@ def test_fit_checks_first_and_sorts_at_most_once(rng, monkeypatch):
             assert parts[-1] == (5, 20) and len(parts) == (1 if "k" in k else 4)
 
 
+def test_stability_hands_parts_c_contiguous_subsamples(rng, monkeypatch):
+    # the subsample is taken row-major, so the grid's ravel copies nothing and
+    # the binning's row blocks read contiguous memory
+    panel = make_increment_panel(rng.standard_normal((6, 40)))
+    seen = []
+    parts = rwclust.clustering._parts
+
+    def recorded(x, *args):
+        seen.append((x.shape, x.flags.c_contiguous))
+        return parts(x, *args)
+
+    monkeypatch.setattr(rwclust.clustering, "_parts", recorded)
+    stability_select_k(panel, (0.0, 0.5, 1.0), BinningConfig(bins=8), k_range=[2, 3], runs=4)
+    assert seen == [((6, 28), True)] * 4
+
+
 # ---------------------------------------------------------------------------
 # cluster_summary
 # ---------------------------------------------------------------------------

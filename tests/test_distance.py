@@ -274,6 +274,24 @@ def test_theta_endpoints_bitwise(rng):
         assert _blend(d1sq, 0.0, 1.0).tobytes() == _blend(d1sq, d0sq, 1.0).tobytes()
 
 
+def test_consuming_blend_keeps_the_bits(rng):
+    # the last blend of a call is written over its parts, by the same element
+    # operations in the same order; a part no theta weights stays a scalar
+    n = 30
+    d1sq = _d1sq(np.stack([rng.permutation(40) + 1 for _ in range(n)]), False)
+    d0sq = _d0sq(np.stack([random_masses(rng, 12) for _ in range(n)]), 1)
+    for theta in (0.0, 0.25, 0.5, 1 / 3, 1.0):
+        want = _blend(d1sq, d0sq, theta).tobytes()
+        assert _blend(d1sq.copy(), d0sq.copy(), theta, consume=True).tobytes() == want
+    assert _blend(0.0, d0sq.copy(), 0.0, consume=True).tobytes() == _blend(0.0, d0sq, 0.0).tobytes()
+    assert _blend(d1sq.copy(), 0.0, 1.0, consume=True).tobytes() == _blend(d1sq, 0.0, 1.0).tobytes()
+    # it allocates no array: the blend is the Hellinger part's own storage,
+    # or the rank part's when no theta weights the Hellinger part
+    d1, d0 = d1sq.copy(), d0sq.copy()
+    assert _blend(d1, d0, 0.5, consume=True) is d0
+    assert _blend(d1, 0.0, 1.0, consume=True) is d1
+
+
 def test_theta_self_distance_zero(rng):
     x = (rng.permutation(9) + 1, random_masses(rng, 5))
     for theta in (0.0, 0.3, 1.0):
@@ -478,6 +496,30 @@ def test_distance_build_peak_memory(rng):
     assert extra[1] <= extra[0] + 4096
 
 
+def test_blend_consumes_the_parts_peak_memory(rng):
+    # in units of one condensed vector of N (N - 1) / 2 float64 pairs: the
+    # last blend is written over the parts, so a theta-0.5 build holds its
+    # two parts and the rank matrix, not a third vector and a temporary; a
+    # sweep holds its two parts and the two earlier blends with a temporary
+    n, m = 2000, 100
+    vector = n * (n - 1) // 2 * 8
+    panel = make_increment_panel(rng.standard_normal((n, m)))
+    distance_matrices(make_increment_panel(rng.standard_normal((3, m))), (0.5,), BinningConfig())
+    peaks = []
+    tracemalloc.start()
+    try:
+        for thetas in ((0.5,), (0.0, 0.5, 1.0)):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            matrices = distance_matrices(panel, thetas, BinningConfig())
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / vector)
+            del matrices
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 2.5
+    assert peaks[1] <= 5.25
+
+
 def test_d1_holds_one_vector_and_one_block(monkeypatch, rng):
     # each Gram block's sums are scaled and copied into the float64 vector
     # _d1sq returns, so past that vector it holds a few blocks of
@@ -671,6 +713,11 @@ def test_no_partition_moves_under_the_reference_kernel(monkeypatch):
 # and 1 on `_integer_panel()`, in that order
 _PINNED_DIGEST = "e2a9ef1f078c6068e0c0cbfdc8f43c4681e8fbb1faecc5bc34867732bd5acfc8"
 
+# sha256 of `fit(_integer_panel(), (0, 0.5, 1), BinningConfig(), k_range=range(2, 7))`:
+# per theta in that order, the labels as little-endian int64, then the
+# report's scores and dispersion as little-endian float64
+_PINNED_STABILITY_DIGEST = "ad7ad76db322869b6b8aeb28a161293a7a7877804838eb0cb6715afc1eec3d50"
+
 
 def _integer_panel():
     """40 x 300 values from integer arithmetic alone, each an exact float.
@@ -696,3 +743,16 @@ def test_distance_digest_is_pinned():
     for dm in matrices:
         digest.update(dm.values.astype("<f8").tobytes())
     assert digest.hexdigest() == _PINNED_DIGEST
+
+
+def test_stability_digest_is_pinned():
+    # every resample's distances are as exact as the full panel's, so its
+    # subsample, ranks, binning and blends are pinned with the labels and
+    # scores they give
+    digest = hashlib.sha256()
+    for _, assignment, report in fit(_integer_panel(), (0.0, 0.5, 1.0), BinningConfig(),
+                                     k_range=range(2, 7)):
+        digest.update(assignment.labels.astype("<i8").tobytes())
+        digest.update(np.array(report.scores, dtype="<f8").tobytes())
+        digest.update(np.array(report.dispersion, dtype="<f8").tobytes())
+    assert digest.hexdigest() == _PINNED_STABILITY_DIGEST

@@ -20,7 +20,7 @@ from rwclust import (
 )
 
 from rwclust import representation
-from rwclust.representation import MAX_BINS, _bin_index, _masses, _order
+from rwclust.representation import MAX_BINS, _bin_index, _masses, _order, _ranks
 
 from conftest import make_increment_panel, make_level_panel
 
@@ -38,16 +38,21 @@ def predicate_ranks(x):
     return out
 
 
+def naive_bin(v, origin, width, bin_count):
+    """Oracle: the bin of one value on the half-open grid, with the edge snap written out."""
+    q = (v - origin) / width
+    k = math.floor(q)
+    # a quotient within 16 ulp (relative) below an edge counts to the next bin
+    if 1.0 - (q - k) <= 16 * sys.float_info.epsilon * max(abs(q), 1.0):
+        k += 1
+    return min(k, bin_count - 1)
+
+
 def naive_masses(x, origin, width, bin_count):
-    """Oracle: per-value histogram on the half-open grid, with the edge snap written out."""
+    """Oracle: per-value histogram on the half-open grid, by `naive_bin`."""
     counts = [0] * bin_count
     for v in x:
-        q = (v - origin) / width
-        k = math.floor(q)
-        # a quotient within 16 ulp (relative) below an edge counts to the next bin
-        if 1.0 - (q - k) <= 16 * sys.float_info.epsilon * max(abs(q), 1.0):
-            k += 1
-        counts[min(k, bin_count - 1)] += 1
+        counts[naive_bin(v, origin, width, bin_count)] += 1
     return np.array([c / len(x) for c in counts])
 
 
@@ -195,6 +200,44 @@ def test_blocked_masses_match_the_oracle_at_block_edges(monkeypatch, cells):
     masses = _masses(x, grid)
     for i in range(n):
         assert naive_masses(x[i], *grid).tobytes() == masses[i].tobytes()
+
+
+@given(
+    st.floats(-1e6, 1e6),
+    st.floats(1e-3, 1e6),
+    st.integers(1, 200),
+    st.one_of(st.none(), st.floats(1.0, 200.0)),
+)
+@settings(max_examples=100, deadline=None)
+def test_bin_index_matches_the_oracle_at_and_below_every_edge(lo, span, bins, per_width):
+    # a count grid of `bins` bins, or a width grid of span / per_width wide
+    # bins, over [lo, lo + span]; every edge, and each of the 32 floats below
+    # it, is binned by the snap rule, tested only near edges
+    config = (BinningConfig(bins=bins) if per_width is None
+              else BinningConfig(rule="width", width=span / per_width))
+    origin, width, count = grid = shared_grid([lo, lo + span], config)
+    hi = origin + count * width
+    values = [origin + k * width for k in range(count + 1)]
+    below = values
+    for _ in range(32):
+        below = [math.nextafter(v, -math.inf) for v in below]
+        values += below
+    x = np.array([v for v in values if origin <= v < hi])
+    assert _bin_index(x, *grid).tolist() == [naive_bin(v, *grid) for v in x.tolist()]
+
+
+@pytest.mark.parametrize("cells", [1, 2 * 50 + 1], ids=["one-row-blocks", "short-last-block"])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_ranks_match_put_along_axis_at_block_edges(monkeypatch, cells, dtype):
+    # 7 rows of 50 in blocks of one row, or of two rows with a short last
+    # block; the stability pass hands int32 subsample orders, the panel intp
+    monkeypatch.setattr(representation, "_BLOCK_CELLS", cells)
+    order = np.argsort(np.random.default_rng(9).standard_normal((7, 50)), axis=1)
+    want = np.empty((7, 50), dtype=dtype)
+    np.put_along_axis(want, order, np.arange(1, 51), axis=1)
+    for o in (order, order.astype(np.int32)):
+        got = _ranks(o, dtype)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("cells", [None, 1], ids=["default-blocks", "one-row-blocks"])
