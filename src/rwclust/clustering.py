@@ -6,15 +6,17 @@ number of clusters is picked by resampling observations, reclustering each
 subsample, and keeping the K whose partitions agree most (mean pairwise
 adjusted Rand index by default, minimal-matching agreement as an option),
 ties going to the smaller K. One resampling pass scores several thetas at
-once: each subsample's theta-free distance parts come from one call of
-`distance._parts`, and each theta's blend of them is clustered as a
-condensed vector, as `cluster` clusters a `DistanceMatrix`'s values; only
-k-medoids expands a vector to the square matrix. Only the parts some theta
-weights are computed, so a pass at theta 0 builds no ranks and one at
-theta 1 no histograms. A pass that needs ranks sorts the panel once: a subsample's stable order is the full order with the dropped
-observations filtered out. `fit` selects K by that pass, or takes a fixed
-K, and clusters the full panel per theta; the pass hands its sort to the
-full panel's ranks, so a fit sorts the panel at most once. Trees are cut
+once: each subsample's theta-free distance parts are built once by its
+blend walk, `distance._blends`, and each theta's blend of them is clustered
+as a condensed vector, as `cluster` clusters a `DistanceMatrix`'s values;
+only k-medoids expands a vector to the square matrix. A run's subsample and
+parts live only in its walk, so a run hands the next one its labels alone.
+Only the parts some theta weights are computed, so a pass at theta 0 builds
+no ranks and one at theta 1 no histograms. A pass that needs ranks sorts
+the panel once: a subsample's stable order is the full order with the
+dropped observations filtered out. `fit` selects K by that pass, or takes a
+fixed K, and clusters the full panel per theta; the pass hands its sort to
+the full panel's ranks, so a fit sorts the panel at most once. Trees are cut
 with a union-find that merges in scipy's `cut_tree` order, so equal merge
 heights resolve as `cut_tree` resolves them. Each K's adjusted Rand
 indices for all run pairs come from one vectorised pass per run, over the
@@ -31,11 +33,10 @@ import numpy as np
 
 from .distance import (
     DistanceMatrix,
-    _blend,
+    _blends,
     _check_thetas,
     _check_threads,
     _matrices,
-    _parts,
     _weighted_parts,
 )
 from .errors import (
@@ -417,16 +418,16 @@ def _stability_pass(panel, thetas, binning, k_range, runs, subsample_fraction, s
         rng = np.random.default_rng(np.random.SeedSequence([seed, run]))
         idx = np.sort(rng.choice(m, size=m_sub, replace=False))
         # np.take keeps the subsample C-contiguous, where values[:, idx] is
-        # column-major, so the grid and the row-blocked binning read it in order
-        _, d1sq, d0sq = _parts(
-            np.take(panel.values, idx, axis=1), partial(_subsample_order, order, idx), binning,
-            thetas, exact_spearman_norm, threads,
-        )
-        for t, (theta, runs_of_t) in enumerate(zip(thetas, partitions)):
-            # one blend at a time, the last written over the parts; labels lie
-            # below n, so int32 halves what the runs hold until scoring
-            blend = _blend(d1sq, d0sq, theta, consume=t == len(thetas) - 1)
-            runs_of_t.append(_partitions(blend, method, ks).astype(np.int32))
+        # column-major, so the grid and the row-blocked binning read it in
+        # order. Only the walk holds the subsample and the parts, so they die
+        # within the run, which hands the next run its labels alone
+        walk = _blends(np.take(panel.values, idx, axis=1), binning,
+                       partial(_subsample_order, order, idx), thetas, exact_spearman_norm, threads)
+        next(walk)
+        # labels lie below n, so int32 halves what the runs hold until scoring
+        cuts = [_partitions(blend, method, ks).astype(np.int32) for blend in walk]
+        for runs_of_t, labels in zip(partitions, cuts):
+            runs_of_t.append(labels)
 
     reports = []
     for runs_of_t in partitions:

@@ -44,23 +44,24 @@ block's first on), each block scaled and copied into its rows' slices:
   form 1 - sum sqrt(px py) is not used: it loses the exact zero of
   identical pairs.
 
-Neither part depends on theta. `_parts` computes the grid and both squared
-parts of an N x M value matrix once, and `_blend`, the one place a theta
-meets the parts, takes an element-wise square root per theta; the last
+Neither part depends on theta. `_blends`, the one place a theta meets the
+parts, is the blend walk of an N x M value matrix: it yields the grid, builds
+each part once, and yields an element-wise square root per theta; the last
 theta's blend is written over the parts, with the same bits, so a call at
-one theta holds two condensed vectors, not four. Only
-`_matrices`, behind `distance_matrices(panel, thetas, binning)` and
-`clustering.fit`, wraps its blends in a `DistanceMatrix`, each as it is;
+one theta holds two condensed vectors, not four. The walk lets go of its
+values once they are binned, and its parts when it hands out the last
+blend. Only `_matrices`, behind `distance_matrices(panel, thetas, binning)`
+and `clustering.fit`, wraps its blends in a `DistanceMatrix`, each as it is;
 `fit` hands it the stability pass's sort of the panel. A stability resample
-clusters `_blend` of its subsample's `_parts` without the wrapper. A
-condensed blend stands for a symmetric matrix with a zero diagonal by
-construction, and the exact integer Gram sums keep it nonnegative and
-within the entry bound.
+clusters the blends of its subsample's walk without the wrapper, so its
+subsample and parts die within the run. A condensed blend stands for a
+symmetric matrix with a zero diagonal by construction, and the exact
+integer Gram sums keep it nonnegative and within the entry bound.
 
 A blend at theta weights d1^2 only when theta > 0 and d0^2 only when
 theta < 1 (`_weighted_parts`), and only the parts that some theta weights
 are built: at theta 0 no rank matrix (and no sort), at theta 1 no
-histogram. `_parts` composes the helpers that `represent` composes, so the
+histogram. `_blends` composes the helpers that `represent` composes, so the
 parts it builds come from the same bits as a representation's. It checks
 none of them, since they are a permutation and a histogram per row by
 construction; `distance_matrices`, `stability_select_k` and `fit` check
@@ -266,62 +267,60 @@ def _check_threads(threads: int) -> int:
     return threads
 
 
-def _blend(d1sq, d0sq, theta: float, consume: bool = False) -> np.ndarray:
-    """The condensed distances at `theta` from the squared parts.
-
-    A part that no theta weights enters as the scalar 0.0, which gives the
-    same bits as the computed part times the zero weight, since 0.0 * d is
-    +0.0 for every finite d >= 0. With `consume` the blend is written over
-    the parts, which hold garbage afterwards: the last blend of a set of
-    parts allocates nothing.
-    """
-    if consume:
-        # the same element operations in the same order, so the same bits (a
-        # scalar part is rebound, an array scaled in place); IEEE addition
-        # commutes, so the sum may land in either part. It lands in the
-        # Hellinger part when there is one: summing into the rank part, which
-        # is allocated before the rank matrix is freed, left a 1000 x 1000
-        # pipeline's ru_maxrss 7 MB higher in 2 of 3 benchmark runs (108.6 MB
-        # against 101.4)
-        d1sq *= theta
-        d0sq *= 1.0 - theta
-        out, other = (d0sq, d1sq) if isinstance(d0sq, np.ndarray) else (d1sq, d0sq)
-        out += other
-        return np.sqrt(out, out=out)
-    # summed and rooted in place, so a blend holds two condensed arrays at
-    # most besides the parts, whether or not numpy elides temporaries
-    out = theta * d1sq
-    out += (1.0 - theta) * d0sq
-    return np.sqrt(out, out=out)
-
-
-def _parts(
+def _blends(
     x: np.ndarray,
-    order: Callable[[], np.ndarray],
     binning: BinningConfig,
+    order: Callable[[], np.ndarray],
     thetas: tuple[float, ...],
     exact_spearman_norm: bool,
     threads: int,
-) -> tuple[tuple[float, float, int], Any, Any]:
-    """The grid and the squared parts (d1^2, d0^2) of the N x M values `x`,
-    computing only the parts that `thetas` weight; a part no theta weights
-    is the scalar 0.0, which `_blend` takes as it takes an array.
+) -> Iterator[Any]:
+    """The grid of the N x M values `x`, then the condensed blend at each
+    theta of `thetas`, in their order.
 
-    `order()` gives the stable argsort of x's rows and is called only for
-    the rank part. The grid is built at every theta, so its errors do not
-    depend on which parts are computed. The callers check `thetas` and
-    `threads`.
+    Only the squared parts (d1^2, d0^2) that `thetas` weight are computed;
+    a part no theta weights stays the scalar 0.0, which gives the same bits
+    as the computed part times the zero weight, since 0.0 * d is +0.0 for
+    every finite d >= 0. `order()` gives the stable argsort of x's rows and
+    is called only for the rank part. The grid is built at every theta, so
+    its errors do not depend on which parts are computed. The walk lets go
+    of `x` once the masses are built, and writes the last blend over the
+    parts. The callers check `thetas` and `threads`.
     """
     needs_d1sq, needs_d0sq = _weighted_parts(thetas)
     grid = shared_grid(x, binning)
+    yield grid
     d1sq = d0sq = 0.0
     if needs_d1sq:
         ranks = _ranks(order(), float)  # exact, and BLAS takes them without a copy
         d1sq = _d1sq(ranks, exact_spearman_norm)
         del ranks  # freed before the histogram is built
+    masses = _masses(x, grid) if needs_d0sq else None
+    del x  # a subsample dies here, before its Hellinger part is built
     if needs_d0sq:
-        d0sq = _d0sq(_masses(x, grid), threads)
-    return grid, d1sq, d0sq
+        d0sq = _d0sq(masses, threads)
+    del masses
+    for theta in thetas[:-1]:
+        # summed and rooted in place, so a blend holds two condensed arrays
+        # at most besides the parts, whether or not numpy elides temporaries
+        out = theta * d1sq
+        out += (1.0 - theta) * d0sq
+        yield np.sqrt(out, out=out)
+    # the last blend is written over the parts by the same element
+    # operations in the same order, so the same bits (a scalar part is
+    # rebound, an array scaled in place); IEEE addition commutes, so the sum
+    # may land in either part. It lands in the Hellinger part when there is
+    # one: summing into the rank part, which is allocated before the rank
+    # matrix is freed, left a 1000 x 1000 pipeline's ru_maxrss 7 MB higher
+    # in 2 of 3 benchmark runs (108.6 MB against 101.4)
+    theta = thetas[-1]
+    d1sq *= theta
+    d0sq *= 1.0 - theta
+    out, other = (d0sq, d1sq) if isinstance(d0sq, np.ndarray) else (d1sq, d0sq)
+    del d1sq, d0sq
+    out += other
+    del other  # the other part dies before the last blend is handed out
+    yield np.sqrt(out, out=out)
 
 
 def distance_matrices(
@@ -344,20 +343,16 @@ def distance_matrices(
 
 
 def _matrices(panel, thetas, binning, exact_spearman_norm, threads, order=None):
-    """`distance_matrices` past its checks; `order` replaces the panel's own sort in `_parts`."""
+    """`distance_matrices` past its checks; `order` replaces the panel's own sort in `_blends`."""
     x = panel.values
-    (origin, width, nbins), d1sq, d0sq = _parts(
-        x, order or (lambda: _order(x)), binning, thetas, exact_spearman_norm, threads,
-    )
-    # each matrix gets its own meta dict, so editing one leaves the others
-    # alone; the last blend is written over the parts, so a call at one
-    # theta holds the two parts and nothing more
-    last = len(thetas) - 1
+    walk = _blends(x, binning, order or (lambda: _order(x)), thetas, exact_spearman_norm, threads)
+    origin, width, nbins = next(walk)
+    # each matrix gets its own meta dict, so editing one leaves the others alone
     return tuple(
-        DistanceMatrix(panel.ids, _blend(d1sq, d0sq, theta, t == last), theta, meta={
+        DistanceMatrix(panel.ids, blend, theta, meta={
             "m": x.shape[1],
             "binning": {"origin": origin, "width": width, "bins": nbins},
             "exact_spearman_norm": exact_spearman_norm,
         })
-        for t, theta in enumerate(thetas)
+        for theta, blend in zip(thetas, walk)
     )

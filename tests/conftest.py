@@ -1,10 +1,12 @@
 """Shared fixtures and panel-building helpers for the test suite."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from rwclust import IncrementPanel, SeriesPanel, clustering, distance, representation
+from rwclust import BinningConfig, IncrementPanel, SeriesPanel, clustering, distance, representation
 
 
 @pytest.fixture
@@ -47,3 +49,17 @@ def count_stable_sorts(monkeypatch) -> list:
     for module in (representation, clustering, distance):
         monkeypatch.setattr(module, "_order", counted)
     return stable_sorts
+
+
+def blends_over(d1sq, d0sq, thetas) -> list:
+    """The blends `distance._blends` yields at `thetas` when its rank and
+    Hellinger kernels return `d1sq` and `d0sq`, which may be any arrays of
+    one shape. A part no theta weights is never asked for, so it enters as
+    the scalar 0.0; the last blend is written over the parts it was given."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])  # feeds only the grid, ranks and masses
+    with mock.patch.object(distance, "_d1sq", lambda ranks, norm: d1sq), \
+            mock.patch.object(distance, "_d0sq", lambda masses, threads: d0sq):
+        walk = distance._blends(x, BinningConfig(), lambda: representation._order(x),
+                                tuple(thetas), False, 1)
+        next(walk)
+        return list(walk)

@@ -30,7 +30,9 @@ from rwclust import (
     to_increments,
 )
 from rwclust.cli import main as cli_main
-from rwclust.distance import _blend, _d0sq, _d1sq
+from rwclust.distance import _d0sq, _d1sq
+
+from conftest import blends_over
 
 
 _CAPTURE = None
@@ -141,7 +143,7 @@ def test_criterion_2_metric_properties():
         # rows x, y, z, x: pair (0, 1) differences y - x, pair (1, 3) x - y,
         # and pair (0, 3) compares two separate copies of x
         rows = (x, y, z, x)
-        v = _blend(*matrix_parts([r for r, _ in rows], [p for _, p in rows]), 0.5)
+        [v] = blends_over(*matrix_parts([r for r, _ in rows], [p for _, p in rows]), (0.5,))
         dxy, dyz, dxz = v[0, 1], v[1, 2], v[0, 2]
         worst_slack = max(
             worst_slack, dxy - (dxz + dyz), dxz - (dxy + dyz), dyz - (dxy + dxz)

@@ -33,7 +33,7 @@ from rwclust import (
     stability_select_k,
 )
 from rwclust.clustering import _pairwise_ari, _partitions
-from rwclust.distance import _blend, _parts
+from rwclust.distance import _blends
 from rwclust.representation import _ranks, _subsample_order
 
 from conftest import count_stable_sorts, make_increment_panel, make_level_panel
@@ -302,14 +302,16 @@ def test_subsample_representation_equals_represent_of_the_subsample(kind):
         # the blends a run clusters from the filtered order equal the matrices
         # of the subsample panel, whichever parts its thetas weight
         for thetas in ((0.0,), (1.0,), (0.0, 0.5, 1.0)):
-            (origin, width, bins), d1sq, d0sq = _parts(
-                values[:, idx], partial(_subsample_order, order, idx), binning, thetas, False, 1,
-            )
+            walk = _blends(values[:, idx], binning, partial(_subsample_order, order, idx),
+                           thetas, False, 1)
+            origin, width, bins = next(walk)
+            blends = list(walk)
             matrices = distance_matrices(subsample, thetas, binning)
             assert [dm.theta for dm in matrices] == list(thetas)
-            for theta, dm in zip(thetas, matrices):
+            assert len(blends) == len(thetas)
+            for blend, dm in zip(blends, matrices):
                 assert dm.meta["binning"] == {"origin": origin, "width": width, "bins": bins}
-                assert _blend(d1sq, d0sq, theta).tobytes() == dm.values.tobytes()
+                assert blend.tobytes() == dm.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -786,13 +788,14 @@ def test_fit_equals_the_three_calls(method, thetas, fixed_k, exact):
 
 
 def _count_parts(monkeypatch) -> list:
-    """Count the calls of `_parts` by the stability pass and by fit's full panel."""
+    """Count the blend walks, each building one set of parts, by the
+    stability pass and by fit's full panel."""
     calls = []
     for module in (rwclust.clustering, rwclust.distance):
-        def counted(*args, inner=module._parts, **kwargs):
+        def counted(*args, inner=module._blends, **kwargs):
             calls.append(args[0].shape)
             return inner(*args, **kwargs)
-        monkeypatch.setattr(module, "_parts", counted)
+        monkeypatch.setattr(module, "_blends", counted)
     return calls
 
 
@@ -834,13 +837,13 @@ def test_stability_hands_parts_c_contiguous_subsamples(rng, monkeypatch):
     # the binning's row blocks read contiguous memory
     panel = make_increment_panel(rng.standard_normal((6, 40)))
     seen = []
-    parts = rwclust.clustering._parts
+    blends = rwclust.clustering._blends
 
     def recorded(x, *args):
         seen.append((x.shape, x.flags.c_contiguous))
-        return parts(x, *args)
+        return blends(x, *args)
 
-    monkeypatch.setattr(rwclust.clustering, "_parts", recorded)
+    monkeypatch.setattr(rwclust.clustering, "_blends", recorded)
     stability_select_k(panel, (0.0, 0.5, 1.0), BinningConfig(bins=8), k_range=[2, 3], runs=4)
     assert seen == [((6, 28), True)] * 4
 

@@ -26,13 +26,14 @@ from rwclust import (
     fit,
     generate_panel,
     represent,
+    stability_select_k,
     to_increments,
 )
 from rwclust import distance, representation
-from rwclust.distance import _blend, _d0sq, _d1sq, _rank_sums, _upper_pairs
+from rwclust.distance import _d0sq, _d1sq, _rank_sums, _upper_pairs
 from rwclust.representation import _masses, shared_grid
 
-from conftest import make_increment_panel
+from conftest import blends_over, make_increment_panel
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,8 @@ def mass_part(mass_rows):
 
 def blended(rank_rows, mass_rows, theta):
     """The distance values at theta of the series given by their rank and mass rows."""
-    return _blend(rank_part(rank_rows), mass_part(mass_rows), theta)
+    [blend] = blends_over(rank_part(rank_rows), mass_part(mass_rows), (theta,))
+    return blend
 
 
 def matrix(panel, theta, binning=BinningConfig(), **kwargs):
@@ -259,6 +261,12 @@ def test_theta_half_blend():
     assert out == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
+def allocating_blend(d1sq, d0sq, theta):
+    """The blend at theta by the allocating arithmetic: new arrays for the
+    weighted parts and their sum, then the root."""
+    return np.sqrt(theta * d1sq + (1.0 - theta) * d0sq)
+
+
 def test_theta_endpoints_bitwise(rng):
     for _ in range(20):
         m = int(rng.integers(2, 25))
@@ -266,30 +274,38 @@ def test_theta_endpoints_bitwise(rng):
         x = (rng.permutation(m) + 1, random_masses(rng, bins))
         y = (rng.permutation(m) + 1, random_masses(rng, bins))
         d1sq, d0sq = rank_part([x[0], y[0]]), mass_part([x[1], y[1]])
-        assert np.array_equal(_blend(d1sq, d0sq, 0.0), np.sqrt(d0sq))
-        assert np.array_equal(_blend(d1sq, d0sq, 1.0), np.sqrt(d1sq))
-        # with the unweighted part left out as the scalar 0.0, an endpoint
-        # blend keeps its bits
-        assert _blend(0.0, d0sq, 0.0).tobytes() == _blend(d1sq, d0sq, 0.0).tobytes()
-        assert _blend(d1sq, 0.0, 1.0).tobytes() == _blend(d1sq, d0sq, 1.0).tobytes()
+        for theta, part in ((0.0, d0sq), (1.0, d1sq)):
+            # an earlier theta's blend over both parts, and the last blend
+            # written over both parts
+            both, _ = blends_over(d1sq.copy(), d0sq.copy(), (theta, 1.0 - theta))
+            _, last = blends_over(d1sq.copy(), d0sq.copy(), (1.0 - theta, theta))
+            assert np.array_equal(both, np.sqrt(part))
+            assert last.tobytes() == both.tobytes()
+            # with the unweighted part left out as the scalar 0.0, an endpoint
+            # blend keeps its bits
+            [alone] = blends_over(d1sq.copy(), d0sq.copy(), (theta,))
+            assert alone.tobytes() == both.tobytes()
 
 
 def test_consuming_blend_keeps_the_bits(rng):
-    # the last blend of a call is written over its parts, by the same element
+    # the last blend of a walk is written over its parts, by the same element
     # operations in the same order; a part no theta weights stays a scalar
     n = 30
     d1sq = _d1sq(np.stack([rng.permutation(40) + 1 for _ in range(n)]), False)
     d0sq = _d0sq(np.stack([random_masses(rng, 12) for _ in range(n)]), 1)
     for theta in (0.0, 0.25, 0.5, 1 / 3, 1.0):
-        want = _blend(d1sq, d0sq, theta).tobytes()
-        assert _blend(d1sq.copy(), d0sq.copy(), theta, consume=True).tobytes() == want
-    assert _blend(0.0, d0sq.copy(), 0.0, consume=True).tobytes() == _blend(0.0, d0sq, 0.0).tobytes()
-    assert _blend(d1sq.copy(), 0.0, 1.0, consume=True).tobytes() == _blend(d1sq, 0.0, 1.0).tobytes()
+        want = allocating_blend(d1sq, d0sq, theta).tobytes()
+        earlier, last = blends_over(d1sq.copy(), d0sq.copy(), (theta, theta))
+        assert earlier.tobytes() == want and last.tobytes() == want
+    [last] = blends_over(d1sq.copy(), d0sq.copy(), (0.0,))
+    assert last.tobytes() == allocating_blend(0.0, d0sq, 0.0).tobytes()
+    [last] = blends_over(d1sq.copy(), d0sq.copy(), (1.0,))
+    assert last.tobytes() == allocating_blend(d1sq, 0.0, 1.0).tobytes()
     # it allocates no array: the blend is the Hellinger part's own storage,
     # or the rank part's when no theta weights the Hellinger part
     d1, d0 = d1sq.copy(), d0sq.copy()
-    assert _blend(d1, d0, 0.5, consume=True) is d0
-    assert _blend(d1, 0.0, 1.0, consume=True) is d1
+    assert blends_over(d1, d0, (0.5,))[-1] is d0
+    assert blends_over(d1, d0, (1.0,))[-1] is d1
 
 
 def test_theta_self_distance_zero(rng):
@@ -518,6 +534,33 @@ def test_blend_consumes_the_parts_peak_memory(rng):
         tracemalloc.stop()
     assert peaks[0] <= 2.5
     assert peaks[1] <= 5.25
+
+
+def test_stability_run_holds_one_set_of_parts_peak_memory(rng):
+    # in units of one condensed vector, as above: each run's subsample and
+    # parts live only in its blend walk, so they die within the run and the
+    # next run builds its parts beside nothing but labels. One theta peaks
+    # at the run's parts (two at theta 0.5, one at an endpoint) plus blocks,
+    # or at its blend beside the copy linkage takes; a sweep as a sweep build
+    n, m = 2000, 100
+    vector = n * (n - 1) // 2 * 8
+    panel = make_increment_panel(rng.standard_normal((n, m)))
+    small = make_increment_panel(rng.standard_normal((6, m)))
+    stability_select_k(small, (0.5,), BinningConfig(), k_range=[2, 3], runs=2)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for thetas in ((0.5,), (1.0,), (0.0,), (0.0, 0.5, 1.0)):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            stability_select_k(panel, thetas, BinningConfig(), k_range=[2, 3], runs=3)
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / vector)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 2.5
+    assert peaks[1] <= 1.6
+    assert peaks[2] <= 1.4
+    assert peaks[3] <= 5.25
 
 
 def test_d1_holds_one_vector_and_one_block(monkeypatch, rng):
